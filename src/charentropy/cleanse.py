@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .ingest import LongTable
+from .ingest import LongTable, take, with_words
 from .metrics import BOUNDARY
 
 DEFAULT_RARE_THRESHOLD = 0.0001  # 0.01% of word characters
@@ -75,37 +75,42 @@ def _in_ranges(char: str, ranges: tuple[tuple[int, int], ...]) -> bool:
 
 
 def cleanse(table: LongTable, cfg: CleanseConfig) -> LongTable:
+    """Run the pipeline over each distinct word once and drop the words it
+    empties; the rare-character census still counts every token.
+
+    Every stage decides per character, so each pass is one translation
+    table over the characters present.
+    """
     keep = cfg.preserve_chars
 
-    words = [r.surface_form for r in table.records]
-    if cfg.strip_punctuation:
-        words = ["".join(c for c in w if c in keep or not _is_removable(c))
-                 for w in words]
-    if cfg.lowercase:
-        words = ["".join(c if c in keep else c.lower() for c in w)
-                 for w in words]
+    def strip_and_lower(c: str) -> str:
+        if c in keep:
+            return c
+        if cfg.strip_punctuation and _is_removable(c):
+            return ""
+        return c.lower() if cfg.lowercase else c
 
+    words = table.words()
+    types = set(words)
+    first = {ord(c): strip_and_lower(c) for c in set("".join(types))}
+    cleaned = {w: w.translate(first) for w in types}
+
+    drop: set[str] = set()
     if cfg.rare_char_threshold > 0.0:
-        counts = Counter()
-        for w in words:
-            counts.update(w)
+        counts = Counter("".join(map(cleaned.__getitem__, words)))
         total = sum(counts.values())
-        if total:
-            rare = {c for c, n in counts.items()
-                    if n / total < cfg.rare_char_threshold and c not in keep}
-            if rare:
-                words = ["".join(c for c in w if c not in rare)
-                         for w in words]
-
+        drop = {c for c, n in counts.items()
+                if n / total < cfg.rare_char_threshold and c not in keep}
     if cfg.script_ranges is not None:
-        words = ["".join(c for c in w
-                         if c in keep or _in_ranges(c, cfg.script_ranges))
-                 for w in words]
+        drop |= {c for c in set("".join(cleaned.values()))
+                 if c not in keep and not _in_ranges(c, cfg.script_ranges)}
+    if drop:
+        second = dict.fromkeys(map(ord, drop))
+        cleaned = {w: v.translate(second) for w, v in cleaned.items()}
 
-    records = tuple(
-        replace(r, surface_form=w)
-        for r, w in zip(table.records, words) if w)
-    return LongTable(records=records, source_id=table.source_id)
+    new_words = list(map(cleaned.__getitem__, words))
+    kept = take(table, new_words)  # an emptied word is false
+    return with_words(kept, filter(None, new_words))
 
 
 def charset_report(table: LongTable) -> list[tuple[str, int, float]]:
@@ -116,12 +121,10 @@ def charset_report(table: LongTable) -> list[tuple[str, int, float]]:
     uses, so this census is exactly the distribution behind h1. Sorted by
     descending count, ties by codepoint.
     """
-    if not table.records:
+    if not len(table):
         return []
-    counts = Counter()
-    for r in table.records:
-        counts.update(r.surface_form)
-    counts[BOUNDARY] += len(table.records)
+    counts = Counter("".join(table.words()))
+    counts[BOUNDARY] += len(table)
     total = sum(counts.values())
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [(c, n, n / total) for c, n in ranked]

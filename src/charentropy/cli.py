@@ -134,7 +134,7 @@ def _load_meta(args) -> tuple[FolioMetadataMap, tuple[str, str]]:
 
 def _sniff_kind(raw: bytes) -> str:
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError:
         return "plaintext"  # the plaintext parser reports the bad byte
     for line in text.splitlines():
@@ -386,7 +386,7 @@ def cmd_batch(args) -> int:
     rows = []
     for doc, selection, system in _batch_jobs(args):
         selected = canonical_selection(table, selection)
-        if not selected.records:
+        if not len(selected):
             print(f"charentropy: batch: skipping {doc}/{system}: "
                   f"selection {selection!r} is empty", file=sys.stderr)
             continue

@@ -1,9 +1,18 @@
 """Parse interlinear transcription files and plain text into word tables.
 
-The central structure is the :class:`LongTable`: one :class:`WordRecord` per
-word, in document order, each carrying the word's position within its line and
-paragraph plus the page-level classifications (folio, quire, section,
-language, scribal hand, transcriber).
+The central structure is the :class:`LongTable`: the words of one source in
+document order, stored column by column. Besides the surface forms there is
+a column for each word's position within its line and paragraph and for each
+page-level classification (folio, quire, section, language, scribal hand,
+transcriber); the table carries one ``source_id``. A :class:`WordRecord` is
+one row of the table, built on demand.
+
+Columns are validated once, where tables are built: the two parsers,
+:func:`read_tsv`, :func:`from_words` and :func:`with_words`. Every other table
+derives from those through the only two transforms, :func:`with_words`
+(replace every word) and :func:`take` (keep the rows a boolean mask selects),
+so word rewrites elsewhere in the package compute one result per distinct
+word and map it back over the tokens.
 
 Interlinear input follows a documented subset of the line-by-line
 transcription family used for the Voynich manuscript:
@@ -33,10 +42,12 @@ these are scholarly classifications subject to revision.
 
 from __future__ import annotations
 
-import io
 import re
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from typing import NoReturn
 
 from .errors import DecodeError, MetadataError, ParseError
 
@@ -67,6 +78,28 @@ _LOCUS_RE = re.compile(
 
 _ANNOTATION_RE = re.compile(r"\{[^{}]*\}")
 
+# The columns of a LongTable, in WordRecord field order.
+RECORD_FIELDS = (
+    "surface_form",
+    "line_pos_fwd", "line_pos_rev", "para_pos_fwd", "para_pos_rev",
+    "locus_kind", "line_number", "paragraph_number",
+    "folio", "quire", "section", "language", "hand", "transcriber",
+)
+
+_INT_FIELDS = tuple(
+    f for f in RECORD_FIELDS if f.endswith(("_fwd", "_rev", "_number")))
+_ENUM_FIELDS = {"locus_kind": LOCUS_KINDS, "language": LANGUAGES,
+                "hand": HANDS}
+
+
+def _check_surface_form(word: str) -> None:
+    if not word:
+        raise ValueError("surface_form must be non-empty")
+    bad = _WHITESPACE_CHARS.intersection(word)
+    if bad:
+        raise ValueError(
+            f"surface_form {word!r} contains whitespace {sorted(bad)!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class WordRecord:
@@ -95,41 +128,81 @@ class WordRecord:
     transcriber: str
 
     def __post_init__(self) -> None:
-        if not self.surface_form:
-            raise ValueError("surface_form must be non-empty")
-        bad = _WHITESPACE_CHARS.intersection(self.surface_form)
-        if bad:
-            raise ValueError(
-                f"surface_form {self.surface_form!r} contains "
-                f"whitespace {sorted(bad)!r}"
-            )
-        for name in ("line_pos_fwd", "line_pos_rev", "para_pos_fwd",
-                     "para_pos_rev", "line_number", "paragraph_number"):
+        _check_surface_form(self.surface_form)
+        for name in _INT_FIELDS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.locus_kind not in LOCUS_KINDS:
-            raise ValueError(f"unknown locus_kind {self.locus_kind!r}")
-        if self.language not in LANGUAGES:
-            raise ValueError(f"unknown language {self.language!r}")
-        if self.hand not in HANDS:
-            raise ValueError(f"unknown hand {self.hand!r}")
+        for name, allowed in _ENUM_FIELDS.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+def _invalid_values(name: str, values: set) -> set:
+    """The values among ``values`` that WordRecord rejects in field
+    ``name``."""
+    if name == "surface_form":
+        return {w for w in values
+                if not w or not _WHITESPACE_CHARS.isdisjoint(w)}
+    if name in _INT_FIELDS:
+        return {v for v in values if v < 1}
+    if name in _ENUM_FIELDS:
+        return values.difference(_ENUM_FIELDS[name])
+    return set()
+
+
+def check_words(words: Sequence[str]) -> None:
+    """Raise WordRecord's ValueError for the first invalid word, if any,
+    judging each distinct word once."""
+    bad = _invalid_values("surface_form", set(words))
+    if bad:
+        _check_surface_form(next(w for w in words if w in bad))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class LongTable:
-    """An ordered, immutable sequence of WordRecords from one source."""
+    """An ordered, immutable table of words from one source.
 
-    records: tuple[WordRecord, ...]
+    ``columns`` holds one tuple per :data:`RECORD_FIELDS` entry, all of the
+    table's length. Every constructor validates what it is given, so each
+    row satisfies WordRecord's checks.
+    """
+
+    columns: tuple[tuple, ...]
     source_id: str
 
+    def __init__(self, records: Iterable[WordRecord], source_id: str) -> None:
+        records = tuple(records)
+        object.__setattr__(self, "columns", tuple(
+            tuple(getattr(r, name) for r in records)
+            for name in RECORD_FIELDS))
+        object.__setattr__(self, "source_id", source_id)
+
+    @classmethod
+    def _from_columns(cls, columns: Iterable[Iterable],
+                      source_id: str) -> "LongTable":
+        """A table over columns the caller has already validated."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "columns", tuple(map(tuple, columns)))
+        object.__setattr__(table, "source_id", source_id)
+        return table
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns[0])
 
     def __iter__(self):
         return iter(self.records)
 
+    @property
+    def records(self) -> tuple[WordRecord, ...]:
+        """The rows as WordRecords, built on each access."""
+        return tuple(WordRecord(*row) for row in zip(*self.columns))
+
     def words(self) -> list[str]:
-        return [r.surface_form for r in self.records]
+        return list(self.columns[0])
+
+    def column(self, name: str) -> tuple:
+        return self.columns[RECORD_FIELDS.index(name)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,21 +265,47 @@ class FolioMetadataMap:
 
 def _decode(raw: bytes) -> str:
     try:
-        return raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DecodeError("input is not valid UTF-8", exc.start) from None
+    # A UTF-8 byte-order mark is an encoding signature, not text.
+    return text.removeprefix("\ufeff")
 
 
-@dataclass(frozen=True, slots=True)
-class _RawLine:
-    """One locus line before positional fields are assigned."""
+def _table_from_lines(lines: list[tuple], source_id: str) -> LongTable:
+    """Expand per-line words and attributes into a table's columns.
 
-    folio: str
-    locus: str
-    line_number: int
-    transcriber: str
-    words: tuple[str, ...]
-    source_line: int
+    Each entry of ``lines`` is ``(words, locus_kind, line_number,
+    paragraph_number, folio, quire, section, language, hand, transcriber)``
+    for one text line, in document order. Every attribute repeats for each
+    word of its line, and the four position columns follow from the
+    per-line word counts and paragraph numbers.
+    """
+    counts = [len(line[0]) for line in lines]
+    para_size: Counter = Counter()
+    for n, line in zip(counts, lines):
+        para_size[line[3]] += n
+    line_fwd: list[int] = []
+    line_rev: list[int] = []
+    para_fwd: list[int] = []
+    para_rev: list[int] = []
+    placed: Counter = Counter()  # words of each paragraph already placed
+    for n, line in zip(counts, lines):
+        para = line[3]
+        before = placed[para]
+        placed[para] += n
+        left = para_size[para] - before
+        line_fwd.extend(range(1, n + 1))
+        line_rev.extend(range(n, 0, -1))
+        para_fwd.extend(range(before + 1, before + n + 1))
+        para_rev.extend(range(left, left - n, -1))
+    per_line = list(zip(*lines)) or [()] * 10
+    words = chain.from_iterable(per_line[0])
+    attributes = (chain.from_iterable(map(repeat, values, counts))
+                  for values in per_line[1:])
+    return LongTable._from_columns(
+        (words, line_fwd, line_rev, para_fwd, para_rev, *attributes),
+        source_id)
 
 
 def _split_payload(payload: str, comma_breaks: bool, line_number: int) -> tuple[str, ...]:
@@ -239,8 +338,8 @@ def parse_interlinear(
 ) -> LongTable:
     """Parse an interlinear transcription file into a LongTable.
 
-    One WordRecord per credible word. When ``transcriber_filter`` is given,
-    only that transcriber's lines are kept, and line/paragraph positions are
+    One row per credible word. When ``transcriber_filter`` is given, only
+    that transcriber's lines are kept, and line/paragraph positions are
     computed over the filtered text (an interlinear file repeats each locus
     once per transcriber; positions describe a single transcriber's
     document). ``comma_breaks=True`` treats uncertain breaks as real breaks
@@ -250,7 +349,7 @@ def parse_interlinear(
     MetadataError listing every folio missing from ``meta``.
     """
     text = _decode(raw)
-    lines: list[_RawLine] = []
+    parsed: list[tuple[str, str, int, str, tuple[str, ...], int]] = []
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -262,65 +361,37 @@ def parse_interlinear(
                 "expected '<folio.locus.line;transcriber>' locus header", n)
         if transcriber_filter is not None and m["transcriber"] != transcriber_filter:
             continue
-        lines.append(_RawLine(
-            folio=m["folio"],
-            locus=m["locus"],
-            line_number=int(m["line"]),
-            transcriber=m["transcriber"],
-            words=_split_payload(m["payload"], comma_breaks, n),
-            source_line=n,
-        ))
+        parsed.append((m["folio"], m["locus"], int(m["line"]),
+                       m["transcriber"],
+                       _split_payload(m["payload"], comma_breaks, n), n))
 
     if meta.default_entry is None:
-        missing = sorted({ln.folio for ln in lines} - set(meta.entries))
+        missing = sorted({folio for folio, *_ in parsed} - set(meta.entries))
         if missing:
             raise MetadataError(missing)
 
     # Group consecutive lines into paragraphs by (folio, locus).
-    para_of_line: list[int] = []
+    lines: list[tuple] = []
     paragraph = 0
     prev_key: tuple[str, str] | None = None
-    for ln in lines:
-        key = (ln.folio, ln.locus)
-        if key != prev_key:
+    for folio, locus, line_number, transcriber, words, source_line in parsed:
+        if (folio, locus) != prev_key:
             paragraph += 1
-            prev_key = key
-        para_of_line.append(paragraph)
-
-    para_sizes: dict[int, int] = {}
-    for ln, para in zip(lines, para_of_line):
-        para_sizes[para] = para_sizes.get(para, 0) + len(ln.words)
-
-    records: list[WordRecord] = []
-    para_cursor: dict[int, int] = {}
-    for ln, para in zip(lines, para_of_line):
-        section, language, hand, quire = meta.lookup(ln.folio)
-        kind = PARAGRAPH if ln.locus[0] in "Pp" else LABEL_OR_DIAGRAM
-        n_line = len(ln.words)
-        n_para = para_sizes[para]
-        for i, word in enumerate(ln.words, start=1):
-            pos_in_para = para_cursor.get(para, 0) + 1
-            para_cursor[para] = pos_in_para
+            prev_key = (folio, locus)
+        section, language, hand, quire = meta.lookup(folio)
+        kind = PARAGRAPH if locus[0] in "Pp" else LABEL_OR_DIAGRAM
+        if words:
+            # One record per line checks the fields its words share (locus
+            # kind, line number, language, hand); positions are valid by
+            # construction and the payload split already rejected bad words.
             try:
-                records.append(WordRecord(
-                    surface_form=word,
-                    line_pos_fwd=i,
-                    line_pos_rev=n_line - i + 1,
-                    para_pos_fwd=pos_in_para,
-                    para_pos_rev=n_para - pos_in_para + 1,
-                    locus_kind=kind,
-                    line_number=ln.line_number,
-                    paragraph_number=para,
-                    folio=ln.folio,
-                    quire=quire,
-                    section=section,
-                    language=language,
-                    hand=hand,
-                    transcriber=ln.transcriber,
-                ))
+                WordRecord(words[0], 1, 1, 1, 1, kind, line_number, paragraph,
+                           folio, quire, section, language, hand, transcriber)
             except ValueError as exc:
-                raise ParseError(str(exc), ln.source_line) from None
-    return LongTable(records=tuple(records), source_id=source_id)
+                raise ParseError(str(exc), source_line) from None
+        lines.append((words, kind, line_number, paragraph, folio, quire,
+                      section, language, hand, transcriber))
+    return _table_from_lines(lines, source_id)
 
 
 def parse_plaintext(raw: bytes, source_id: str) -> LongTable:
@@ -331,12 +402,10 @@ def parse_plaintext(raw: bytes, source_id: str) -> LongTable:
     section and transcriber are empty strings).
     """
     text = _decode(raw)
-    file_lines = text.splitlines()
-
-    line_words: list[tuple[int, int, list[str]]] = []  # (line_no, para, words)
+    lines: list[tuple] = []
     paragraph = 0
     in_block = False
-    for n, line in enumerate(file_lines, start=1):
+    for n, line in enumerate(text.splitlines(), start=1):
         words = line.split()
         if not words:
             in_block = False
@@ -344,61 +413,40 @@ def parse_plaintext(raw: bytes, source_id: str) -> LongTable:
         if not in_block:
             paragraph += 1
             in_block = True
-        line_words.append((n, paragraph, words))
+        lines.append((words, PARAGRAPH, n, paragraph, "", "", "",
+                      UNCLASSIFIED, UNCLASSIFIED, ""))
+    return _table_from_lines(lines, source_id)
 
-    para_sizes: dict[int, int] = {}
-    for _, para, words in line_words:
-        para_sizes[para] = para_sizes.get(para, 0) + len(words)
 
-    records: list[WordRecord] = []
-    para_cursor: dict[int, int] = {}
-    for line_no, para, words in line_words:
-        n_line = len(words)
-        for i, word in enumerate(words, start=1):
-            pos = para_cursor.get(para, 0) + 1
-            para_cursor[para] = pos
-            records.append(WordRecord(
-                surface_form=word,
-                line_pos_fwd=i,
-                line_pos_rev=n_line - i + 1,
-                para_pos_fwd=pos,
-                para_pos_rev=para_sizes[para] - pos + 1,
-                locus_kind=PARAGRAPH,
-                line_number=line_no,
-                paragraph_number=para,
-                folio="",
-                quire="",
-                section="",
-                language=UNCLASSIFIED,
-                hand=UNCLASSIFIED,
-                transcriber="",
-            ))
-    return LongTable(records=tuple(records), source_id=source_id)
+def take(table: LongTable, mask: Sequence[bool]) -> LongTable:
+    """The rows where ``mask`` is true, order and positions preserved."""
+    if len(mask) != len(table):
+        raise ValueError(f"mask of {len(mask)} for {len(table)} records")
+    return LongTable._from_columns(
+        (compress(column, mask) for column in table.columns), table.source_id)
 
 
 def select(table: LongTable, predicate: Callable[[WordRecord], bool]) -> LongTable:
     """Subsequence of records matching ``predicate``, order preserved."""
-    return LongTable(
-        records=tuple(r for r in table.records if predicate(r)),
-        source_id=table.source_id,
-    )
+    return take(table, [predicate(r) for r in table.records])
 
 
 # The sixteen canonical document selections: the whole text, each Currier
 # language, and each scribal hand -- with and without label/diagram text.
-def _criteria(language: str | None, hand: str | None, text_only: bool):
-    def pred(r: WordRecord) -> bool:
-        if language is not None and r.language != language:
-            return False
-        if hand is not None and r.hand != hand:
-            return False
-        if text_only and r.locus_kind != PARAGRAPH:
-            return False
-        return True
-    return pred
+# Each maps a column name to the value a kept row must have there.
+def _criteria(language: str | None, hand: str | None,
+              text_only: bool) -> dict[str, str]:
+    criteria = {}
+    if language is not None:
+        criteria["language"] = language
+    if hand is not None:
+        criteria["hand"] = hand
+    if text_only:
+        criteria["locus_kind"] = PARAGRAPH
+    return criteria
 
 
-CANONICAL_SELECTIONS: dict[str, Callable[[WordRecord], bool]] = {}
+CANONICAL_SELECTIONS: dict[str, dict[str, str]] = {}
 for _name, _lang, _hand in [("full", None, None),
                             ("a", "A", None), ("b", "B", None),
                             ("hand1", None, "1"), ("hand2", None, "2"),
@@ -412,97 +460,168 @@ del _name, _lang, _hand
 def canonical_selection(table: LongTable, name: str) -> LongTable:
     """Apply one of the sixteen named selections (``full``, ``a_text``, ...)."""
     try:
-        pred = CANONICAL_SELECTIONS[name]
+        criteria = CANONICAL_SELECTIONS[name]
     except KeyError:
         raise ValueError(
             f"unknown selection {name!r}; expected one of "
             + ", ".join(sorted(CANONICAL_SELECTIONS))) from None
-    return select(table, pred)
+    if not criteria:
+        return table
+    wanted = tuple(criteria.values())
+    rows = zip(*(table.column(column) for column in criteria))
+    return take(table, [row == wanted for row in rows])
 
 
 # ---------------------------------------------------------------------------
 # TSV serialization: surface_form followed by the 14 metadata columns.
 # ---------------------------------------------------------------------------
 
-TSV_COLUMNS = (
-    "surface_form",
-    "line_pos_fwd", "line_pos_rev", "para_pos_fwd", "para_pos_rev",
-    "locus_kind", "line_number", "paragraph_number",
-    "folio", "quire", "section", "language", "hand", "transcriber",
-    "source_id",
-)
+TSV_COLUMNS = RECORD_FIELDS + ("source_id",)
 
-_INT_COLUMNS = frozenset(
-    c for c in TSV_COLUMNS if c.endswith(("_fwd", "_rev", "_number")))
+# read_tsv splits the text into pieces of about this many characters, so
+# the per-field strings it makes at once stay bounded whatever the size of
+# the table.
+_CHUNK_CHARS = 1 << 18
 
 
 def write_tsv(table: LongTable) -> str:
-    out = io.StringIO()
-    out.write("\t".join(TSV_COLUMNS) + "\n")
-    for r in table.records:
-        row = [r.surface_form,
-               str(r.line_pos_fwd), str(r.line_pos_rev),
-               str(r.para_pos_fwd), str(r.para_pos_rev),
-               r.locus_kind, str(r.line_number), str(r.paragraph_number),
-               r.folio, r.quire, r.section, r.language, r.hand, r.transcriber,
-               table.source_id]
-        out.write("\t".join(row) + "\n")
-    return out.getvalue()
+    columns = []
+    for name, column in zip(RECORD_FIELDS, table.columns):
+        if name in _INT_FIELDS:
+            as_str = {v: str(v) for v in set(column)}
+            column = map(as_str.__getitem__, column)
+        columns.append(column)
+    rows = zip(*columns, repeat(table.source_id + "\n"))
+    return "\t".join(TSV_COLUMNS) + "\n" + "".join(map("\t".join, rows))
 
 
-def read_tsv(text: str) -> LongTable:
-    lines = text.splitlines()
-    if not lines:
-        return LongTable(records=(), source_id="")
-    header = tuple(lines[0].split("\t"))
-    if header != TSV_COLUMNS:
-        raise ParseError(
-            f"unexpected long-table header {header!r}", 1)
-    records: list[WordRecord] = []
-    source_id = ""
-    for n, line in enumerate(lines[1:], start=2):
+def _line_chunks(text: str):
+    """``text.splitlines()`` in consecutive pieces, each cut after a
+    ``\\n``, which ends a line wherever it stands."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _CHUNK_CHARS)
+        end = len(text) if cut < 0 else cut + 1
+        yield text[start:end].splitlines()
+        start = end
+
+
+def _chunk_columns(rows: list[str], source_id: str | None,
+                   interned: list[dict]):
+    """``(source_id, columns)`` of non-blank data lines, or None when a row
+    is invalid or has another source_id than ``source_id`` (when given) or
+    the first row. Each column is validated over its distinct values, and
+    its strings are taken from its dict in ``interned``."""
+    width = len(TSV_COLUMNS)
+    # No line contains "\n", so a field that is exactly "\n" ends a row, and
+    # every row has ``width`` fields when those fields sit at every
+    # (width + 1)-th place and nowhere else.
+    fields = "\t\n\t".join(rows).split("\t")
+    if (len(fields) != (width + 1) * len(rows) - 1
+            or fields[width::width + 1].count("\n") != len(rows) - 1):
+        return None
+    ids = set(fields[width - 1::width + 1])
+    if len(ids) != 1 or (source_id is not None and source_id not in ids):
+        return None
+    columns = []
+    for i, (name, cache) in enumerate(zip(RECORD_FIELDS, interned)):
+        part = fields[i::width + 1]
+        # Page metadata is mostly constant over a chunk, and comparing equal
+        # strings is cheaper than hashing each of them.
+        constant = part.count(part[0]) == len(part)
+        distinct = {part[0]} if constant else set(part)
+        if name in _INT_FIELDS:
+            try:
+                value_of = {s: int(s) for s in distinct}
+            except ValueError:
+                return None
+        else:
+            value_of = {s: cache.setdefault(s, s) for s in distinct}
+        if _invalid_values(name, set(value_of.values())):
+            return None
+        columns.append(repeat(value_of[part[0]], len(part)) if constant
+                       else map(value_of.__getitem__, part))
+    return ids.pop(), columns
+
+
+def _raise_row_error(lines: list[str], first_line: int,
+                     source_id: str | None) -> NoReturn:
+    """Raise the ParseError of the first invalid line, row by row."""
+    for n, line in enumerate(lines, start=first_line):
         if not line:
             continue
         fields = line.split("\t")
         if len(fields) != len(TSV_COLUMNS):
             raise ParseError(
                 f"expected {len(TSV_COLUMNS)} columns, got {len(fields)}", n)
-        row = dict(zip(TSV_COLUMNS, fields))
-        source_id = row.pop("source_id")
+        if source_id is None:
+            source_id = fields[-1]
+        elif fields[-1] != source_id:
+            raise ParseError(
+                f"source_id {fields[-1]!r} differs from {source_id!r} "
+                f"on the rows above", n)
         try:
-            records.append(WordRecord(**{
-                k: (int(v) if k in _INT_COLUMNS else v) for k, v in row.items()
-            }))
+            WordRecord(*(int(v) if name in _INT_FIELDS else v
+                         for name, v in zip(RECORD_FIELDS, fields)))
         except ValueError as exc:
             raise ParseError(str(exc), n) from None
-    return LongTable(records=tuple(records), source_id=source_id)
+    raise RuntimeError("rejected long-table rows hold no invalid row")
+
+
+def read_tsv(text: str) -> LongTable:
+    """Parse the long-table TSV that :func:`write_tsv` writes.
+
+    Blank lines are skipped. Raises ParseError naming the first line, in
+    file order, with the wrong number of columns, a source_id other than
+    the first row's, a position that is not an integer, or a value that
+    WordRecord rejects.
+    """
+    columns: list[list] = [[] for _ in RECORD_FIELDS]
+    # Per column, one object per distinct string, shared by every row that
+    # repeats it.
+    interned: list[dict] = [{} for _ in RECORD_FIELDS]
+    source_id = None
+    line_number = 0  # lines consumed so far
+    for lines in _line_chunks(text):
+        if line_number == 0:
+            header = tuple(lines[0].split("\t"))
+            if header != TSV_COLUMNS:
+                raise ParseError(
+                    f"unexpected long-table header {header!r}", 1)
+            lines = lines[1:]
+            line_number = 1
+        rows = [line for line in lines if line]
+        if rows:
+            chunk = _chunk_columns(rows, source_id, interned)
+            if chunk is None:
+                _raise_row_error(lines, line_number + 1, source_id)
+            source_id, values = chunk
+            for column, part in zip(columns, values):
+                column.extend(part)
+        line_number += len(lines)
+    return LongTable._from_columns(columns, source_id or "")
 
 
 def with_words(table: LongTable, words: Iterable[str]) -> LongTable:
     """Copy of ``table`` with surface forms replaced one-for-one."""
-    words = list(words)
-    if len(words) != len(table.records):
-        raise ValueError(
-            f"{len(words)} words for {len(table.records)} records")
-    return LongTable(
-        records=tuple(replace(r, surface_form=w)
-                      for r, w in zip(table.records, words)),
-        source_id=table.source_id,
-    )
+    words = tuple(words)
+    if len(words) != len(table):
+        raise ValueError(f"{len(words)} words for {len(table)} records")
+    check_words(words)
+    return LongTable._from_columns(
+        (words, *table.columns[1:]), table.source_id)
 
 
 def from_words(words: Sequence[str], source_id: str = "") -> LongTable:
     """Build a minimal one-line-per-word table from bare words (for tests
     and synthetic corpora)."""
-    records = tuple(
-        WordRecord(
-            surface_form=w,
-            line_pos_fwd=1, line_pos_rev=1, para_pos_fwd=i + 1,
-            para_pos_rev=len(words) - i,
-            locus_kind=PARAGRAPH, line_number=i + 1, paragraph_number=1,
-            folio="", quire="", section="",
-            language=UNCLASSIFIED, hand=UNCLASSIFIED, transcriber="",
-        )
-        for i, w in enumerate(words)
-    )
-    return LongTable(records=records, source_id=source_id)
+    words = tuple(words)
+    check_words(words)
+    n = len(words)
+    ones = (1,) * n
+    return LongTable._from_columns(
+        (words, ones, ones, range(1, n + 1), range(n, 0, -1),
+         (PARAGRAPH,) * n, range(1, n + 1), ones,
+         ("",) * n, ("",) * n, ("",) * n,
+         (UNCLASSIFIED,) * n, (UNCLASSIFIED,) * n, ("",) * n),
+        source_id)

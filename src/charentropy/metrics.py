@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyStreamError
+from .errors import DataError, EmptyStreamError
 from .ingest import LongTable
 
 BOUNDARY = "#"
@@ -77,10 +77,22 @@ def stream_from_words(words, alphabet=None) -> CharStream:
 
 
 def to_stream(table: LongTable) -> CharStream:
-    if not table.records:
+    """The table's words as a stream.
+
+    Raises DataError naming the first word, and its line, that contains the
+    boundary symbol: streamed, it would split into two words, or begin or
+    end with an empty one.
+    """
+    if not len(table):
         raise EmptyStreamError(
             f"document {table.source_id!r} has no words")
-    return stream_from_words(table.words())
+    words = table.words()
+    if any(BOUNDARY in w for w in set(words)):
+        i = next(i for i, w in enumerate(words) if BOUNDARY in w)
+        raise DataError(
+            f"line {table.column('line_number')[i]}: word {words[i]!r} "
+            f"contains the word boundary symbol {BOUNDARY!r}")
+    return stream_from_words(words)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,16 +123,22 @@ class BigramMatrix:
         return int(self.counts[self.index(x), self.index(y)])
 
 
+def symbol_codes(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
+    """Codepoint-sorted symbols (boundary included) and the stream as
+    indices into them."""
+    symbols = tuple(sorted(stream.alphabet | {BOUNDARY}))
+    points = np.frombuffer(
+        stream.symbols.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    order = np.array([ord(c) for c in symbols], dtype="<u4")
+    return symbols, np.searchsorted(order, points).astype(np.int64)
+
+
 def pair_counts(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
     """Count matrix over codepoint-sorted symbols (boundary included)."""
     if len(stream.symbols) < 2:
         raise ValueError("need at least two symbols to form a bigram")
-    symbols = tuple(sorted(stream.alphabet | {BOUNDARY}))
-    code_of = {c: i for i, c in enumerate(symbols)}
+    symbols, codes = symbol_codes(stream)
     k = len(symbols)
-    codes = np.fromiter(
-        (code_of[c] for c in stream.symbols), dtype=np.int64,
-        count=len(stream.symbols))
     flat = np.bincount(codes[:-1] * k + codes[1:], minlength=k * k)
     return symbols, flat.reshape(k, k)
 

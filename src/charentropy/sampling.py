@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import LongTable
-from .metrics import BOUNDARY, h2_from_counts, to_stream
+from .metrics import BOUNDARY, h2_from_counts, symbol_codes, to_stream
 
 DEFAULT_SAMPLES_PER_SIZE = 1000
 
@@ -84,24 +84,18 @@ def sample_h2(table: LongTable, cfg: SamplingConfig) -> list[SampleDistribution]
     Raises ConfigError naming the offending size if any window exceeds the
     document's word count.
     """
-    stream = to_stream(table)
-    n_words = len(stream.words())
-    too_big = [w for w in cfg.window_sizes if w > n_words]
-    if too_big:
-        raise ConfigError(
-            f"window size {too_big[0]} exceeds document word count {n_words}")
-
-    symbols = tuple(sorted(stream.alphabet | {BOUNDARY}))
-    code_of = {c: i for i, c in enumerate(symbols)}
+    symbols, codes = symbol_codes(to_stream(table))
     k = len(symbols)
-    codes = np.fromiter(
-        (code_of[c] for c in stream.symbols), dtype=np.int64,
-        count=len(stream.symbols))
     pair_codes = codes[:-1] * k + codes[1:]
     # boundaries[i] is the char index of the boundary before word i; the
     # window of words [i, i+w) spans pair indices [boundaries[i],
     # boundaries[i+w]).
-    boundaries = np.flatnonzero(codes == code_of[BOUNDARY])
+    boundaries = np.flatnonzero(codes == symbols.index(BOUNDARY))
+    n_words = len(boundaries) - 1
+    too_big = [w for w in cfg.window_sizes if w > n_words]
+    if too_big:
+        raise ConfigError(
+            f"window size {too_big[0]} exceeds document word count {n_words}")
 
     results = []
     for size_index, w in enumerate(cfg.window_sizes):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import LongTable
-from .metrics import BOUNDARY, CharStream, to_stream
+from .metrics import BOUNDARY, CharStream, pair_counts, to_stream
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,28 +66,20 @@ class SukhotinResult:
 def adjacency_matrix(stream: CharStream, include_space: bool) -> AdjacencyMatrix:
     """Count neighbour pairs; identical neighbours never hit the diagonal.
 
-    With ``include_space=False``, pairs touching the boundary are dropped
-    entirely, though letters appearing only at word edges keep a (zero)
-    row so the symbol inventory still reflects the text.
+    The adjacency is the bigram count matrix plus its transpose with the
+    diagonal zeroed. With ``include_space=False``, pairs touching the
+    boundary are dropped entirely, though letters appearing only at word
+    edges keep a (zero) row so the symbol inventory still reflects the text.
     """
-    symbols: list[str] = []
-    index: dict[str, int] = {}
-    for ch in stream.symbols:
-        if ch == BOUNDARY and not include_space:
-            continue
-        if ch not in index:
-            index[ch] = len(symbols)
-            symbols.append(ch)
-    counts = np.zeros((len(symbols), len(symbols)), dtype=np.int64)
-    for a, b in zip(stream.symbols, stream.symbols[1:]):
-        if a == b:
-            continue
-        if not include_space and BOUNDARY in (a, b):
-            continue
-        i, j = index[a], index[b]
-        counts[i, j] += 1
-        counts[j, i] += 1
-    return AdjacencyMatrix(symbols=tuple(symbols), counts=counts)
+    sorted_symbols, counts = pair_counts(stream)
+    adjacency = counts + counts.T
+    np.fill_diagonal(adjacency, 0)
+    symbols = tuple(s for s in dict.fromkeys(stream.symbols)
+                    if include_space or s != BOUNDARY)
+    index = {s: i for i, s in enumerate(sorted_symbols)}
+    order = [index[s] for s in symbols]
+    return AdjacencyMatrix(symbols=symbols,
+                           counts=adjacency[np.ix_(order, order)])
 
 
 def detect_from_adjacency(

@@ -27,10 +27,10 @@ replacements.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import RuleFileError
-from .ingest import LongTable
+from .ingest import LongTable, check_words, with_words
 
 RARE_THRESHOLD = 50  # a character this frequent (or more) is not "rare"
 RARE_EXEMPT = frozenset("x")  # rare but kept distinct, never masked
@@ -149,18 +149,20 @@ def lint_alphabet(words, rules: RuleSet) -> dict[str, int]:
 def transliterate_document(table: LongTable, rules: RuleSet) -> LongTable:
     """apply() mapped over every surface form; metadata untouched.
 
-    Word count is preserved by construction. A word whose rewrite comes out
-    empty (possible only with empty replacements) is an error — rewrites
-    must never delete words.
+    Each distinct word is rewritten once. Word count is preserved by
+    construction. A word whose rewrite comes out empty (possible only with
+    empty replacements) is an error — rewrites must never delete words.
     """
-    new_records = []
-    for r in table.records:
-        rewritten = apply(r.surface_form, rules)
-        if not rewritten:
-            raise ValueError(
-                f"rule set {rules.name!r} erased the word {r.surface_form!r}")
-        new_records.append(replace(r, surface_form=rewritten))
-    return LongTable(records=tuple(new_records), source_id=table.source_id)
+    words = table.words()
+    rewritten = {w: apply(w, rules) for w in set(words)}
+    new_words = list(map(rewritten.__getitem__, words))
+    if "" in rewritten.values():
+        first = new_words.index("")
+        # An invalid rewrite earlier in the document is reported first.
+        check_words(new_words[:first])
+        raise ValueError(
+            f"rule set {rules.name!r} erased the word {words[first]!r}")
+    return with_words(table, new_words)
 
 
 def rare_characters(
@@ -172,9 +174,7 @@ def rare_characters(
     The exempt set (by default just ``x``) is never reported rare, however
     scarce.
     """
-    counts = Counter()
-    for w in words:
-        counts.update(w)
+    counts = Counter("".join(words))
     return frozenset(
         c for c, n in counts.items() if n < threshold and c not in exempt)
 
@@ -214,13 +214,14 @@ def simplify_document(
     """
     if ligature_map is None:
         ligature_map = DEFAULT_LIGATURE_MAP
-    lowered = ["".join(ligature_map.get(c, c) for c in r.surface_form)
-               for r in table.records]
-    rare = rare_characters(lowered, threshold=threshold)
-    new_records = tuple(
-        replace(r, surface_form=simplify_maximal(w, rare, ligature_map))
-        for r, w in zip(table.records, lowered))
-    return LongTable(records=new_records, source_id=table.source_id)
+    words = table.words()
+    lowered = {w: "".join(ligature_map.get(c, c) for c in w)
+               for w in set(words)}
+    rare = rare_characters(map(lowered.__getitem__, words),
+                           threshold=threshold)
+    simplified = {w: simplify_maximal(low, rare, ligature_map)
+                  for w, low in lowered.items()}
+    return with_words(table, map(simplified.__getitem__, words))
 
 
 def load_rules(text: str, name: str) -> RuleSet:

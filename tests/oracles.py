@@ -2,12 +2,17 @@
 
 Everything here is deliberately written with different machinery than the
 library (dicts and plain loops instead of numpy; no shared helpers) so that
-agreement between the two is meaningful.
+agreement between the two is meaningful. The long-table reader is the
+exception: it is the original row-by-row reader, which builds each row as a
+WordRecord and so shares the record's validation.
 """
 
 from __future__ import annotations
 
 import math
+
+from charentropy.errors import ParseError
+from charentropy.ingest import TSV_COLUMNS, LongTable, WordRecord
 
 BOUNDARY = "#"
 
@@ -72,8 +77,10 @@ def coverage_oracle(stream: str, threshold: float = 0.5):
     return hits, share, final
 
 
-def sukhotin_oracle(stream: str, include_space: bool):
-    """Classical vowel detection, implemented over nested dicts."""
+def adjacency_oracle(stream: str, include_space: bool):
+    """(symbols in first-occurrence order, nested symmetric neighbour
+    counts), identical neighbours and, without ``include_space``, the
+    boundary left out."""
     symbols: list[str] = []
     for ch in stream:
         if ch == BOUNDARY and not include_space:
@@ -89,6 +96,12 @@ def sukhotin_oracle(stream: str, include_space: bool):
             continue
         adj[a][b] += 1
         adj[b][a] += 1
+    return symbols, adj
+
+
+def sukhotin_oracle(stream: str, include_space: bool):
+    """Classical vowel detection, implemented over nested dicts."""
+    symbols, adj = adjacency_oracle(stream, include_space)
     sums = {s: sum(adj[s].values()) for s in symbols}
     remaining = list(symbols)
     vowels = []
@@ -104,3 +117,45 @@ def sukhotin_oracle(stream: str, include_space: bool):
         for s in remaining:
             sums[s] -= 2 * adj[best][s]
     return vowels
+
+
+_TSV_INT_COLUMNS = frozenset(
+    c for c in TSV_COLUMNS if c.endswith(("_fwd", "_rev", "_number")))
+
+
+def read_tsv_rows(text: str) -> LongTable:
+    """The row-by-row long-table reader: one dict and one WordRecord per
+    row. Like ``ingest.read_tsv`` it rejects a row whose source_id differs
+    from the first row's."""
+    lines = text.splitlines()
+    if not lines:
+        return LongTable(records=(), source_id="")
+    header = tuple(lines[0].split("\t"))
+    if header != TSV_COLUMNS:
+        raise ParseError(
+            f"unexpected long-table header {header!r}", 1)
+    records: list[WordRecord] = []
+    source_id = None
+    for n, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(TSV_COLUMNS):
+            raise ParseError(
+                f"expected {len(TSV_COLUMNS)} columns, got {len(fields)}", n)
+        row = dict(zip(TSV_COLUMNS, fields))
+        row_id = row.pop("source_id")
+        if source_id is None:
+            source_id = row_id
+        elif row_id != source_id:
+            raise ParseError(
+                f"source_id {row_id!r} differs from {source_id!r} "
+                f"on the rows above", n)
+        try:
+            records.append(WordRecord(**{
+                k: (int(v) if k in _TSV_INT_COLUMNS else v)
+                for k, v in row.items()
+            }))
+        except ValueError as exc:
+            raise ParseError(str(exc), n) from None
+    return LongTable(records=tuple(records), source_id=source_id or "")

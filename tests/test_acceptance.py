@@ -317,43 +317,50 @@ _PLAIN = "The cat sat on the mat.\n\nThe dog sat too, again.\n"
 _META = "f1r\therbal\tA\t1\tA\nf1v\therbal\tA\t1\tA\n"
 
 
+# Every subcommand, batch included, over the fixture files above.  The
+# golden-output test runs the same list and pins each artifact's digest.
+DETERMINISM_COMMANDS = [
+    ["ingest", "page.txt", "--meta", "meta.tsv",
+     "--transcriber", "H", "--out", "t.tsv"],
+    ["ingest", "plain.txt", "--out", "p.tsv"],
+    ["translit", "t.tsv", "--system", "maximal", "--out", "mx.tsv"],
+    ["translit", "t.tsv", "--system", "minimal", "--out", "mn.tsv"],
+    ["translit", "t.tsv", "--simplify", "--rare-min", "3",
+     "--out", "sp.tsv"],
+    ["cleanse", "p.tsv", "--out", "c.tsv"],
+    ["stats", "c.tsv", "--out", "stats.json"],
+    ["bigrams", "c.tsv", "--out-prefix", "bg"],
+    ["sample", "p.tsv", "--windows", "2,3", "--n", "5",
+     "--seed", "7", "--values", "--out", "s.json"],
+    ["sample", "p.tsv", "--windows", "2", "--n", "4", "--seed", "7",
+     "--format", "csv", "--out", "s.csv"],
+    ["sukhotin", "c.tsv", "--diagnostics", "--out", "v.json"],
+    ["batch", "page.txt", "--meta", "meta.tsv",
+     "--transcriber", "H", "--out", "grid.tsv"],
+]
+
+
+def write_determinism_fixture(directory):
+    (directory / "page.txt").write_text(_PAGE, encoding="utf-8")
+    (directory / "plain.txt").write_text(_PLAIN, encoding="utf-8")
+    (directory / "meta.tsv").write_text(_META, encoding="utf-8")
+
+
+def run_determinism_commands():
+    for argv in DETERMINISM_COMMANDS:
+        assert main(list(argv)) == 0, argv
+
+
 def test_cli_reruns_are_byte_identical(tmp_path, monkeypatch):
     with criterion(8, "every CLI command rerun with identical inputs and "
                       "seed writes byte-identical artifacts"):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "page.txt").write_text(_PAGE, encoding="utf-8")
-        (tmp_path / "plain.txt").write_text(_PLAIN, encoding="utf-8")
-        (tmp_path / "meta.tsv").write_text(_META, encoding="utf-8")
-
-        commands = [
-            ["ingest", "page.txt", "--meta", "meta.tsv",
-             "--transcriber", "H", "--out", "t.tsv"],
-            ["ingest", "plain.txt", "--out", "p.tsv"],
-            ["translit", "t.tsv", "--system", "maximal", "--out", "mx.tsv"],
-            ["translit", "t.tsv", "--system", "minimal", "--out", "mn.tsv"],
-            ["translit", "t.tsv", "--simplify", "--rare-min", "3",
-             "--out", "sp.tsv"],
-            ["cleanse", "p.tsv", "--out", "c.tsv"],
-            ["stats", "c.tsv", "--out", "stats.json"],
-            ["bigrams", "c.tsv", "--out-prefix", "bg"],
-            ["sample", "p.tsv", "--windows", "2,3", "--n", "5",
-             "--seed", "7", "--values", "--out", "s.json"],
-            ["sample", "p.tsv", "--windows", "2", "--n", "4", "--seed", "7",
-             "--format", "csv", "--out", "s.csv"],
-            ["sukhotin", "c.tsv", "--diagnostics", "--out", "v.json"],
-            ["batch", "page.txt", "--meta", "meta.tsv",
-             "--transcriber", "H", "--out", "grid.tsv"],
-        ]
-
-        def run_all():
-            for argv in commands:
-                assert main(list(argv)) == 0, argv
-
-        run_all()
+        write_determinism_fixture(tmp_path)
+        run_determinism_commands()
         first = {p.name: p.read_bytes()
                  for p in tmp_path.iterdir() if p.is_file()}
         assert any(name.endswith(".manifest.json") for name in first)
-        run_all()
+        run_determinism_commands()
         second = {p.name: p.read_bytes()
                   for p in tmp_path.iterdir() if p.is_file()}
         assert second == first

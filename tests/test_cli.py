@@ -71,6 +71,16 @@ def test_ingest_sniffs_plaintext(workspace):
     assert table.records[0].language == "unclassified"
 
 
+def test_ingest_strips_utf8_byte_order_mark(workspace):
+    (workspace / "bom.txt").write_bytes(
+        b"\xef\xbb\xbf" + INTERLINEAR.encode("utf-8"))
+    for name in ("page.txt", "bom.txt"):
+        assert run("ingest", name, "--meta", "meta.tsv", "--source-id",
+                   "page", "--out", f"{name}.tsv") == 0
+    assert ((workspace / "bom.txt.tsv").read_bytes()
+            == (workspace / "page.txt.tsv").read_bytes())
+
+
 def test_ingest_missing_folio_is_data_error(workspace, capsys):
     (workspace / "bad.txt").write_text(
         "<f9r.P1.1;H> daiin\n", encoding="utf-8")
@@ -250,6 +260,19 @@ def test_malformed_table_is_data_error(workspace, capsys):
     (workspace / "junk.tsv").write_text("not\ta\ttable\n", encoding="utf-8")
     assert run("stats", "junk.tsv") == 2
     capsys.readouterr()
+
+
+def test_boundary_symbol_inside_a_word_is_data_error(workspace, capsys):
+    (workspace / "hash.txt").write_text(
+        "I like C# and #hashtags\n", encoding="utf-8")
+    assert run("ingest", "hash.txt", "--out", "h.tsv") == 0
+    for argv in (["stats", "h.tsv", "--out", "h.json"],
+                 ["bigrams", "h.tsv", "--out-prefix", "h"],
+                 ["sample", "h.tsv", "--windows", "2", "--out", "s.json"],
+                 ["sukhotin", "h.tsv", "--out", "v.json"]):
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "line 1: word 'C#'" in err, err
 
 
 def test_console_entry_point_subprocess(workspace):

@@ -1,7 +1,14 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from charentropy import ingest
 from charentropy.errors import DecodeError, MetadataError, ParseError
-from charentropy.ingest import (CANONICAL_SELECTIONS, FolioMetadataMap,
+from charentropy.ingest import (CANONICAL_SELECTIONS, HANDS, LANGUAGES,
+                                LOCUS_KINDS, TSV_COLUMNS, FolioMetadataMap,
                                 LongTable, WordRecord, canonical_selection,
                                 from_words, parse_interlinear,
                                 parse_plaintext, read_tsv, select, with_words,
@@ -182,6 +189,12 @@ def test_plaintext_ten_thousand_words():
     assert len(table) == len(text.split())
 
 
+def test_utf8_byte_order_mark_is_not_text():
+    assert parse_plaintext(b"\xef\xbb\xbfThe cat", "doc").words() == [
+        "The", "cat"]
+    assert parse("\ufeff<f1r.P1.1;H> daiin\n").words() == ["daiin"]
+
+
 def test_plaintext_keeps_punctuation_for_cleansing():
     table = parse_plaintext(b"The cat, sat.", "doc")
     assert table.words() == ["The", "cat,", "sat."]
@@ -296,3 +309,80 @@ def test_with_words_replaces_in_order():
     assert swapped.records[0].folio == MIXED.records[0].folio
     with pytest.raises(ValueError):
         with_words(MIXED, ["only-one"])
+
+
+def test_tsv_mixed_source_ids_rejected_at_first_differing_line():
+    lines = write_tsv(from_words(["a", "b", "c"], source_id="one")).splitlines()
+    lines[3] = lines[3].rsplit("\t", 1)[0] + "\ttwo"
+    with pytest.raises(ParseError) as exc:
+        read_tsv("\n".join(lines) + "\n")
+    assert exc.value.line_number == 4
+    assert "'two'" in str(exc.value) and "'one'" in str(exc.value)
+
+
+# --- read_tsv against the row-by-row reference -------------------------------
+
+_BAD_VALUES = {
+    "surface_form": ["", "da iin", "da\x0biin", "\xa0", "a\x85b"],
+    "int": ["0", "-3", "+4", " 5", "x", "", "1_0", "\u0663", "2.0",
+            "99999999999999999999"],
+    "locus_kind": ["", "marginalia", "Paragraph"],
+    "language": ["", "C", "a"],
+    "hand": ["", "6", "0"],
+    "other": ["\x85", "f 1", "\u2028"],
+}
+
+
+@st.composite
+def _tsv_texts(draw):
+    lines = ["\t".join(TSV_COLUMNS) if draw(st.integers(0, 9))
+             else draw(st.sampled_from(["", "surface_form", "a\tb"]))]
+    source_id = draw(st.sampled_from(["doc", "", "d 1"]))
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.integers(0, 11))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        row = [draw(st.sampled_from(["daiin", "qo", "C#", "é", "x*"])),
+               *(str(draw(st.integers(1, 40))) for _ in range(4)),
+               draw(st.sampled_from(LOCUS_KINDS)),
+               str(draw(st.integers(1, 40))), str(draw(st.integers(1, 9))),
+               draw(st.sampled_from(["f1r", ""])), "", "herbal",
+               draw(st.sampled_from(LANGUAGES)), draw(st.sampled_from(HANDS)),
+               "H", source_id]
+        if kind == 1:
+            column = draw(st.integers(0, len(row) - 1))
+            name = TSV_COLUMNS[column]
+            if name in ("surface_form", "locus_kind", "language", "hand"):
+                pool = _BAD_VALUES[name]
+            elif name.endswith(("_fwd", "_rev", "_number")):
+                pool = _BAD_VALUES["int"]
+            else:
+                pool = _BAD_VALUES["other"]
+            row[column] = draw(st.sampled_from(pool))
+        elif kind == 2:
+            row = row[:-1] if draw(st.booleans()) else row + ["extra"]
+        elif kind == 3:
+            row[-1] = "other"
+        lines.append("\t".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_tsv_texts(), chunk_chars=st.sampled_from([1, 9, 200, 1 << 18]))
+def test_read_tsv_matches_row_by_row_reference(text, chunk_chars):
+    # Small chunk sizes put chunk cuts between (and next to) every kind of
+    # row, including the first one that fails.
+    try:
+        expected = oracles.read_tsv_rows(text)
+    except ParseError as exc:
+        expected = exc
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+        if isinstance(expected, ParseError):
+            with pytest.raises(ParseError) as exc:
+                read_tsv(text)
+            assert exc.value.line_number == expected.line_number
+            assert str(exc.value) == str(expected)
+        else:
+            assert read_tsv(text) == expected

@@ -111,6 +111,12 @@ def test_matches_independent_oracle_on_random_text():
             got = detect_vowels(stream, include_space)
             assert list(got.vowels) == oracles.sukhotin_oracle(
                 stream.symbols, include_space)
+            symbols, adj = oracles.adjacency_oracle(
+                stream.symbols, include_space)
+            matrix = adjacency_matrix(stream, include_space)
+            assert list(matrix.symbols) == symbols
+            assert matrix.counts.tolist() == [[adj[a][b] for b in symbols]
+                                              for a in symbols]
 
 
 def test_termination_within_alphabet_size():
