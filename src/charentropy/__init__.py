@@ -10,6 +10,10 @@ by rewrite rules (:mod:`~charentropy.translit`), normalizes raw corpora
 consonants from adjacency alone (:mod:`~charentropy.sukhotin`). The
 ``charentropy`` command (:mod:`~charentropy.cli`) binds it all into
 reproducible pipelines.
+
+The package re-exports the public functions, and one of them shares its
+module's name: ``charentropy.cleanse`` is the function, not the module. Reach
+the module's other names with ``from charentropy.cleanse import …``.
 """
 
 from .cleanse import CleanseConfig, charset_report, cleanse

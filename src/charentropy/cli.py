@@ -5,12 +5,15 @@ Design rules, enforced uniformly across subcommands:
 * data goes to files (or standard output); diagnostics go to standard
   error;
 * exit code 0 on success, 1 on usage errors, 2 on data errors;
-* every run writes a :class:`RunManifest` JSON next to its output — the
-  subcommand, tool version, seed, flattened configuration, and a SHA-256
-  digest of every input file — so an artifact can always be traced to the
-  exact inputs that produced it. Manifests carry no timestamps: rerunning
-  a command with identical inputs yields byte-identical artifacts,
-  manifest included;
+* every run writes a manifest JSON next to its output — the subcommand,
+  tool version, seed, flattened configuration, and a SHA-256 digest of
+  every input file — so an artifact can always be traced to the exact
+  inputs that produced it. Manifests carry no timestamps: rerunning a
+  command with identical inputs yields byte-identical artifacts, manifest
+  included;
+* every input file is read once: its digest is taken from the bytes that
+  are parsed, and its text is decoded as the parsers decode theirs (a
+  UTF-8 byte-order mark is stripped, bad UTF-8 is a data error);
 * all floats print with 12 significant digits; JSON layouts carry a
   ``schema_version``.
 
@@ -24,49 +27,27 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .cleanse import (CleanseConfig, charset_report, cleanse, parse_config,
                       parse_script_range)
 from .errors import CharentropyError, ConfigError
-from .formats import (SCHEMA_VERSION, fmt_float, json_dumps, sha256_bytes,
-                      sha256_file)
+from .formats import SCHEMA_VERSION, fmt_float, json_dumps, sha256_bytes
+# Unused here, but perfbench wraps cli.sha256_file as a trace point.
+from .formats import sha256_file  # noqa: F401
 from .ingest import (CANONICAL_SELECTIONS, FolioMetadataMap, LongTable,
-                     canonical_selection, parse_interlinear, parse_plaintext,
-                     read_tsv, write_tsv)
+                     _decode, canonical_selection, parse_interlinear,
+                     parse_plaintext, read_tsv, write_tsv)
 from .metrics import (bigram_matrix, coverage_report, entropy_report,
                       heatmap_export, to_stream)
 from .sampling import (SamplingConfig, distributions_to_csv,
                        distributions_to_dict, sample_h2)
 from .sukhotin import detect_on_document
-from .translit import builtin_rules, load_rules_file, simplify_document, \
-    transliterate_document
+from .translit import (builtin_rules, load_rules, simplify_document,
+                       transliterate_document)
 
 BATCH_SYSTEMS = ("maximal", "simplified", "minimal", "none")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written alongside every artifact."""
-
-    command: str
-    input_digests: tuple[tuple[str, str], ...]
-    config: dict
-    tool_version: str
-    seed: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "input_digests": [
-                {"path": p, "sha256": h} for p, h in self.input_digests],
-            "config": {k: self.config[k] for k in sorted(self.config)},
-        }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,14 +58,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _digest_inputs(paths) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted((str(p), sha256_file(p)) for p in paths))
+def _read_input(path, digests: list) -> bytes:
+    """An input file's bytes, read once; the manifest digest of those same
+    bytes is appended to ``digests``."""
+    raw = Path(path).read_bytes()
+    digests.append((str(path), sha256_bytes(raw)))
+    return raw
 
 
-def _builtin_digest(name: str) -> tuple[str, str]:
+def _read_text(path, digests: list) -> str:
+    """An input file's text, decoded as the parsers decode theirs: a BOM is
+    stripped and bad UTF-8 raises DecodeError with its byte offset."""
+    return _decode(_read_input(path, digests))
+
+
+def _read_builtin(name: str, digests: list) -> bytes:
+    """A file shipped in ``charentropy.data``, digested as ``builtin:NAME``."""
     from importlib import resources
-    data = (resources.files("charentropy.data") / name).read_bytes()
-    return (f"builtin:{name}", sha256_bytes(data))
+    raw = (resources.files("charentropy.data") / name).read_bytes()
+    digests.append((f"builtin:{name}", sha256_bytes(raw)))
+    return raw
 
 
 def _write_manifest(args, command: str, digests, config: dict,
@@ -96,14 +89,16 @@ def _write_manifest(args, command: str, digests, config: dict,
         path = f"{default_base}.manifest.json"
     else:
         path = "run_manifest.json"
-    manifest = RunManifest(
-        command=command,
-        input_digests=tuple(sorted(digests)),
-        config=config,
-        tool_version=__version__,
-        seed=seed,
-    )
-    Path(path).write_text(json_dumps(manifest.as_dict()), encoding="utf-8")
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "tool_version": __version__,
+        "seed": seed,
+        "input_digests": [{"path": p, "sha256": h}
+                          for p, h in sorted(digests)],
+        "config": {k: config[k] for k in sorted(config)},
+    }
+    Path(path).write_text(json_dumps(manifest), encoding="utf-8")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -113,23 +108,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_table(path: str) -> LongTable:
-    return read_tsv(Path(path).read_text(encoding="utf-8"))
+def _read_table(path: str, digests: list) -> LongTable:
+    return read_tsv(_read_text(path, digests))
 
 
-def _load_meta(args) -> tuple[FolioMetadataMap, tuple[str, str]]:
+def _load_meta(args, digests: list) -> FolioMetadataMap:
     if args.meta:
-        meta = FolioMetadataMap.from_file(args.meta)
-        digest = (str(args.meta), sha256_file(args.meta))
+        text = _read_text(args.meta, digests)
     else:
-        from importlib import resources
-        text = (resources.files("charentropy.data") / "folio_metadata.tsv"
-                ).read_text(encoding="utf-8")
-        meta = FolioMetadataMap.from_tsv(text)
-        digest = _builtin_digest("folio_metadata.tsv")
-    if args.allow_missing_meta:
-        meta = meta.permissive()
-    return meta, digest
+        text = _decode(_read_builtin("folio_metadata.tsv", digests))
+    meta = FolioMetadataMap.from_tsv(text)
+    return meta.permissive() if args.allow_missing_meta else meta
 
 
 def _sniff_kind(raw: bytes) -> str:
@@ -150,17 +139,15 @@ def _sniff_kind(raw: bytes) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    raw = Path(args.input).read_bytes()
+    digests = []
+    raw = _read_input(args.input, digests)
     kind = args.kind
     if kind == "auto":
         kind = _sniff_kind(raw)
     source_id = args.source_id or Path(args.input).name
-    digests = [(str(args.input), sha256_file(args.input))]
     if kind == "interlinear":
-        meta, meta_digest = _load_meta(args)
-        digests.append(meta_digest)
         table = parse_interlinear(
-            raw, meta, args.transcriber,
+            raw, _load_meta(args, digests), args.transcriber,
             comma_breaks=args.comma_breaks, source_id=source_id)
     else:
         table = parse_plaintext(raw, source_id)
@@ -178,19 +165,19 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_translit(args) -> int:
-    table = _read_table(args.input)
-    digests = [(str(args.input), sha256_file(args.input))]
+    digests = []
+    table = _read_table(args.input, digests)
     if args.simplify:
         out_table = simplify_document(table, threshold=args.rare_min)
         rules_label = f"simplify(<{args.rare_min})"
     elif args.rules:
-        ruleset = load_rules_file(args.rules)
-        digests.append((str(args.rules), sha256_file(args.rules)))
+        ruleset = load_rules(_read_text(args.rules, digests),
+                             Path(args.rules).stem)
         out_table = transliterate_document(table, ruleset)
         rules_label = ruleset.name
     else:
         ruleset = builtin_rules(args.system)
-        digests.append(_builtin_digest(f"{args.system}.rules"))
+        _read_builtin(f"{args.system}.rules", digests)
         out_table = transliterate_document(table, ruleset)
         rules_label = args.system
     _emit(write_tsv(out_table), args.out)
@@ -202,9 +189,9 @@ def cmd_translit(args) -> int:
     return 0
 
 
-def _cleanse_config(args) -> CleanseConfig:
+def _cleanse_config(args, digests: list) -> CleanseConfig:
     if args.config:
-        base = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        base = parse_config(_read_text(args.config, digests))
     else:
         base = CleanseConfig()
     ranges = base.script_ranges
@@ -222,11 +209,9 @@ def _cleanse_config(args) -> CleanseConfig:
 
 
 def cmd_cleanse(args) -> int:
-    table = _read_table(args.input)
-    digests = [(str(args.input), sha256_file(args.input))]
-    if args.config:
-        digests.append((str(args.config), sha256_file(args.config)))
-    cfg = _cleanse_config(args)
+    digests = []
+    table = _read_table(args.input, digests)
+    cfg = _cleanse_config(args, digests)
     _emit(write_tsv(cleanse(table, cfg)), args.out)
     _write_manifest(
         args, "cleanse", digests,
@@ -241,7 +226,8 @@ def cmd_cleanse(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    table = _read_table(args.input)
+    digests = []
+    table = _read_table(args.input, digests)
     report = entropy_report(to_stream(table))
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -252,13 +238,14 @@ def cmd_stats(args) -> int:
     }
     _emit(json_dumps(doc), args.out)
     _write_manifest(
-        args, "stats", [(str(args.input), sha256_file(args.input))], {},
+        args, "stats", digests, {},
         default_base=args.out)
     return 0
 
 
 def cmd_bigrams(args) -> int:
-    table = _read_table(args.input)
+    digests = []
+    table = _read_table(args.input, digests)
     matrix = bigram_matrix(to_stream(table))
     prefix = args.out_prefix
     for mode, suffix in (("conditional", "conditional"),
@@ -273,14 +260,15 @@ def cmd_bigrams(args) -> int:
     Path(f"{prefix}_coverage.json").write_text(
         json_dumps(doc), encoding="utf-8")
     _write_manifest(
-        args, "bigrams", [(str(args.input), sha256_file(args.input))],
+        args, "bigrams", digests,
         {"threshold": args.threshold, "out_prefix": prefix},
         default_base=prefix)
     return 0
 
 
 def cmd_sample(args) -> int:
-    table = _read_table(args.input)
+    digests = []
+    table = _read_table(args.input, digests)
     cfg = SamplingConfig(
         window_sizes=tuple(args.windows),
         samples_per_size=args.n,
@@ -300,7 +288,7 @@ def cmd_sample(args) -> int:
         })
     _emit(text, args.out)
     _write_manifest(
-        args, "sample", [(str(args.input), sha256_file(args.input))],
+        args, "sample", digests,
         {"windows": list(args.windows), "n": args.n, "format": args.format,
          "values": args.values},
         seed=args.seed, default_base=args.out)
@@ -308,27 +296,27 @@ def cmd_sample(args) -> int:
 
 
 def cmd_sukhotin(args) -> int:
-    table = _read_table(args.input)
+    digests = []
+    table = _read_table(args.input, digests)
     result = detect_on_document(table, include_space=args.include_space)
     doc = {"schema_version": SCHEMA_VERSION,
            "source_id": table.source_id}
     doc.update(result.as_dict(diagnostics=args.diagnostics))
     _emit(json_dumps(doc), args.out)
     _write_manifest(
-        args, "sukhotin", [(str(args.input), sha256_file(args.input))],
+        args, "sukhotin", digests,
         {"include_space": args.include_space,
          "diagnostics": args.diagnostics},
         default_base=args.out)
     return 0
 
 
-def _batch_jobs(args) -> list[tuple[str, str, str]]:
-    """(doc label, selection name, system) rows, in output order."""
-    if args.jobs:
+def _batch_jobs(args, text: str | None) -> list[tuple[str, str, str]]:
+    """(doc label, selection name, system) rows, in output order, from the
+    text of the ``--jobs`` file or, without one, the default grid."""
+    if text is not None:
         jobs = []
-        for n, line in enumerate(
-                Path(args.jobs).read_text(encoding="utf-8").splitlines(),
-                start=1):
+        for n, line in enumerate(text.splitlines(), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             fields = line.split("\t")
@@ -357,41 +345,38 @@ def _batch_jobs(args) -> list[tuple[str, str, str]]:
             for system in ("maximal", "simplified", "minimal")]
 
 
-def _batch_pipeline(table: LongTable, system: str,
-                    rare_min: int) -> LongTable:
-    if system == "none":
-        return table
-    decomposed = transliterate_document(table, builtin_rules("maximal"))
-    if system == "maximal":
-        return decomposed
-    if system == "simplified":
-        return simplify_document(decomposed, threshold=rare_min)
-    return transliterate_document(decomposed, builtin_rules("minimal"))
-
-
 def cmd_batch(args) -> int:
-    raw = Path(args.input).read_bytes()
-    meta, meta_digest = _load_meta(args)
-    digests = [(str(args.input), sha256_file(args.input)), meta_digest,
-               _builtin_digest("maximal.rules"),
-               _builtin_digest("minimal.rules")]
-    if args.jobs:
-        digests.append((str(args.jobs), sha256_file(args.jobs)))
+    digests = []
+    raw = _read_input(args.input, digests)
+    meta = _load_meta(args, digests)
+    _read_builtin("maximal.rules", digests)
+    _read_builtin("minimal.rules", digests)
+    jobs_text = _read_text(args.jobs, digests) if args.jobs else None
     table = parse_interlinear(
         raw, meta, args.transcriber,
         comma_breaks=args.comma_breaks,
         source_id=args.source_id or Path(args.input).name)
+    jobs = _batch_jobs(args, jobs_text)
+    # Transliteration rewrites only words and a selection reads only
+    # metadata, so each system's table is transliterated once and every job
+    # selects from it. Rarity belongs to a selection: a simplified job
+    # simplifies its own selection of the maximal table.
+    maximal = transliterate_document(table, builtin_rules("maximal"))
+    tables = {"none": table, "maximal": maximal, "simplified": maximal,
+              "minimal": transliterate_document(
+                  maximal, builtin_rules("minimal"))}
 
     header = "doc\ttranscription\tcharset\th2\twords\tword_types\n"
     rows = []
-    for doc, selection, system in _batch_jobs(args):
-        selected = canonical_selection(table, selection)
+    for doc, selection, system in jobs:
+        selected = canonical_selection(tables[system], selection)
         if not len(selected):
             print(f"charentropy: batch: skipping {doc}/{system}: "
                   f"selection {selection!r} is empty", file=sys.stderr)
             continue
-        report = entropy_report(to_stream(
-            _batch_pipeline(selected, system, args.rare_min)))
+        if system == "simplified":
+            selected = simplify_document(selected, threshold=args.rare_min)
+        report = entropy_report(to_stream(selected))
         rows.append("\t".join([
             doc, system, str(report.charset_size), fmt_float(report.h2),
             str(report.word_token_count), str(report.word_type_count)]))

@@ -257,11 +257,6 @@ class FolioMetadataMap:
             entries[folio] = (section, language, hand, quire)
         return cls(entries)
 
-    @classmethod
-    def from_file(cls, path) -> "FolioMetadataMap":
-        with open(path, "rb") as fh:
-            return cls.from_tsv(_decode(fh.read()))
-
 
 def _decode(raw: bytes) -> str:
     try:

@@ -258,12 +258,6 @@ def load_rules(text: str, name: str) -> RuleSet:
         raise RuleFileError(str(exc)) from None
 
 
-def load_rules_file(path) -> RuleSet:
-    from pathlib import Path
-    p = Path(path)
-    return load_rules(p.read_text("utf-8"), p.stem)
-
-
 def builtin_rules(name: str) -> RuleSet:
     """Load one of the shipped rule tables: maximal, simplify, minimal."""
     from importlib import resources

@@ -183,3 +183,22 @@ def test_charset_report_matches_stream_successor_distribution():
     for ch in stream[1:]:
         successors[ch] = successors.get(ch, 0) + 1
     assert report == successors
+
+
+def test_package_cleanse_is_the_function_and_the_docs_say_so():
+    import sys
+    from pathlib import Path
+
+    import charentropy
+    assert charentropy.cleanse is cleanse
+    assert sys.modules["charentropy.cleanse"].charset_report is charset_report
+    assert not hasattr(charentropy.cleanse, "charset_report")
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    for doc in (charentropy.__doc__, readme):
+        plain = doc.replace("`", "")
+        assert "charentropy.cleanse is the" in plain
+        assert "from charentropy.cleanse import …" in plain
+    # The README's library example runs as written.
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -217,6 +219,139 @@ def test_batch_jobs_file(workspace):
     jobs.write_text("x\tnot-a-selection\tnone\n", encoding="utf-8")
     assert run("batch", "page.txt", "--meta", "meta.tsv",
                "--jobs", str(jobs)) == 2
+
+
+# Two languages and two hands. ``g`` occurs twice in language A (once in
+# a label) and four times in B: rare inside ``a`` at --rare-min 3, not
+# across ``full``.
+INTERLINEAR_AB = """# two-language fixture
+<f1r.P1.1;H> shedy.qokeedy.daiin.gar
+<f1r.P1.2;H> chol,dy.qokal.Cheey
+<f1r.L1.1;H> otol.ga
+<f2r.P1.1;H> gedy.gag.shol.qotedy
+<f2r.P1.2;H> chedy.qokain.dag.sheol
+<f2r.P1.2;C> chedy.qokain.dag.sheor
+"""
+
+META_AB = "f1r\therbal\tA\t1\tA\nf2r\tbio\tB\t2\tB\n"
+
+
+def _stats_row(*steps):
+    """Run the separate-command pipeline ``steps`` (each an argv that
+    reads ``{src}`` and writes ``{out}``) and return the stats numbers in
+    batch's column order."""
+    src = None
+    for i, step in enumerate(steps):
+        out = f"step{i}.tsv"
+        argv = [a.format(src=src, out=out) for a in step]
+        assert run(*argv) == 0, argv
+        src = out
+    assert run("stats", src, "--out", "step.json") == 0
+    doc = json.loads(Path("step.json").read_text(encoding="utf-8"))
+    e = doc["entropy"]
+    return [str(e["charset_size"]), e["h2"], str(e["word_token_count"]),
+            str(e["word_type_count"])]
+
+
+def test_batch_rows_match_the_separate_command_pipeline(workspace):
+    (workspace / "ab.txt").write_text(INTERLINEAR_AB, encoding="utf-8")
+    (workspace / "ab.tsv").write_text(META_AB, encoding="utf-8")
+    selections = ("full", "full_text", "a", "a_text", "b", "hand1",
+                  "hand2_text")
+    systems = ("maximal", "simplified", "minimal", "none")
+    (workspace / "jobs.tsv").write_text("".join(
+        f"{sel}\t{sel}\t{system}\n"
+        for sel in selections for system in systems), encoding="utf-8")
+    assert run("batch", "ab.txt", "--meta", "ab.tsv", "--transcriber", "H",
+               "--jobs", "jobs.tsv", "--rare-min", "3",
+               "--out", "grid.tsv") == 0
+    rows = [line.split("\t") for line in (workspace / "grid.tsv").read_text(
+        encoding="utf-8").splitlines()[1:]]
+    assert [r[:2] for r in rows] == [
+        [sel, system] for sel in selections for system in systems]
+
+    for doc, system, *numbers in rows:
+        steps = [["ingest", "ab.txt", "--meta", "ab.tsv", "--transcriber",
+                  "H", "--select", doc, "--out", "{out}"]]
+        if system != "none":
+            steps.append(["translit", "{src}", "--system", "maximal",
+                          "--out", "{out}"])
+        if system == "simplified":
+            steps.append(["translit", "{src}", "--simplify", "--rare-min",
+                          "3", "--out", "{out}"])
+        elif system == "minimal":
+            steps.append(["translit", "{src}", "--system", "minimal",
+                          "--out", "{out}"])
+        numbers[1] = float(numbers[1])
+        assert numbers == _stats_row(*steps), (doc, system)
+
+    # The fixture tells per-selection rarity from whole-document rarity:
+    # ``g`` is masked in a's simplified text and kept in full's.
+    simplified = {r[0]: int(r[2]) for r in rows if r[1] == "simplified"}
+    maximal = {r[0]: int(r[2]) for r in rows if r[1] == "maximal"}
+    assert simplified["a"] < maximal["a"]
+
+
+@pytest.mark.parametrize("argv, name, good", [
+    (["stats", "{name}"], "bad.tsv", None),
+    (["batch", "page.txt", "--meta", "meta.tsv", "--jobs", "{name}"],
+     "bad.jobs", b"everything\tfull\tnone\n"),
+    (["cleanse", "p.tsv", "--config", "{name}"], "bad.cfg",
+     b"lowercase = false\n"),
+    (["translit", "p.tsv", "--rules", "{name}"], "bad.rules", b"d\tD\n"),
+], ids=["tsv", "jobs", "config", "rules"])
+def test_bad_utf8_in_any_input_is_data_error(workspace, capsys, argv, name,
+                                             good):
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    if good is None:
+        good = (workspace / "p.tsv").read_bytes()
+    offset = len(good) // 2
+    (workspace / name).write_bytes(good[:offset] + b"\xff" + good[offset:])
+    capsys.readouterr()
+    assert run(*(a.format(name=name) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("charentropy: error: "), err
+    assert f"byte offset {offset}" in err, err
+    assert "Traceback" not in err
+
+
+def test_every_input_is_read_with_a_bom_stripped(workspace):
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    bom = b"\xef\xbb\xbf"
+    (workspace / "bom.tsv").write_bytes(bom + (workspace / "p.tsv").read_bytes())
+    (workspace / "bom.cfg").write_bytes(bom + b"lowercase = false\n")
+    (workspace / "bom.rules").write_bytes(bom + b"T\tD\n")
+    (workspace / "bom_meta.tsv").write_bytes(bom + META.encode("utf-8"))
+    (workspace / "bom.jobs").write_bytes(bom + b"x\tfull\tnone\n")
+    assert run("stats", "bom.tsv", "--out", "s.json") == 0
+    assert run("cleanse", "bom.tsv", "--config", "bom.cfg",
+               "--out", "c.tsv") == 0
+    assert read_tsv((workspace / "c.tsv").read_text(
+        encoding="utf-8")).words()[0] == "The"
+    assert run("translit", "p.tsv", "--rules", "bom.rules",
+               "--out", "r.tsv") == 0
+    assert read_tsv((workspace / "r.tsv").read_text(
+        encoding="utf-8")).words()[0] == "Dhe"
+    assert run("batch", "page.txt", "--meta", "bom_meta.tsv",
+               "--jobs", "bom.jobs", "--out", "g.tsv") == 0
+    rows = (workspace / "g.tsv").read_text(encoding="utf-8").splitlines()
+    assert rows[1].startswith("x\tnone\t")
+
+
+def test_perfbench_wrap_points_resolve():
+    """Every function the benchmark's tracer wraps is still where it looks
+    for it (read from the source, so the benchmark is neither imported nor
+    touched)."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench"
+              / "tracing.py").read_text(encoding="utf-8")
+    (points,) = [ast.literal_eval(node.value)
+                 for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["WRAP_POINTS"]]
+    assert points
+    for _, module_name, attr in points:
+        module = importlib.import_module(f"charentropy.{module_name}")
+        assert callable(getattr(module, attr, None)), (module_name, attr)
 
 
 def test_manifest_written_and_stable(workspace):
