@@ -1,9 +1,12 @@
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import charentropy
 from charentropy.cleanse import (CleanseConfig, charset_report, cleanse,
                                  parse_config, parse_script_range)
 from charentropy.errors import ConfigError
@@ -186,10 +189,6 @@ def test_charset_report_matches_stream_successor_distribution():
 
 
 def test_package_cleanse_is_the_function_and_the_docs_say_so():
-    import sys
-    from pathlib import Path
-
-    import charentropy
     assert charentropy.cleanse is cleanse
     assert sys.modules["charentropy.cleanse"].charset_report is charset_report
     assert not hasattr(charentropy.cleanse, "charset_report")
