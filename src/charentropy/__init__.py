@@ -19,7 +19,7 @@ the module's other names with ``from charentropy.cleanse import …``.
 from .cleanse import CleanseConfig, charset_report, cleanse
 from .errors import (CharentropyError, ConfigError, DataError, DecodeError,
                      EmptyStreamError, MetadataError, ParseError,
-                     RuleFileError)
+                     RewriteError, RuleFileError)
 from .ingest import (FolioMetadataMap, LongTable, WordRecord,
                      canonical_selection, parse_interlinear, parse_plaintext,
                      select)
@@ -51,6 +51,7 @@ __all__ = [
     "LongTable",
     "MetadataError",
     "ParseError",
+    "RewriteError",
     "Rule",
     "RuleFileError",
     "RuleSet",

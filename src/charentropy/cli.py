@@ -26,26 +26,33 @@ measurement commands (``stats``, ``bigrams``, ``sample``, ``sukhotin``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from itertools import compress
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .cleanse import (CleanseConfig, charset_report, cleanse, parse_config,
                       parse_script_range)
-from .errors import CharentropyError, ConfigError
+from .errors import CharentropyError, ConfigError, DataError, DecodeError
 from .formats import SCHEMA_VERSION, fmt_float, json_dumps, sha256_bytes
 # Unused here, but perfbench wraps cli.sha256_file as a trace point.
 from .formats import sha256_file  # noqa: F401
 from .ingest import (CANONICAL_SELECTIONS, FolioMetadataMap, LongTable,
-                     _decode, canonical_selection, parse_interlinear,
-                     parse_plaintext, read_tsv, write_tsv)
-from .metrics import (bigram_matrix, coverage_report, entropy_report,
-                      heatmap_export, to_stream)
+                     _decode, canonical_selection, check_words,
+                     parse_interlinear, parse_plaintext, read_tsv,
+                     selection_mask, write_tsv)
+from .metrics import (BOUNDARY, WordTypes, bigram_matrix, coverage_report,
+                      entropy_report, h2_from_counts, heatmap_export,
+                      merge_symbols, to_stream, type_pairs)
 from .sampling import (SamplingConfig, distributions_to_csv,
                        distributions_to_dict, sample_h2)
 from .sukhotin import detect_on_document
-from .translit import (builtin_rules, load_rules, simplify_document,
-                       transliterate_document)
+from .translit import (builtin_rules, load_rules, rare_characters,
+                       simplify_document, simplify_maximal,
+                       transliterate_document, transliterate_words)
 
 BATCH_SYSTEMS = ("maximal", "simplified", "minimal", "none")
 
@@ -66,10 +73,24 @@ def _read_input(path, digests: list) -> bytes:
     return raw
 
 
+@contextlib.contextmanager
+def _naming(path, errors=DataError):
+    """Prefix ``PATH: `` to the message of an ``errors`` exception the
+    block raises, so that a run with several inputs names the bad one."""
+    try:
+        yield
+    except errors as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _read_text(path, digests: list) -> str:
     """An input file's text, decoded as the parsers decode theirs: a BOM is
-    stripped and bad UTF-8 raises DecodeError with its byte offset."""
-    return _decode(_read_input(path, digests))
+    stripped and bad UTF-8 raises DecodeError with the path and the byte
+    offset."""
+    raw = _read_input(path, digests)
+    with _naming(path):
+        return _decode(raw)
 
 
 def _read_builtin(name: str, digests: list) -> bytes:
@@ -115,9 +136,11 @@ def _read_table(path: str, digests: list) -> LongTable:
 def _load_meta(args, digests: list) -> FolioMetadataMap:
     if args.meta:
         text = _read_text(args.meta, digests)
+        with _naming(args.meta):
+            meta = FolioMetadataMap.from_tsv(text)
     else:
-        text = _decode(_read_builtin("folio_metadata.tsv", digests))
-    meta = FolioMetadataMap.from_tsv(text)
+        meta = FolioMetadataMap.from_tsv(
+            _decode(_read_builtin("folio_metadata.tsv", digests)))
     return meta.permissive() if args.allow_missing_meta else meta
 
 
@@ -146,11 +169,14 @@ def cmd_ingest(args) -> int:
         kind = _sniff_kind(raw)
     source_id = args.source_id or Path(args.input).name
     if kind == "interlinear":
-        table = parse_interlinear(
-            raw, _load_meta(args, digests), args.transcriber,
-            comma_breaks=args.comma_breaks, source_id=source_id)
+        meta = _load_meta(args, digests)
+        with _naming(args.input, DecodeError):
+            table = parse_interlinear(
+                raw, meta, args.transcriber,
+                comma_breaks=args.comma_breaks, source_id=source_id)
     else:
-        table = parse_plaintext(raw, source_id)
+        with _naming(args.input, DecodeError):
+            table = parse_plaintext(raw, source_id)
     if args.select:
         table = canonical_selection(table, args.select)
     _emit(write_tsv(table), args.out)
@@ -171,8 +197,9 @@ def cmd_translit(args) -> int:
         out_table = simplify_document(table, threshold=args.rare_min)
         rules_label = f"simplify(<{args.rare_min})"
     elif args.rules:
-        ruleset = load_rules(_read_text(args.rules, digests),
-                             Path(args.rules).stem)
+        text = _read_text(args.rules, digests)
+        with _naming(args.rules):
+            ruleset = load_rules(text, Path(args.rules).stem)
         out_table = transliterate_document(table, ruleset)
         rules_label = ruleset.name
     else:
@@ -191,7 +218,9 @@ def cmd_translit(args) -> int:
 
 def _cleanse_config(args, digests: list) -> CleanseConfig:
     if args.config:
-        base = parse_config(_read_text(args.config, digests))
+        text = _read_text(args.config, digests)
+        with _naming(args.config):
+            base = parse_config(text)
     else:
         base = CleanseConfig()
     ranges = base.script_ranges
@@ -311,38 +340,50 @@ def cmd_sukhotin(args) -> int:
     return 0
 
 
-def _batch_jobs(args, text: str | None) -> list[tuple[str, str, str]]:
+def _batch_jobs(text: str) -> list[tuple[str, str, str]]:
     """(doc label, selection name, system) rows, in output order, from the
-    text of the ``--jobs`` file or, without one, the default grid."""
-    if text is not None:
-        jobs = []
-        for n, line in enumerate(text.splitlines(), start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ConfigError(
-                    f"{args.jobs}: line {n}: expected "
-                    f"doc<TAB>selection<TAB>system")
-            doc, selection, system = (f.strip() for f in fields)
-            if selection not in CANONICAL_SELECTIONS:
-                raise ConfigError(
-                    f"{args.jobs}: line {n}: unknown selection "
-                    f"{selection!r}")
-            if system not in BATCH_SYSTEMS:
-                raise ConfigError(
-                    f"{args.jobs}: line {n}: unknown system {system!r}; "
-                    f"expected one of {', '.join(BATCH_SYSTEMS)}")
-            jobs.append((doc, selection, system))
-        if not jobs:
-            raise ConfigError(f"{args.jobs}: no jobs")
-        return jobs
+    text of a ``--jobs`` file."""
+    jobs = []
+    for n, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ConfigError(
+                f"line {n}: expected doc<TAB>selection<TAB>system")
+        doc, selection, system = (f.strip() for f in fields)
+        if selection not in CANONICAL_SELECTIONS:
+            raise ConfigError(f"line {n}: unknown selection {selection!r}")
+        if system not in BATCH_SYSTEMS:
+            raise ConfigError(
+                f"line {n}: unknown system {system!r}; "
+                f"expected one of {', '.join(BATCH_SYSTEMS)}")
+        jobs.append((doc, selection, system))
+    if not jobs:
+        raise ConfigError("no jobs")
+    return jobs
+
+
+def _default_jobs() -> list[tuple[str, str, str]]:
+    """Every canonical selection under maximal, simplified and minimal."""
     selections = ["full", "full_text", "a", "a_text", "b", "b_text"]
     for h in "12345":
         selections += [f"hand{h}", f"hand{h}_text"]
     return [(sel, sel, system)
             for sel in selections
             for system in ("maximal", "simplified", "minimal")]
+
+
+def _rare_in_selection(symbols, counts, rare_min: int) -> frozenset[str]:
+    """The characters ``simplify_document`` would mask in the selection
+    whose maximal pair counts are ``counts``: rarity is judged on the
+    letters' successor counts after ligature capitals are lowered."""
+    lowered: dict[str, int] = {}
+    for s, n in zip(symbols, counts.sum(axis=0).tolist()):
+        if n and s != BOUNDARY:
+            low = simplify_maximal(s, frozenset())
+            lowered[low] = lowered.get(low, 0) + n
+    return rare_characters(lowered, threshold=rare_min)
 
 
 def cmd_batch(args) -> int:
@@ -352,34 +393,66 @@ def cmd_batch(args) -> int:
     _read_builtin("maximal.rules", digests)
     _read_builtin("minimal.rules", digests)
     jobs_text = _read_text(args.jobs, digests) if args.jobs else None
-    table = parse_interlinear(
-        raw, meta, args.transcriber,
-        comma_breaks=args.comma_breaks,
-        source_id=args.source_id or Path(args.input).name)
-    jobs = _batch_jobs(args, jobs_text)
-    # Transliteration rewrites only words and a selection reads only
-    # metadata, so each system's table is transliterated once and every job
-    # selects from it. Rarity belongs to a selection: a simplified job
-    # simplifies its own selection of the maximal table.
-    maximal = transliterate_document(table, builtin_rules("maximal"))
-    tables = {"none": table, "maximal": maximal, "simplified": maximal,
-              "minimal": transliterate_document(
-                  maximal, builtin_rules("minimal"))}
+    with _naming(args.input, DecodeError):
+        table = parse_interlinear(
+            raw, meta, args.transcriber,
+            comma_breaks=args.comma_breaks,
+            source_id=args.source_id or Path(args.input).name)
+    if jobs_text is None:
+        jobs = _default_jobs()
+    else:
+        with _naming(args.jobs):
+            jobs = _batch_jobs(jobs_text)
+    # Every row is a function of the selection's pair-count matrix, which
+    # is the sum over word types of frequency times the type's pair counts.
+    # So each word type is rewritten once per system, a selection is a
+    # frequency vector over the types, and a job's counts are one weighted
+    # bincount over its system's per-type pair codes. Rarity belongs to a
+    # selection: a simplified job merges the symbols of its own maximal
+    # counts.
+    types = WordTypes.of(table)
+    maximal = transliterate_words(types.forms, builtin_rules("maximal"))
+    forms = {"none": types.forms, "maximal": maximal,
+             "minimal": transliterate_words(maximal,
+                                            builtin_rules("minimal"))}
+    pairs = {}
+    frequencies = {}
 
     header = "doc\ttranscription\tcharset\th2\twords\tword_types\n"
     rows = []
     for doc, selection, system in jobs:
-        selected = canonical_selection(tables[system], selection)
-        if not len(selected):
+        if selection not in frequencies:
+            mask = np.frombuffer(selection_mask(table, selection), bool)
+            frequencies[selection] = types.frequencies(mask)
+        freq = frequencies[selection]
+        if not freq.any():
             print(f"charentropy: batch: skipping {doc}/{system}: "
                   f"selection {selection!r} is empty", file=sys.stderr)
             continue
+        base = "maximal" if system == "simplified" else system
+        if base not in pairs:
+            pairs[base] = type_pairs(types, forms[base])
+        per_type = pairs[base]
+        symbols, counts = per_type.symbols, per_type.counts(freq)
+        present = list(compress(per_type.forms, freq.tolist()))
         if system == "simplified":
-            selected = simplify_document(selected, threshold=args.rare_min)
-        report = entropy_report(to_stream(selected))
+            rare = _rare_in_selection(symbols, counts, args.rare_min)
+            targets = [simplify_maximal(s, rare) for s in symbols]
+            # A simplified form is its maximal form with each character
+            # replaced by its target, so it is valid when every target is.
+            check_words(targets)
+            rewrite = dict(zip(map(ord, symbols), targets))
+            present = [form.translate(rewrite) for form in present]
+            symbols, counts = merge_symbols(symbols, counts, targets)
+        column_sums = counts.sum(axis=0)
         rows.append("\t".join([
-            doc, system, str(report.charset_size), fmt_float(report.h2),
-            str(report.word_token_count), str(report.word_type_count)]))
+            doc, system,
+            # every letter of the selection follows some symbol
+            str(np.count_nonzero(column_sums) - 1),
+            fmt_float(h2_from_counts(counts)),
+            # and every word ends with the boundary
+            str(column_sums[symbols.index(BOUNDARY)]),
+            str(len(set(present)))]))
     _emit(header + "".join(r + "\n" for r in rows), args.out)
     _write_manifest(
         args, "batch", digests,

@@ -60,6 +60,14 @@ class RuleFileError(DataError):
     """Malformed transliteration rule file."""
 
 
+class RewriteError(DataError, ValueError):
+    """A rule set rewrote a word into an empty or invalid surface form.
+
+    Also a ValueError, so library callers that catch ValueError from a
+    rewrite keep working.
+    """
+
+
 class EmptyStreamError(DataError):
     """A character stream was requested for a document with no words."""
 

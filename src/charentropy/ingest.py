@@ -452,19 +452,31 @@ for _name, _lang, _hand in [("full", None, None),
 del _name, _lang, _hand
 
 
-def canonical_selection(table: LongTable, name: str) -> LongTable:
-    """Apply one of the sixteen named selections (``full``, ``a_text``, ...)."""
+def selection_mask(table: LongTable, name: str) -> bytes:
+    """One byte per row: 1 where the row meets every criterion of the
+    canonical selection ``name`` (``full``, ``a_text``, ...), else 0. Each
+    criterion is judged once per distinct value of its column."""
     try:
         criteria = CANONICAL_SELECTIONS[name]
     except KeyError:
         raise ValueError(
             f"unknown selection {name!r}; expected one of "
             + ", ".join(sorted(CANONICAL_SELECTIONS))) from None
-    if not criteria:
-        return table
-    wanted = tuple(criteria.values())
-    rows = zip(*(table.column(column) for column in criteria))
-    return take(table, [row == wanted for row in rows])
+    n = len(table)
+    # Bytes of 0 and 1 read as one integer: their AND is the rows that
+    # meet both criteria.
+    keep = int.from_bytes(b"\x01" * n, "little")
+    for column, wanted in criteria.items():
+        values = table.column(column)
+        hit = {v: int(v == wanted) for v in set(values)}
+        keep &= int.from_bytes(bytes(map(hit.__getitem__, values)), "little")
+    return keep.to_bytes(n, "little")
+
+
+def canonical_selection(table: LongTable, name: str) -> LongTable:
+    """Apply one of the sixteen named selections (``full``, ``a_text``, ...)."""
+    mask = selection_mask(table, name)
+    return take(table, mask) if CANONICAL_SELECTIONS[name] else table
 
 
 # ---------------------------------------------------------------------------

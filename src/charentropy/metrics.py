@@ -20,6 +20,18 @@ Conventions, applied uniformly and worth stating once:
 * Logs are base 2; empty cells contribute zero.
 * Sums use ``math.fsum``, which is order-independent, so statistics are
   bit-for-bit invariant under any relabeling of the alphabet.
+
+Every statistic here is a function of the pair-count matrix, and that
+matrix is ``sum over types t of freq(t) * pairs("#" + t + "#")``, so it can
+be counted from word types instead of tokens. :class:`WordTypes` holds a
+table's distinct words in first-occurrence order and each token's type id;
+a selection of the tokens is a frequency vector over the types,
+``np.bincount(ids[mask])``. :func:`type_pairs` lays out the pair codes of
+each type's ``#form#`` as CSR arrays (one offset per type into one code
+array) for the types' forms under some rewrite, and
+:meth:`TypePairs.counts` turns a frequency vector into the count matrix
+with one weighted ``np.bincount``. :func:`to_stream` and
+:func:`pair_counts` count token by token and stay as the reference.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,10 +102,13 @@ def to_stream(table: LongTable) -> CharStream:
     words = table.words()
     if any(BOUNDARY in w for w in set(words)):
         i = next(i for i, w in enumerate(words) if BOUNDARY in w)
-        raise DataError(
-            f"line {table.column('line_number')[i]}: word {words[i]!r} "
-            f"contains the word boundary symbol {BOUNDARY!r}")
+        raise _boundary_error(table.column("line_number")[i], words[i])
     return stream_from_words(words)
+
+
+def _boundary_error(line: int, word: str) -> DataError:
+    return DataError(f"line {line}: word {word!r} contains the word "
+                     f"boundary symbol {BOUNDARY!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,14 +149,111 @@ def symbol_codes(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
     return symbols, np.searchsorted(order, points).astype(np.int64)
 
 
+def _pair_codes(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
+    """Codepoint-sorted symbols and the code ``a * len(symbols) + b`` of
+    each adjacent pair (a, b) of the stream."""
+    symbols, codes = symbol_codes(stream)
+    return symbols, codes[:-1] * len(symbols) + codes[1:]
+
+
 def pair_counts(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
     """Count matrix over codepoint-sorted symbols (boundary included)."""
     if len(stream.symbols) < 2:
         raise ValueError("need at least two symbols to form a bigram")
-    symbols, codes = symbol_codes(stream)
+    symbols, codes = _pair_codes(stream)
     k = len(symbols)
-    flat = np.bincount(codes[:-1] * k + codes[1:], minlength=k * k)
-    return symbols, flat.reshape(k, k)
+    return symbols, np.bincount(codes, minlength=k * k).reshape(k, k)
+
+
+@dataclass(frozen=True, slots=True)
+class WordTypes:
+    """A table's words as word types.
+
+    ``forms`` are the distinct words in first-occurrence order, token i is
+    ``forms[ids[i]]``, and ``lines[t]`` is the line number of the first
+    token of type t. Because types are numbered in order of first
+    occurrence, the first type with some property holds the first token
+    with it.
+    """
+
+    forms: tuple[str, ...]
+    ids: np.ndarray
+    lines: tuple[int, ...]
+
+    @classmethod
+    def of(cls, table: LongTable) -> "WordTypes":
+        index: dict[str, int] = {}
+        ids = np.array([index.setdefault(w, len(index))
+                        for w in table.column("surface_form")], dtype=np.intp)
+        first = np.unique(ids, return_index=True)[1]
+        line_numbers = table.column("line_number")
+        return cls(forms=tuple(index), ids=ids,
+                   lines=tuple(line_numbers[i] for i in first.tolist()))
+
+    def frequencies(self, mask: np.ndarray) -> np.ndarray:
+        """Tokens of each type among the tokens the boolean ``mask``
+        keeps."""
+        return np.bincount(self.ids[mask], minlength=len(self.forms))
+
+
+@dataclass(frozen=True, slots=True)
+class TypePairs:
+    """The adjacent-pair codes of each word type's ``#form#``, as CSR arrays.
+
+    ``symbols`` are the forms' characters and the boundary in codepoint
+    order, as in :func:`pair_counts`; pair (a, b) has the code
+    ``a * len(symbols) + b``. Type t's ``len(forms[t]) + 1`` codes are
+    ``codes[offsets[t]:offsets[t + 1]]``.
+    """
+
+    forms: tuple[str, ...]
+    symbols: tuple[str, ...]
+    offsets: np.ndarray
+    codes: np.ndarray
+
+    def counts(self, freq: np.ndarray) -> np.ndarray:
+        """The pair-count matrix of a text holding ``freq[t]`` tokens of
+        each type t: the ``pair_counts`` matrix of those tokens' stream,
+        with a zero row and column for each symbol they lack."""
+        k = len(self.symbols)
+        weights = np.repeat(freq, np.diff(self.offsets))
+        flat = np.bincount(self.codes, weights=weights, minlength=k * k)
+        return flat.astype(np.int64).reshape(k, k)
+
+
+def type_pairs(types: WordTypes, forms: Sequence[str]) -> TypePairs:
+    """Pair codes of ``forms``: the types' forms, or a rewrite of them one
+    for one.
+
+    Raises DataError, as :func:`to_stream` does, naming the first word (by
+    its first token) whose form contains the boundary symbol, and
+    EmptyStreamError when there are no types.
+    """
+    forms = tuple(forms)
+    if len(forms) != len(types.forms):
+        raise ValueError(f"{len(forms)} forms for {len(types.forms)} types")
+    for t, form in enumerate(forms):
+        if BOUNDARY in form:
+            raise _boundary_error(types.lines[t], form)
+    symbols, codes = _pair_codes(stream_from_words(forms))
+    offsets = np.zeros(len(forms) + 1, dtype=np.intp)
+    np.cumsum([len(form) + 1 for form in forms], out=offsets[1:])
+    return TypePairs(forms=forms, symbols=symbols, offsets=offsets,
+                     codes=codes)
+
+
+def merge_symbols(
+    symbols: Sequence[str], counts: np.ndarray, targets: Sequence[str],
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The count matrix after renaming each symbol to its entry in
+    ``targets``: symbols given the same name are merged and their rows and
+    columns summed. The new symbols are in codepoint order."""
+    merged = tuple(sorted(set(targets)))
+    index = {s: i for i, s in enumerate(merged)}
+    to = np.array([index[t] for t in targets], dtype=np.intp)
+    out = np.zeros((len(merged), len(merged)), dtype=counts.dtype)
+    np.add.at(out, (to[:, None], to[None, :]), counts)
+    return merged, out
 
 
 def bigram_matrix(stream: CharStream) -> BigramMatrix:

@@ -27,9 +27,10 @@ replacements.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import RuleFileError
+from .errors import RewriteError, RuleFileError
 from .ingest import LongTable, check_words, with_words
 
 RARE_THRESHOLD = 50  # a character this frequent (or more) is not "rare"
@@ -146,35 +147,48 @@ def lint_alphabet(words, rules: RuleSet) -> dict[str, int]:
     return dict(sorted(stray.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
+def transliterate_words(words: Sequence[str], rules: RuleSet) -> list[str]:
+    """apply() mapped over ``words``, each distinct word rewritten once.
+
+    Raises RewriteError for the first word, in the order given, whose
+    rewrite is empty (rewrites must never delete words) or is not a valid
+    surface form. Given a document's words, or its distinct words in order
+    of first occurrence, that is the first such word of the document.
+    """
+    rewritten = {w: apply(w, rules) for w in dict.fromkeys(words)}
+    new_words = list(map(rewritten.__getitem__, words))
+    erased = (new_words.index("") if "" in rewritten.values()
+              else len(new_words))
+    try:
+        # An invalid rewrite earlier in the document is reported first.
+        check_words(new_words[:erased])
+    except ValueError as exc:
+        raise RewriteError(str(exc)) from None
+    if erased < len(new_words):
+        raise RewriteError(
+            f"rule set {rules.name!r} erased the word {words[erased]!r}")
+    return new_words
+
+
 def transliterate_document(table: LongTable, rules: RuleSet) -> LongTable:
     """apply() mapped over every surface form; metadata untouched.
 
-    Each distinct word is rewritten once. Word count is preserved by
-    construction. A word whose rewrite comes out empty (possible only with
-    empty replacements) is an error — rewrites must never delete words.
+    Word count is preserved by construction; see
+    :func:`transliterate_words` for the errors.
     """
-    words = table.words()
-    rewritten = {w: apply(w, rules) for w in set(words)}
-    new_words = list(map(rewritten.__getitem__, words))
-    if "" in rewritten.values():
-        first = new_words.index("")
-        # An invalid rewrite earlier in the document is reported first.
-        check_words(new_words[:first])
-        raise ValueError(
-            f"rule set {rules.name!r} erased the word {words[first]!r}")
-    return with_words(table, new_words)
+    return with_words(table, transliterate_words(table.words(), rules))
 
 
 def rare_characters(
-    words, *, threshold: int = RARE_THRESHOLD,
+    counts: Mapping[str, int], *, threshold: int = RARE_THRESHOLD,
     exempt: frozenset[str] = RARE_EXEMPT,
 ) -> frozenset[str]:
-    """Characters occurring fewer than ``threshold`` times across ``words``.
+    """The characters of a char -> occurrence count mapping that occur
+    fewer than ``threshold`` times.
 
     The exempt set (by default just ``x``) is never reported rare, however
     scarce.
     """
-    counts = Counter("".join(words))
     return frozenset(
         c for c, n in counts.items() if n < threshold and c not in exempt)
 
@@ -217,8 +231,8 @@ def simplify_document(
     words = table.words()
     lowered = {w: "".join(ligature_map.get(c, c) for c in w)
                for w in set(words)}
-    rare = rare_characters(map(lowered.__getitem__, words),
-                           threshold=threshold)
+    counts = Counter("".join(map(lowered.__getitem__, words)))
+    rare = rare_characters(counts, threshold=threshold)
     simplified = {w: simplify_maximal(low, rare, ligature_map)
                   for w, low in lowered.items()}
     return with_words(table, map(simplified.__getitem__, words))

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written with different machinery than the
 library (dicts and plain loops instead of numpy; no shared helpers) so that
-agreement between the two is meaningful. The long-table reader is the
-exception: it is the original row-by-row reader, which builds each row as a
-WordRecord and so shares the record's validation.
+agreement between the two is meaningful. Two are exceptions. The long-table
+reader is the original row-by-row reader, which builds each row as a
+WordRecord and so shares the record's validation. The batch oracle is the
+token-level path ``batch`` took before it counted word types: it composes
+the library's document transforms and ``entropy_report``, job by job.
 """
 
 from __future__ import annotations
@@ -12,7 +14,12 @@ from __future__ import annotations
 import math
 
 from charentropy.errors import ParseError
-from charentropy.ingest import TSV_COLUMNS, LongTable, WordRecord
+from charentropy.formats import fmt_float
+from charentropy.ingest import (TSV_COLUMNS, LongTable, WordRecord,
+                                canonical_selection)
+from charentropy.metrics import entropy_report, to_stream
+from charentropy.translit import (builtin_rules, simplify_document,
+                                  transliterate_document)
 
 BOUNDARY = "#"
 
@@ -159,3 +166,31 @@ def read_tsv_rows(text: str) -> LongTable:
         except ValueError as exc:
             raise ParseError(str(exc), n) from None
     return LongTable(records=tuple(records), source_id=source_id or "")
+
+
+def batch_rows_oracle(table: LongTable, jobs, rare_min: int):
+    """``batch``'s output text and standard-error warnings for a parsed
+    interlinear table and (doc, selection, system) jobs: each job selects
+    its rows from its system's table, a simplified job simplifies its own
+    selection of the maximal table, and the row comes from the stream's
+    entropy report."""
+    maximal = transliterate_document(table, builtin_rules("maximal"))
+    tables = {"none": table, "maximal": maximal, "simplified": maximal,
+              "minimal": transliterate_document(
+                  maximal, builtin_rules("minimal"))}
+    out = "doc\ttranscription\tcharset\th2\twords\tword_types\n"
+    warnings = ""
+    for doc, selection, system in jobs:
+        selected = canonical_selection(tables[system], selection)
+        if not len(selected):
+            warnings += (f"charentropy: batch: skipping {doc}/{system}: "
+                         f"selection {selection!r} is empty\n")
+            continue
+        if system == "simplified":
+            selected = simplify_document(selected, threshold=rare_min)
+        report = entropy_report(to_stream(selected))
+        out += "\t".join([
+            doc, system, str(report.charset_size), fmt_float(report.h2),
+            str(report.word_token_count),
+            str(report.word_type_count)]) + "\n"
+    return out, warnings

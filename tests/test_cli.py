@@ -1,17 +1,25 @@
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import charentropy
-from charentropy.cli import main
-from charentropy.ingest import read_tsv
+import oracles
+from charentropy.cli import BATCH_SYSTEMS, main
+from charentropy.ingest import (CANONICAL_SELECTIONS, FolioMetadataMap,
+                                parse_interlinear, read_tsv)
 from charentropy.metrics import entropy_report, to_stream
+from test_ingest import _tsv_texts as tsv_texts
 
 INTERLINEAR = """# fixture
 <f1r.P1.1;H> shedy.qokeedy.daiin
@@ -292,6 +300,151 @@ def test_batch_rows_match_the_separate_command_pipeline(workspace):
     assert simplified["a"] < maximal["a"]
 
 
+# Common glyphs and digraphs the rule tables rewrite (sh, ch, in, ee, qo),
+# ligature capitals, rare glyphs, x (never masked) and the * mask itself.
+_GLYPHS = st.sampled_from(
+    ["o", "e", "d", "y", "a", "l", "k", "sh", "ch", "in", "iin", "ee", "qo",
+     "C", "S", "K", "g", "v", "z", "x", "*"])
+_WORDS = st.lists(_GLYPHS, min_size=1, max_size=5).map("".join)
+_FOLIOS = ("f1r", "f1v", "f2r", "f2v")
+
+
+@st.composite
+def batch_inputs(draw):
+    """(interlinear page, folio map, jobs, --rare-min) with two languages,
+    two hands and two transcribers."""
+    meta = "".join(
+        f"{folio}\therbal\t{draw(st.sampled_from('AB'))}\t"
+        f"{draw(st.sampled_from('12'))}\tA\n" for folio in _FOLIOS)
+    lines = draw(st.lists(st.tuples(
+        st.sampled_from(_FOLIOS), st.sampled_from(["P1", "P2", "L1"]),
+        st.sampled_from("HHC"), st.lists(_WORDS, max_size=6)),
+        max_size=14))
+    page = "".join(f"<{folio}.{locus}.{n};{who}> {'.'.join(words)}\n"
+                   for n, (folio, locus, who, words) in enumerate(lines, 1))
+    jobs = draw(st.lists(st.tuples(
+        st.sampled_from(sorted(CANONICAL_SELECTIONS)),
+        st.sampled_from(BATCH_SYSTEMS)), min_size=1, max_size=10))
+    # hand5 is never on the page, so this job is always skipped.
+    jobs += [("hand5", draw(st.sampled_from(BATCH_SYSTEMS))),
+             ("full", "none")]
+    jobs = [(f"doc{i}", selection, system)
+            for i, (selection, system) in enumerate(jobs)]
+    return page, meta, jobs, draw(st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch_inputs())
+def test_batch_equals_the_per_job_oracle(inputs):
+    page, meta, jobs, rare_min = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "page.txt").write_text(page, encoding="utf-8")
+        (tmp / "meta.tsv").write_text(meta, encoding="utf-8")
+        (tmp / "jobs.tsv").write_text(
+            "".join("\t".join(job) + "\n" for job in jobs), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["batch", str(tmp / "page.txt"), "--meta",
+                         str(tmp / "meta.tsv"), "--transcriber", "H",
+                         "--jobs", str(tmp / "jobs.tsv"), "--rare-min",
+                         str(rare_min), "--out", str(tmp / "out.tsv")]) == 0
+        table = parse_interlinear(
+            page.encode("utf-8"), FolioMetadataMap.from_tsv(meta), "H",
+            source_id="page.txt")
+        want, warnings = oracles.batch_rows_oracle(table, jobs, rare_min)
+        assert (tmp / "out.tsv").read_text(encoding="utf-8") == want
+        assert err.getvalue() == warnings
+
+
+# Every subcommand, reading the fuzzed file as its main input.
+_FUZZ_COMMANDS = (
+    ["ingest", "{dir}/in", "--out", "{dir}/o.tsv"],
+    ["ingest", "{dir}/in", "--kind", "interlinear", "--allow-missing-meta",
+     "--select", "a_text", "--out", "{dir}/o.tsv"],
+    ["translit", "{dir}/in", "--system", "maximal", "--out", "{dir}/o.tsv"],
+    ["translit", "{dir}/in", "--system", "minimal", "--out", "{dir}/o.tsv"],
+    ["translit", "{dir}/in", "--simplify", "--rare-min", "2",
+     "--out", "{dir}/o.tsv"],
+    ["cleanse", "{dir}/in", "--out", "{dir}/o.tsv"],
+    ["stats", "{dir}/in", "--out", "{dir}/o.json"],
+    ["bigrams", "{dir}/in", "--out-prefix", "{dir}/o"],
+    ["sample", "{dir}/in", "--windows", "1,2", "--n", "3",
+     "--out", "{dir}/o.json"],
+    ["sukhotin", "{dir}/in", "--include-space", "--diagnostics",
+     "--out", "{dir}/o.json"],
+    ["batch", "{dir}/in", "--meta", "{dir}/meta.tsv", "--transcriber", "H",
+     "--rare-min", "2", "--out", "{dir}/o.tsv"],
+    ["batch", "{dir}/in", "--allow-missing-meta", "--comma-breaks",
+     "--out", "{dir}/o.tsv"],
+    # The fuzzed file as an option file, next to a valid main input.
+    ["translit", "{dir}/t.tsv", "--rules", "{dir}/in", "--out", "{dir}/o.tsv"],
+    ["cleanse", "{dir}/t.tsv", "--config", "{dir}/in", "--out", "{dir}/o.tsv"],
+    ["ingest", "{dir}/page.txt", "--meta", "{dir}/in", "--out", "{dir}/o.tsv"],
+    ["batch", "{dir}/page.txt", "--meta", "{dir}/meta.tsv", "--jobs",
+     "{dir}/in", "--out", "{dir}/o.tsv"],
+)
+
+
+@st.composite
+def near_valid_pages(draw):
+    """An interlinear page with reserved and odd characters inserted."""
+    page = draw(batch_inputs())[0]
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(page)))
+        junk = draw(st.sampled_from(
+            ["{", "}", "{a}", ",", ".", "#", "<", ">", ";", " ", "\t", "\n",
+             "\r", "\ufeff", "\x85", "\u2028", "é", "0", "-1"]))
+        page = page[:at] + junk + page[at:]
+    return page
+
+
+_FIELDS = st.sampled_from(
+    ["", " ", "d", "ga", "x", "#", "A", "1", "f1r", "full", "none",
+     "lowercase", "true", "2", "U+0061..U+007A", "#! alphabet: d"])
+
+
+@st.composite
+def near_valid_option_files(draw):
+    """Lines of one to five fields, split by tabs or ``=``: near the shape
+    of a rule, config, folio map or jobs file."""
+    lines = draw(st.lists(st.tuples(
+        st.lists(_FIELDS, min_size=1, max_size=5),
+        st.sampled_from(["\t", "\t", " = "])), min_size=1, max_size=4))
+    return "".join(sep.join(fields) + "\n" for fields, sep in lines)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+# Rule files whose rewrites erase a word or put whitespace into one, which
+# the strategy reaches only rarely.
+@example(b" \td\nga\t\n")
+@example(b"d\t \n")
+@given(st.one_of(st.binary(max_size=200),
+                 tsv_texts().map(str.encode),
+                 near_valid_pages().map(str.encode),
+                 near_valid_option_files().map(str.encode)))
+def test_every_subcommand_survives_fuzzed_input(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in").write_bytes(raw)
+        (tmp / "meta.tsv").write_text(
+            "".join(f"{folio}\therbal\tA\t1\tA\n" for folio in _FOLIOS),
+            encoding="utf-8")
+        (tmp / "page.txt").write_text(INTERLINEAR_AB, encoding="utf-8")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["ingest", str(tmp / "page.txt"), "--meta",
+                         str(tmp / "meta.tsv"), "--out",
+                         str(tmp / "t.tsv")]) == 0
+        for argv in _FUZZ_COMMANDS:
+            argv = [a.format(dir=tmp) for a in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2), (argv, err.getvalue())
+            if code == 2:
+                assert err.getvalue().startswith("charentropy: error: ")
+
+
 @pytest.mark.parametrize("argv, name, good", [
     (["stats", "{name}"], "bad.tsv", None),
     (["batch", "page.txt", "--meta", "meta.tsv", "--jobs", "{name}"],
@@ -299,7 +452,9 @@ def test_batch_rows_match_the_separate_command_pipeline(workspace):
     (["cleanse", "p.tsv", "--config", "{name}"], "bad.cfg",
      b"lowercase = false\n"),
     (["translit", "p.tsv", "--rules", "{name}"], "bad.rules", b"d\tD\n"),
-], ids=["tsv", "jobs", "config", "rules"])
+    (["batch", "page.txt", "--meta", "{name}"], "bad_meta.tsv",
+     META.encode("utf-8")),
+], ids=["tsv", "jobs", "config", "rules", "meta"])
 def test_bad_utf8_in_any_input_is_data_error(workspace, capsys, argv, name,
                                              good):
     assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
@@ -310,9 +465,30 @@ def test_bad_utf8_in_any_input_is_data_error(workspace, capsys, argv, name,
     capsys.readouterr()
     assert run(*(a.format(name=name) for a in argv)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("charentropy: error: "), err
-    assert f"byte offset {offset}" in err, err
-    assert "Traceback" not in err
+    assert err == (f"charentropy: error: {name}: input is not valid UTF-8 "
+                   f"(byte offset {offset})\n"), err
+
+
+@pytest.mark.parametrize("argv, name, text, message", [
+    (["batch", "page.txt", "--meta", "meta.tsv", "--jobs", "{name}"],
+     "bad.jobs", "everything\tfull\n",
+     "line 1: expected doc<TAB>selection<TAB>system"),
+    (["cleanse", "p.tsv", "--config", "{name}"], "bad.cfg",
+     "lowercase = maybe\n", "line 1: lowercase must be true/false"),
+    (["translit", "p.tsv", "--rules", "{name}"], "bad.rules", "d\n",
+     "line 1: expected 'pattern<TAB>replacement', got 'd'"),
+    (["batch", "page.txt", "--meta", "{name}"], "bad_meta.tsv",
+     "f1r\therbal\tA\n",
+     "line 1: folio metadata row needs 5 tab-separated fields, got 3"),
+], ids=["jobs", "config", "rules", "meta"])
+def test_syntax_error_in_an_option_file_names_the_file(
+        workspace, capsys, argv, name, text, message):
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    (workspace / name).write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(*(a.format(name=name) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err == f"charentropy: error: {name}: {message}\n", err
 
 
 def test_every_input_is_read_with_a_bom_stripped(workspace):

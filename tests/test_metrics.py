@@ -5,16 +5,17 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from charentropy.errors import EmptyStreamError
+from charentropy.errors import DataError, EmptyStreamError
 from charentropy.ingest import from_words
-from charentropy.metrics import (BOUNDARY, CharStream, bigram_matrix,
-                                 coverage_report, entropy_contribution,
-                                 entropy_report, heatmap_export,
-                                 stream_from_words, to_stream)
+from charentropy.metrics import (BOUNDARY, CharStream, WordTypes,
+                                 bigram_matrix, coverage_report,
+                                 entropy_contribution, entropy_report,
+                                 heatmap_export, merge_symbols, pair_counts,
+                                 stream_from_words, to_stream, type_pairs)
 
 words_strategy = st.lists(
     st.text(alphabet="abcde", min_size=1, max_size=8),
@@ -114,6 +115,78 @@ def test_matrix_invariants(words):
 def test_symbols_are_codepoint_sorted_with_boundary_first():
     m = bigram_matrix(stream_from_words(["ba", "cab"]))
     assert m.symbols == ("#", "a", "b", "c")
+
+
+# --- word-type counts --------------------------------------------------------
+
+def assert_counts_of(words, symbols, counts):
+    """``counts`` over ``symbols`` is the pair-count matrix of ``words``,
+    once the symbols whose row and column are both zero are dropped."""
+    keep = (counts.sum(axis=0) + counts.sum(axis=1)) > 0
+    want_symbols, want = pair_counts(to_stream(from_words(words)))
+    assert [s for s, k in zip(symbols, keep) if k] == list(want_symbols)
+    assert np.array_equal(counts[keep][:, keep], want)
+
+
+@given(words_strategy, st.data())
+def test_type_counts_equal_stream_counts(words, data):
+    types = WordTypes.of(from_words(words))
+    assert list(types.forms) == list(dict.fromkeys(words))
+    assert [types.forms[i] for i in types.ids] == words
+    mask = np.array(data.draw(st.lists(
+        st.booleans(), min_size=len(words), max_size=len(words))))
+    assume(mask.any())
+    kept = [w for w, k in zip(words, mask) if k]
+    freq = types.frequencies(mask)
+    assert freq.tolist() == [kept.count(f) for f in types.forms]
+
+    pairs = type_pairs(types, types.forms)
+    counts = pairs.counts(freq)
+    assert counts.dtype == np.int64
+    assert_counts_of(kept, pairs.symbols, counts)
+
+    # The same over a rewrite of the forms, one for one.
+    upper = type_pairs(types, [f.upper() + "z" for f in types.forms])
+    assert_counts_of([w.upper() + "z" for w in kept], upper.symbols,
+                     upper.counts(freq))
+
+
+@given(words_strategy, st.data())
+def test_type_counts_add_over_disjoint_frequencies(words, data):
+    types = WordTypes.of(from_words(words))
+    part = np.array(data.draw(st.lists(
+        st.booleans(), min_size=len(words), max_size=len(words))))
+    first, second = types.frequencies(part), types.frequencies(~part)
+    pairs = type_pairs(types, types.forms)
+    assert np.array_equal(pairs.counts(first) + pairs.counts(second),
+                          pairs.counts(first + second))
+    assert np.array_equal(pairs.counts(first + second),
+                          pair_counts(to_stream(from_words(words)))[1])
+
+
+def test_boundary_inside_a_form_names_the_first_such_word():
+    table = from_words(["ab", "c#", "d#e", "c#"])
+    with pytest.raises(DataError) as caught:
+        to_stream(table)
+    types = WordTypes.of(table)
+    with pytest.raises(DataError) as again:
+        type_pairs(types, types.forms)
+    assert str(again.value) == str(caught.value) == (
+        "line 2: word 'c#' contains the word boundary symbol '#'")
+    with pytest.raises(DataError, match="line 3: word 'd#e'"):
+        type_pairs(WordTypes.of(from_words(["ab", "ab", "de"])),
+                   ["ab", "d#e"])
+
+
+@given(words_strategy, st.data())
+def test_merge_symbols_equals_counts_of_the_renamed_text(words, data):
+    symbols, counts = pair_counts(to_stream(from_words(words)))
+    rename = {s: data.draw(st.sampled_from("ab*")) for s in symbols}
+    rename[BOUNDARY] = BOUNDARY
+    merged_symbols, merged = merge_symbols(
+        symbols, counts, [rename[s] for s in symbols])
+    renamed = ["".join(rename[c] for c in w) for w in words]
+    assert_counts_of(renamed, merged_symbols, merged)
 
 
 # --- entropies ---------------------------------------------------------------

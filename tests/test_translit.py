@@ -121,8 +121,7 @@ def test_transliterate_document_refuses_to_erase_words():
 
 
 def test_rare_characters_threshold_is_strict():
-    words = ["a" * 50, "b" * 49, "x"]
-    rare = rare_characters(words)
+    rare = rare_characters({"a": 50, "b": 49, "x": 1})
     assert rare == {"b"}  # 49 < 50 rare; 50 is not; x exempt
 
 
