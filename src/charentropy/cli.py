@@ -273,6 +273,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bigrams(args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ConfigError(
+            f"--threshold must lie in [0, 1], got {args.threshold}")
     digests = []
     table = _read_table(args.input, digests)
     matrix = bigram_matrix(to_stream(table))

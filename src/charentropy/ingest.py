@@ -140,12 +140,10 @@ class WordRecord:
 
 def _invalid_values(name: str, values: set) -> set:
     """The values among ``values`` that WordRecord rejects in field
-    ``name``."""
+    ``name``, a text field."""
     if name == "surface_form":
         return {w for w in values
                 if not w or not _WHITESPACE_CHARS.isdisjoint(w)}
-    if name in _INT_FIELDS:
-        return {v for v in values if v < 1}
     if name in _ENUM_FIELDS:
         return values.difference(_ENUM_FIELDS[name])
     return set()
@@ -491,6 +489,15 @@ TSV_COLUMNS = RECORD_FIELDS + ("source_id",)
 _CHUNK_CHARS = 1 << 18
 
 
+def _position(name: str, text: str) -> int:
+    """A position column's value, in the one form :func:`write_tsv` writes
+    it: ASCII digits with no sign, space, underscore or leading zero. So a
+    value that is read is written back unchanged."""
+    if text.isascii() and text.isdigit() and text[0] != "0":
+        return int(text)
+    raise ValueError(f"{name} must be a positive integer, got {text!r}")
+
+
 def write_tsv(table: LongTable) -> str:
     columns = []
     for name, column in zip(RECORD_FIELDS, table.columns):
@@ -539,13 +546,13 @@ def _chunk_columns(rows: list[str], source_id: str | None,
         distinct = {part[0]} if constant else set(part)
         if name in _INT_FIELDS:
             try:
-                value_of = {s: int(s) for s in distinct}
+                value_of = {s: _position(name, s) for s in distinct}
             except ValueError:
                 return None
+        elif _invalid_values(name, distinct):
+            return None
         else:
             value_of = {s: cache.setdefault(s, s) for s in distinct}
-        if _invalid_values(name, set(value_of.values())):
-            return None
         columns.append(repeat(value_of[part[0]], len(part)) if constant
                        else map(value_of.__getitem__, part))
     return ids.pop(), columns
@@ -568,7 +575,7 @@ def _raise_row_error(lines: list[str], first_line: int,
                 f"source_id {fields[-1]!r} differs from {source_id!r} "
                 f"on the rows above", n)
         try:
-            WordRecord(*(int(v) if name in _INT_FIELDS else v
+            WordRecord(*(_position(name, v) if name in _INT_FIELDS else v
                          for name, v in zip(RECORD_FIELDS, fields)))
         except ValueError as exc:
             raise ParseError(str(exc), n) from None
@@ -580,8 +587,9 @@ def read_tsv(text: str) -> LongTable:
 
     Blank lines are skipped. Raises ParseError naming the first line, in
     file order, with the wrong number of columns, a source_id other than
-    the first row's, a position that is not an integer, or a value that
-    WordRecord rejects.
+    the first row's, a position not in the form ``write_tsv`` writes (a
+    positive integer in ASCII digits, no sign, space, underscore or leading
+    zero), or a value that WordRecord rejects.
     """
     columns: list[list] = [[] for _ in RECORD_FIELDS]
     # Per column, one object per distinct string, shared by every row that

@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -282,13 +283,22 @@ def h2_from_counts(counts: np.ndarray) -> float:
     total = counts.sum()
     if total <= 0:
         raise ValueError("empty count matrix")
-    t = float(total)
-    row_sums = counts.sum(axis=1)
     rows, cols = np.nonzero(counts)
-    return math.fsum(
-        (c / t) * math.log2(r / c)
-        for c, r in zip(counts[rows, cols].tolist(),
-                        row_sums[rows].tolist()))
+    return h2_from_cells(counts[rows, cols], counts.sum(axis=1)[rows], total)
+
+
+def h2_from_cells(cells: np.ndarray, row_sums: np.ndarray, total) -> float:
+    """:func:`h2_from_counts` from the occupied cells alone, in any order:
+    ``cells`` are the nonzero counts, ``row_sums[i]`` is the sum of the row
+    holding ``cells[i]``, and ``total`` is the sum of all counts.
+
+    The two divisions run in numpy and are the same IEEE operations as on
+    Python numbers; the logarithm stays ``math.log2``, which can differ
+    from ``np.log2`` in the last bit.
+    """
+    joint = (cells / float(total)).tolist()
+    ratios = (row_sums / cells).tolist()
+    return math.fsum(map(operator.mul, joint, map(math.log2, ratios)))
 
 
 def h1_from_counts(counts: np.ndarray) -> float:

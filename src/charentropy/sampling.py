@@ -9,8 +9,19 @@ spread per window size.
 Windows are word-aligned and ignore line/paragraph structure. Each window
 is measured with its own leading and trailing boundary; because the full
 document stream already separates words with single boundary symbols, a
-window's stream is literally a contiguous slice of the document stream,
-which keeps resampling cheap.
+window's stream is literally a contiguous slice of the document stream.
+
+Counting a window costs the same whatever its length. Only the m distinct
+adjacent pairs that occur in the document are counted, renumbered 0..m-1
+in pair-code order. A table holds the cumulative count of each of them at
+a checkpoint every s words, so a window's counts are the difference
+between the first and the last checkpoint inside it, plus one short
+count over the words before the first and one over the words after the
+last. The spacing s is derived from the document, with no setting: it is
+the smallest that keeps the table (checkpoints x m) no larger than the
+document's array of pairs. h2 then takes the window's occupied pairs and
+the sums of their rows (see ``metrics.h2_from_cells``), so its cost grows
+with the distinct pairs in the window, at most m.
 
 Reproducibility: the generator is numpy's default PCG64, and every
 (window-size, sample-index) pair gets its own child generator derived from
@@ -31,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import LongTable
-from .metrics import BOUNDARY, h2_from_counts, symbol_codes, to_stream
+from .metrics import BOUNDARY, h2_from_cells, symbol_codes, to_stream
 
 DEFAULT_SAMPLES_PER_SIZE = 1000
 
@@ -78,20 +89,82 @@ class SampleDistribution:
         )
 
 
+class WindowCounts:
+    """A document's adjacent pairs, ready to count any window of words.
+
+    ``spacing`` is the number of words between checkpoints; window
+    ``[start, start + w)`` of the ``n_words`` words is measured by
+    :meth:`h2`.
+    """
+
+    def __init__(self, table: LongTable) -> None:
+        symbols, codes = symbol_codes(to_stream(table))
+        k = len(symbols)
+        # Renumber the pairs (a, b) that occur in the order of a * k + b, so
+        # that the pairs of one row are adjacent. Counts, and so pair
+        # numbers, fit 32 bits unless the text has 2**31 characters.
+        heads, tails = codes[:-1], codes[1:]
+        small = np.int32 if len(heads) < 2 ** 31 else np.int64
+        seen = np.zeros((k, k), dtype=bool)
+        seen[heads, tails] = True
+        occurring = np.flatnonzero(seen)
+        m = len(occurring)
+        remap = np.zeros(k * k, dtype=small)
+        remap[occurring] = np.arange(m)
+        self._pairs = remap.reshape(k, k)[heads, tails]
+        self._m = m
+        # The pairs of row i of the count matrix are pairs
+        # row_starts[i]:row_starts[i + 1] of the m; _row_of[j] is the row of
+        # pair j, numbered over the rows that occur.
+        rows = occurring // k
+        row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        self._row_starts = row_starts
+        self._row_of = np.repeat(np.arange(len(row_starts)),
+                                 np.diff(row_starts, append=m))
+        # boundaries[i] is the char index of the boundary before word i; the
+        # window of words [i, i+w) spans pair indices [boundaries[i],
+        # boundaries[i+w]).
+        self._boundaries = np.flatnonzero(codes == symbols.index(BOUNDARY))
+        self.n_words = len(self._boundaries) - 1
+        # The smallest spacing at which the table, one row of m counts per
+        # checkpoint at words 0, spacing, 2 * spacing, ... <= n_words,
+        # holds no more numbers than the text has pairs.
+        self.spacing = self.n_words // (len(heads) // m) + 1
+        # _cumulative[j] counts the pairs before checkpoint j, the boundary
+        # before word j * spacing.
+        self._checkpoints = self._boundaries[::self.spacing]
+        self._cumulative = np.zeros((len(self._checkpoints), m), dtype=small)
+        for j in range(1, len(self._checkpoints)):
+            self._cumulative[j] = self._cumulative[j - 1] + np.bincount(
+                self._pairs[self._checkpoints[j - 1]:self._checkpoints[j]],
+                minlength=m)
+
+    def h2(self, start: int, w: int) -> float:
+        """h2 of the window of words ``[start, start + w)``."""
+        end = start + w
+        first, last = -(-start // self.spacing), end // self.spacing
+        lo, hi = self._boundaries[start], self._boundaries[end]
+        if first > last:  # no checkpoint inside the window
+            counts = np.bincount(self._pairs[lo:hi], minlength=self._m)
+        else:
+            counts = (self._cumulative[last] - self._cumulative[first]
+                      + np.bincount(self._pairs[lo:self._checkpoints[first]],
+                                    minlength=self._m)
+                      + np.bincount(self._pairs[self._checkpoints[last]:hi],
+                                    minlength=self._m))
+        row_sums = np.add.reduceat(counts, self._row_starts)[self._row_of]
+        occupied = np.flatnonzero(counts)
+        return h2_from_cells(counts[occupied], row_sums[occupied], hi - lo)
+
+
 def sample_h2(table: LongTable, cfg: SamplingConfig) -> list[SampleDistribution]:
     """Resample h2 at each configured window size.
 
     Raises ConfigError naming the offending size if any window exceeds the
     document's word count.
     """
-    symbols, codes = symbol_codes(to_stream(table))
-    k = len(symbols)
-    pair_codes = codes[:-1] * k + codes[1:]
-    # boundaries[i] is the char index of the boundary before word i; the
-    # window of words [i, i+w) spans pair indices [boundaries[i],
-    # boundaries[i+w]).
-    boundaries = np.flatnonzero(codes == symbols.index(BOUNDARY))
-    n_words = len(boundaries) - 1
+    windows = WindowCounts(table)
+    n_words = windows.n_words
     too_big = [w for w in cfg.window_sizes if w > n_words]
     if too_big:
         raise ConfigError(
@@ -104,9 +177,7 @@ def sample_h2(table: LongTable, cfg: SamplingConfig) -> list[SampleDistribution]
             rng = np.random.default_rng(np.random.SeedSequence(
                 entropy=cfg.seed, spawn_key=(size_index, sample_index)))
             start = int(rng.integers(0, n_words - w + 1))
-            window = pair_codes[boundaries[start]:boundaries[start + w]]
-            counts = np.bincount(window, minlength=k * k).reshape(k, k)
-            values.append(h2_from_counts(counts))
+            values.append(windows.h2(start, w))
         results.append(SampleDistribution.from_values(w, values))
     return results
 

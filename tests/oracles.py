@@ -2,22 +2,29 @@
 
 Everything here is deliberately written with different machinery than the
 library (dicts and plain loops instead of numpy; no shared helpers) so that
-agreement between the two is meaningful. Two are exceptions. The long-table
-reader is the original row-by-row reader, which builds each row as a
-WordRecord and so shares the record's validation. The batch oracle is the
-token-level path ``batch`` took before it counted word types: it composes
-the library's document transforms and ``entropy_report``, job by job.
+agreement between the two is meaningful. Three are exceptions. The
+long-table reader is the original row-by-row reader, which builds each row
+as a WordRecord and so shares the record's validation. The batch oracle is
+the token-level path ``batch`` took before it counted word types: it
+composes the library's document transforms and ``entropy_report``, job by
+job. The sampler oracle is ``sample_h2`` as it was before it counted from
+checkpoints: a dense numpy count of each window over every pair of
+symbols, and h2 as a generator over the occupied cells; the tests compare
+its values with ``==``.
 """
 
 from __future__ import annotations
 
 import math
+import re
+
+import numpy as np
 
 from charentropy.errors import ParseError
 from charentropy.formats import fmt_float
 from charentropy.ingest import (TSV_COLUMNS, LongTable, WordRecord,
                                 canonical_selection)
-from charentropy.metrics import entropy_report, to_stream
+from charentropy.metrics import entropy_report, symbol_codes, to_stream
 from charentropy.translit import (builtin_rules, simplify_document,
                                   transliterate_document)
 
@@ -130,6 +137,15 @@ _TSV_INT_COLUMNS = frozenset(
     c for c in TSV_COLUMNS if c.endswith(("_fwd", "_rev", "_number")))
 
 
+def _tsv_position(name: str, value: str) -> int:
+    """A position as ``write_tsv`` writes it, and nothing that ``int()``
+    would also accept (a sign, spaces, ``_``, non-ASCII digits, leading
+    zeros)."""
+    if re.fullmatch("[1-9][0-9]*", value) is None:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def read_tsv_rows(text: str) -> LongTable:
     """The row-by-row long-table reader: one dict and one WordRecord per
     row. Like ``ingest.read_tsv`` it rejects a row whose source_id differs
@@ -160,7 +176,7 @@ def read_tsv_rows(text: str) -> LongTable:
                 f"on the rows above", n)
         try:
             records.append(WordRecord(**{
-                k: (int(v) if k in _TSV_INT_COLUMNS else v)
+                k: (_tsv_position(k, v) if k in _TSV_INT_COLUMNS else v)
                 for k, v in row.items()
             }))
         except ValueError as exc:
@@ -194,3 +210,55 @@ def batch_rows_oracle(table: LongTable, jobs, rare_min: int):
             str(report.word_token_count),
             str(report.word_type_count)]) + "\n"
     return out, warnings
+
+
+def h2_generator_oracle(counts) -> float:
+    """h2 of a count matrix, one generator step per occupied cell."""
+    total = counts.sum()
+    if total <= 0:
+        raise ValueError("empty count matrix")
+    t = float(total)
+    row_sums = counts.sum(axis=1)
+    rows, cols = np.nonzero(counts)
+    return math.fsum(
+        (c / t) * math.log2(r / c)
+        for c, r in zip(counts[rows, cols].tolist(),
+                        row_sums[rows].tolist()))
+
+
+def _dense_window_h2(table: LongTable):
+    """(word count, h2 of the window of words ``[start, start + w)``),
+    each window counted with a dense bincount over all k * k pairs."""
+    symbols, codes = symbol_codes(to_stream(table))
+    k = len(symbols)
+    pair_codes = codes[:-1] * k + codes[1:]
+    boundaries = np.flatnonzero(codes == symbols.index(BOUNDARY))
+
+    def h2(start: int, w: int) -> float:
+        window = pair_codes[boundaries[start]:boundaries[start + w]]
+        counts = np.bincount(window, minlength=k * k).reshape(k, k)
+        return h2_generator_oracle(counts)
+
+    return len(boundaries) - 1, h2
+
+
+def window_h2_oracle(table: LongTable, windows) -> list[float]:
+    """h2 of each ``(start, w)`` window of the table's words."""
+    _, h2 = _dense_window_h2(table)
+    return [h2(start, w) for start, w in windows]
+
+
+def sample_h2_oracle(table: LongTable, cfg) -> list[list[float]]:
+    """The values ``sample_h2`` draws, per window size, with the same
+    per-sample seed schedule."""
+    n_words, h2 = _dense_window_h2(table)
+    values = []
+    for size_index, w in enumerate(cfg.window_sizes):
+        row = []
+        for sample_index in range(cfg.samples_per_size):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                entropy=cfg.seed, spawn_key=(size_index, sample_index)))
+            start = int(rng.integers(0, n_words - w + 1))
+            row.append(h2(start, w))
+        values.append(row)
+    return values

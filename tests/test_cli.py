@@ -164,6 +164,19 @@ def test_bigrams_artifacts(workspace):
     assert abs(sum(cells) - h2) < 1e-6
 
 
+@pytest.mark.parametrize("value, shown",
+                         [("2", "2.0"), ("-0.1", "-0.1"), ("nan", "nan")])
+def test_bigrams_threshold_outside_unit_interval_is_data_error(
+        workspace, capsys, value, shown):
+    run("ingest", "plain.txt", "--out", "p.tsv")
+    capsys.readouterr()
+    assert run("bigrams", "p.tsv", "--threshold", value,
+               "--out-prefix", "bg") == 2
+    assert capsys.readouterr().err == (
+        f"charentropy: error: --threshold must lie in [0, 1], got {shown}\n")
+    assert not list(workspace.glob("bg_*"))
+
+
 def test_sample_json_and_csv(workspace):
     run("ingest", "plain.txt", "--out", "p.tsv")
     assert run("sample", "p.tsv", "--windows", "2,5", "--n", "6",
@@ -424,9 +437,20 @@ def near_valid_option_files(draw):
                  near_valid_pages().map(str.encode),
                  near_valid_option_files().map(str.encode)))
 def test_every_subcommand_survives_fuzzed_input(raw):
+    with _fuzz_workspace() as tmp:
+        (tmp / "in").write_bytes(raw)
+        for argv in _FUZZ_COMMANDS:
+            argv = [a.format(dir=tmp) for a in argv]
+            code, err = _run_fuzzed(argv)
+            assert code in (0, 2), (argv, err)
+
+
+@contextlib.contextmanager
+def _fuzz_workspace():
+    """A temporary directory holding ``page.txt``, its folio map
+    ``meta.tsv`` and its long table ``t.tsv``."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "in").write_bytes(raw)
         (tmp / "meta.tsv").write_text(
             "".join(f"{folio}\therbal\tA\t1\tA\n" for folio in _FOLIOS),
             encoding="utf-8")
@@ -435,14 +459,61 @@ def test_every_subcommand_survives_fuzzed_input(raw):
             assert main(["ingest", str(tmp / "page.txt"), "--meta",
                          str(tmp / "meta.tsv"), "--out",
                          str(tmp / "t.tsv")]) == 0
-        for argv in _FUZZ_COMMANDS:
-            argv = [a.format(dir=tmp) for a in argv]
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 2), (argv, err.getvalue())
-            if code == 2:
-                assert err.getvalue().startswith("charentropy: error: ")
+        yield tmp
+
+
+def _run_fuzzed(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and standard error; a data error must be
+    reported as one."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code == 2:
+        assert err.getvalue().startswith("charentropy: error: "), argv
+    return code, err.getvalue()
+
+
+# Flag values: arbitrary short text, small and odd numbers and, where a
+# large number cannot make a long run, any integer or float.
+_SMALL_VALUES = st.one_of(
+    st.text(max_size=3), st.integers(-3, 40).map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "-0.1", "1_0", "\u0661", "0x1",
+                     "2,", ",", "3,-1", "1,99"]))
+_VALUES = st.one_of(_SMALL_VALUES, st.integers().map(str),
+                    st.floats().map(str),
+                    st.sampled_from(["18446744073709551616", "1e-300"]))
+
+# Each command that takes a number, with a drawn value in place of {value}.
+_FLAG_COMMANDS = (
+    (["bigrams", "{dir}/t.tsv", "--threshold", "{value}",
+      "--out-prefix", "{dir}/o"], _VALUES),
+    (["cleanse", "{dir}/t.tsv", "--threshold", "{value}",
+      "--out", "{dir}/o.tsv"], _VALUES),
+    (["translit", "{dir}/t.tsv", "--simplify", "--rare-min", "{value}",
+      "--out", "{dir}/o.tsv"], _VALUES),
+    (["batch", "{dir}/page.txt", "--meta", "{dir}/meta.tsv", "--rare-min",
+      "{value}", "--out", "{dir}/o.tsv"], _VALUES),
+    # A window larger than the text is an error, so any window is quick.
+    (["sample", "{dir}/t.tsv", "--windows", "{value}", "--n", "2",
+      "--out", "{dir}/o.json"], _VALUES),
+    (["sample", "{dir}/t.tsv", "--windows", "1,3", "--n", "{value}",
+      "--out", "{dir}/o.json"], _SMALL_VALUES),
+    (["sample", "{dir}/t.tsv", "--windows", "2", "--n", "2", "--seed",
+      "{value}", "--out", "{dir}/o.json"], _VALUES),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example((_FLAG_COMMANDS[0][0], "2"))
+@given(st.one_of([st.tuples(st.just(argv), values)
+                  for argv, values in _FLAG_COMMANDS]))
+def test_every_numeric_flag_survives_fuzzed_values(case):
+    argv, value = case
+    with _fuzz_workspace() as tmp:
+        argv = [a.format(dir=tmp, value=value) for a in argv]
+        code, err = _run_fuzzed(argv)
+        assert code in (0, 1, 2), (argv, err)
 
 
 @pytest.mark.parametrize("argv, name, good", [

@@ -303,6 +303,22 @@ def test_tsv_column_count_checked():
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("value", ["1_0", " 2", "2 ", "\u0661", "+3", "01",
+                                   "\uff13"])
+def test_tsv_position_is_read_only_as_write_tsv_writes_it(value):
+    # int() reads each of these as a number that write_tsv would write back
+    # differently.
+    lines = write_tsv(from_words(["a", "b"])).splitlines()
+    fields = lines[2].split("\t")
+    fields[TSV_COLUMNS.index("para_pos_fwd")] = value
+    lines[2] = "\t".join(fields)
+    with pytest.raises(ParseError) as exc:
+        read_tsv("\n".join(lines) + "\n")
+    assert exc.value.line_number == 3
+    assert f"para_pos_fwd must be a positive integer, got {value!r}" in str(
+        exc.value)
+
+
 def test_with_words_replaces_in_order():
     swapped = with_words(MIXED, [w.upper() for w in MIXED.words()])
     assert swapped.words() == [w.upper() for w in MIXED.words()]
@@ -324,8 +340,8 @@ def test_tsv_mixed_source_ids_rejected_at_first_differing_line():
 
 _BAD_VALUES = {
     "surface_form": ["", "da iin", "da\x0biin", "\xa0", "a\x85b"],
-    "int": ["0", "-3", "+4", " 5", "x", "", "1_0", "\u0663", "2.0",
-            "99999999999999999999"],
+    "int": ["0", "-3", "+4", " 5", "5 ", "x", "", "1_0", "\u0663", "2.0",
+            "07", "\uff17", "99999999999999999999"],
     "locus_kind": ["", "marginalia", "Paragraph"],
     "language": ["", "C", "a"],
     "hand": ["", "6", "0"],

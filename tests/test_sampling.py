@@ -5,13 +5,17 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from charentropy.errors import ConfigError
 from charentropy.ingest import from_words
-from charentropy.metrics import entropy_report, stream_from_words, to_stream
+from charentropy.metrics import (entropy_report, h2_from_counts,
+                                 stream_from_words, to_stream)
 from charentropy.sampling import (SampleDistribution, SamplingConfig,
-                                  distributions_to_csv, distributions_to_dict,
-                                  sample_h2)
+                                  WindowCounts, distributions_to_csv,
+                                  distributions_to_dict, sample_h2)
 
 
 def make_corpus(n_words, seed=0, alphabet="abcdefgh", max_len=6):
@@ -59,6 +63,69 @@ def test_each_sample_reproducible_in_isolation():
             window_stream = stream_from_words(words[start:start + w])
             expected = entropy_report(window_stream).h2
             assert dist.values[sample_index] == expected
+
+
+# Two small alphabets, and one of 72 symbols, 48 of them beyond the BMP.
+_ALPHABETS = st.sampled_from([
+    "ab", "abcdefgh",
+    "".join(map(chr, range(0x3B1, 0x3C9)))
+    + "".join(map(chr, range(0x1D400, 0x1D430)))])
+
+
+@st.composite
+def _corpora(draw):
+    """Tokens drawn from a small vocabulary, so that few distinct pairs
+    recur often and checkpoints fall a few words apart, or from a large
+    one, where they may fall beyond the last word."""
+    alphabet = draw(_ALPHABETS)
+    vocabulary = draw(st.lists(st.text(alphabet, min_size=1, max_size=6),
+                               min_size=1, max_size=12))
+    return from_words(draw(st.lists(st.sampled_from(vocabulary),
+                                    min_size=1, max_size=300)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table=_corpora(), seed=st.integers(0, 2 ** 64 - 1), data=st.data())
+def test_sample_h2_equals_the_dense_count_oracle(table, seed, data):
+    windows = WindowCounts(table)
+    n, s = windows.n_words, windows.spacing
+    assert windows._cumulative.size <= len(windows._pairs)
+    sizes = sorted({w for w in (1, n, s - 1, s, s + 1,
+                                data.draw(st.integers(1, n)))
+                    if 1 <= w <= n})
+    cfg = SamplingConfig(window_sizes=tuple(sizes), samples_per_size=4,
+                         seed=seed)
+    assert ([list(d.values) for d in sample_h2(table, cfg)]
+            == oracles.sample_h2_oracle(table, cfg))
+    # Windows that start on the first two and last two checkpoints, and
+    # one that ends on the last word.
+    pinned = []
+    for w in sizes:
+        on_checkpoints = list(range(0, n - w + 1, s))
+        pinned += [(start, w) for start in {*on_checkpoints[:2],
+                                            *on_checkpoints[-2:], n - w}]
+    assert ([windows.h2(start, w) for start, w in pinned]
+            == oracles.window_h2_oracle(table, pinned))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1),
+       density=st.floats(0.01, 1.0),
+       scale=st.sampled_from([1, 9, 1000, 2 ** 40]))
+def test_h2_from_counts_equals_the_generator_form(k, seed, density, scale):
+    rng = np.random.default_rng(seed)
+    counts = (rng.integers(0, scale + 1, (k, k))
+              * (rng.random((k, k)) < density))
+    counts[rng.integers(k), rng.integers(k)] += 1
+    assert h2_from_counts(counts) == oracles.h2_generator_oracle(counts)
+
+
+def test_h2_from_counts_takes_log2_as_the_generator_form_does():
+    # With two terms of about half of h2 each, a last-bit change in one
+    # term's log2 moves h2. np.log2 and math.log2 disagree in the last bit
+    # on a few ratios, and on some hosts on 49 / 5 or 49 / 44.
+    counts = np.array([[5, 44]])
+    assert h2_from_counts(counts) == oracles.h2_generator_oracle(counts)
 
 
 def test_oversized_window_names_the_size():
