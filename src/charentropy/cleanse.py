@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .ingest import LongTable, take, with_words
-from .metrics import BOUNDARY
+from .ingest import TSV_HEADER, LongTable, take, with_words
+from .metrics import charset_from_counts, pair_counts, to_stream
 
 DEFAULT_RARE_THRESHOLD = 0.0001  # 0.01% of word characters
 
@@ -74,9 +75,12 @@ def _in_ranges(char: str, ranges: tuple[tuple[int, int], ...]) -> bool:
     return any(lo <= cp <= hi for lo, hi in ranges)
 
 
-def cleanse(table: LongTable, cfg: CleanseConfig) -> LongTable:
-    """Run the pipeline over each distinct word once and drop the words it
-    empties; the rare-character census still counts every token.
+def cleaned_forms(forms: Sequence[str], freq: Sequence[int],
+                  cfg: CleanseConfig) -> list[str]:
+    """Each word type's form after the pipeline, for a document holding
+    ``freq[t]`` tokens of ``forms[t]``; an empty form is a word the
+    pipeline empties. The rare-character census counts each type's
+    characters times its frequency, so it counts every token.
 
     Every stage decides per character, so each pass is one translation
     table over the characters present.
@@ -90,27 +94,64 @@ def cleanse(table: LongTable, cfg: CleanseConfig) -> LongTable:
             return ""
         return c.lower() if cfg.lowercase else c
 
-    words = table.words()
-    types = set(words)
-    first = {ord(c): strip_and_lower(c) for c in set("".join(types))}
-    cleaned = {w: w.translate(first) for w in types}
+    first = {ord(c): strip_and_lower(c) for c in set("".join(forms))}
+    cleaned = [w.translate(first) for w in forms]
 
     drop: set[str] = set()
     if cfg.rare_char_threshold > 0.0:
-        counts = Counter("".join(map(cleaned.__getitem__, words)))
+        counts: Counter = Counter()
+        for form, n in zip(cleaned, freq):
+            for c in form:
+                counts[c] += n
         total = sum(counts.values())
         drop = {c for c, n in counts.items()
                 if n / total < cfg.rare_char_threshold and c not in keep}
     if cfg.script_ranges is not None:
-        drop |= {c for c in set("".join(cleaned.values()))
+        drop |= {c for c in set("".join(cleaned))
                  if c not in keep and not _in_ranges(c, cfg.script_ranges)}
     if drop:
         second = dict.fromkeys(map(ord, drop))
-        cleaned = {w: v.translate(second) for w, v in cleaned.items()}
+        cleaned = [w.translate(second) for w in cleaned]
+    return cleaned
 
+
+def cleanse(table: LongTable, cfg: CleanseConfig) -> LongTable:
+    """Run the pipeline over each distinct word once and drop the words it
+    empties."""
+    words = table.words()
+    freq = Counter(words)
+    cleaned = dict(zip(freq, cleaned_forms(tuple(freq), tuple(freq.values()),
+                                           cfg)))
     new_words = list(map(cleaned.__getitem__, words))
     kept = take(table, new_words)  # an emptied word is false
     return with_words(kept, filter(None, new_words))
+
+
+def cleansed_tsv(blocks: Iterable[str],
+                 cleaned: Mapping[str, str]) -> Iterator[str]:
+    """``write_tsv(cleanse(read_tsv(text), cfg))`` in pieces, one per
+    block of a valid long-table TSV's text (see ``ingest.tsv_slices``),
+    where ``cleaned`` maps each word of the table to its form after the
+    pipeline (see :func:`cleaned_forms`).
+
+    Each row is rewritten where it stands: its first field is replaced and
+    the rest is kept, which is how ``write_tsv`` writes a row that
+    ``read_tsv`` accepted. A row whose word is emptied is dropped, and so
+    are blank lines.
+    """
+    yield TSV_HEADER
+    header = True
+    for block in blocks:
+        lines = block.splitlines()
+        if header and lines:
+            lines = lines[1:]
+            header = False
+        rows = []
+        for line in lines:
+            word, _, rest = line.partition("\t")
+            if line and (form := cleaned[word]):
+                rows.append(f"{form}\t{rest}\n")
+        yield "".join(rows)
 
 
 def charset_report(table: LongTable) -> list[tuple[str, int, float]]:
@@ -119,15 +160,12 @@ def charset_report(table: LongTable) -> list[tuple[str, int, float]]:
     The word separator is rank-eligible, reported as ``#`` and counted once
     per word — the same successor-position convention the metric layer
     uses, so this census is exactly the distribution behind h1. Sorted by
-    descending count, ties by codepoint.
+    descending count, ties by codepoint. Raises DataError, as
+    ``to_stream`` does, for a word that contains ``#``.
     """
     if not len(table):
         return []
-    counts = Counter("".join(table.words()))
-    counts[BOUNDARY] += len(table)
-    total = sum(counts.values())
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [(c, n, n / total) for c, n in ranked]
+    return charset_from_counts(*pair_counts(to_stream(table)))
 
 
 def parse_script_range(text: str) -> tuple[int, int]:

@@ -20,39 +20,53 @@ Design rules, enforced uniformly across subcommands:
 The long-table TSV (see the ingest module) is the interchange format:
 ``ingest`` produces it, ``translit`` and ``cleanse`` transform it, and the
 measurement commands (``stats``, ``bigrams``, ``sample``, ``sukhotin``,
-``batch``) consume it or, for ``batch``, the raw interlinear file.
+``batch``) consume it or, for ``batch``, the raw interlinear file. Tables
+are written a few thousand rows at a time; ``stats``, ``bigrams`` and
+``sukhotin`` read theirs a block at a time and keep only word-type counts,
+and ``cleanse`` keeps its input's bytes and word-type counts, so none of
+them holds a table.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
+import io
 import sys
+from collections.abc import Iterable
 from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cleanse import (CleanseConfig, charset_report, cleanse, parse_config,
-                      parse_script_range)
+from .cleanse import (CleanseConfig, cleaned_forms, cleansed_tsv,
+                      parse_config, parse_script_range)
 from .errors import CharentropyError, ConfigError, DataError, DecodeError
 from .formats import SCHEMA_VERSION, fmt_float, json_dumps, sha256_bytes
-# Unused here, but perfbench wraps cli.sha256_file as a trace point.
-from .formats import sha256_file  # noqa: F401
 from .ingest import (CANONICAL_SELECTIONS, FolioMetadataMap, LongTable,
                      _decode, canonical_selection, check_words,
-                     parse_interlinear, parse_plaintext, read_tsv,
-                     selection_mask, write_tsv)
-from .metrics import (BOUNDARY, WordTypes, bigram_matrix, coverage_report,
-                      entropy_report, h2_from_counts, heatmap_export,
-                      merge_symbols, to_stream, type_pairs)
+                     decoded_blocks, parse_interlinear, parse_plaintext,
+                     read_tsv, selection_mask, tsv_pieces, tsv_slices)
+from .metrics import (BOUNDARY, TypeCounts, WordTypes,
+                      bigram_matrix_from_counts, charset_from_counts,
+                      coverage_report, entropy_report_from_counts,
+                      h2_from_counts, heatmap_export, merge_symbols,
+                      type_pairs)
 from .sampling import (SamplingConfig, distributions_to_csv,
                        distributions_to_dict, sample_h2)
-from .sukhotin import detect_on_document
+from .sukhotin import detect_from_counts
 from .translit import (builtin_rules, load_rules, rare_characters,
                        simplify_document, simplify_maximal,
                        transliterate_document, transliterate_words)
+
+# Not called here, but perfbench wraps each of these names in this module
+# as a trace point.
+from .cleanse import charset_report, cleanse  # noqa: F401,E402
+from .formats import sha256_file  # noqa: F401,E402
+from .ingest import write_tsv  # noqa: F401,E402
+from .metrics import bigram_matrix, entropy_report, to_stream  # noqa: F401,E402
 
 BATCH_SYSTEMS = ("maximal", "simplified", "minimal", "none")
 
@@ -122,15 +136,41 @@ def _write_manifest(args, command: str, digests, config: dict,
     Path(path).write_text(json_dumps(manifest), encoding="utf-8")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the output text, each piece as it is made."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _read_table(path: str, digests: list) -> LongTable:
-    return read_tsv(_read_text(path, digests))
+    text = _read_text(path, digests)
+    with _naming(path):
+        return read_tsv(text)
+
+
+def _read_counts(path: str, digests: list):
+    """``(types, symbols, counts)``: the word types of a long-table TSV
+    and the pair-count matrix of its words over ``symbols``, read from the
+    file a block at a time, with the manifest digest taken from the same
+    bytes. The types' errors (a word holding the boundary, no words) are
+    raised after the whole file has been read, so a bad row or byte
+    anywhere is reported first."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as f:
+
+        def read(n: int) -> bytes:
+            block = f.read(n)
+            sha.update(block)
+            return block
+
+        with _naming(path):
+            types = TypeCounts.fold(tsv_slices(decoded_blocks(read)))
+            pairs = types.pairs()
+    digests.append((str(path), sha.hexdigest()))
+    return types, pairs.symbols, pairs.counts(types.freq)
 
 
 def _load_meta(args, digests: list) -> FolioMetadataMap:
@@ -179,7 +219,7 @@ def cmd_ingest(args) -> int:
             table = parse_plaintext(raw, source_id)
     if args.select:
         table = canonical_selection(table, args.select)
-    _emit(write_tsv(table), args.out)
+    _emit(tsv_pieces(table), args.out)
     _write_manifest(
         args, "ingest", digests,
         {"kind": kind, "transcriber": args.transcriber,
@@ -191,6 +231,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_translit(args) -> int:
+    _check_rare_min(args.rare_min)
     digests = []
     table = _read_table(args.input, digests)
     if args.simplify:
@@ -207,7 +248,7 @@ def cmd_translit(args) -> int:
         _read_builtin(f"{args.system}.rules", digests)
         out_table = transliterate_document(table, ruleset)
         rules_label = args.system
-    _emit(write_tsv(out_table), args.out)
+    _emit(tsv_pieces(out_table), args.out)
     _write_manifest(
         args, "translit", digests,
         {"rules": rules_label, "rare_min": args.rare_min,
@@ -238,10 +279,22 @@ def _cleanse_config(args, digests: list) -> CleanseConfig:
 
 
 def cmd_cleanse(args) -> int:
+    if args.threshold is not None and not 0.0 <= args.threshold < 1.0:
+        raise ConfigError(
+            f"--threshold must lie in [0, 1), got {args.threshold}")
     digests = []
-    table = _read_table(args.input, digests)
+    raw = _read_input(args.input, digests)
+    # Two passes over the input's bytes: one counts the word types, whose
+    # frequencies decide which characters are rare, and one rewrites the
+    # rows where they stand.
+    with _naming(args.input):
+        types = TypeCounts.fold(
+            tsv_slices(decoded_blocks(io.BytesIO(raw).read)))
     cfg = _cleanse_config(args, digests)
-    _emit(write_tsv(cleanse(table, cfg)), args.out)
+    cleaned = dict(zip(types.forms,
+                       cleaned_forms(types.forms, types.freq, cfg)))
+    _emit(cleansed_tsv(decoded_blocks(io.BytesIO(raw).read), cleaned),
+          args.out)
     _write_manifest(
         args, "cleanse", digests,
         {"lowercase": cfg.lowercase,
@@ -256,16 +309,16 @@ def cmd_cleanse(args) -> int:
 
 def cmd_stats(args) -> int:
     digests = []
-    table = _read_table(args.input, digests)
-    report = entropy_report(to_stream(table))
+    types, symbols, counts = _read_counts(args.input, digests)
+    report = entropy_report_from_counts(symbols, counts, len(types.forms))
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "source_id": table.source_id,
+        "source_id": types.source_id,
         "entropy": report.as_dict(),
         "charset": [{"char": c, "count": n, "proportion": p}
-                    for c, n, p in charset_report(table)],
+                    for c, n, p in charset_from_counts(symbols, counts)],
     }
-    _emit(json_dumps(doc), args.out)
+    _emit([json_dumps(doc)], args.out)
     _write_manifest(
         args, "stats", digests, {},
         default_base=args.out)
@@ -277,8 +330,8 @@ def cmd_bigrams(args) -> int:
         raise ConfigError(
             f"--threshold must lie in [0, 1], got {args.threshold}")
     digests = []
-    table = _read_table(args.input, digests)
-    matrix = bigram_matrix(to_stream(table))
+    types, symbols, counts = _read_counts(args.input, digests)
+    matrix = bigram_matrix_from_counts(symbols, counts)
     prefix = args.out_prefix
     for mode, suffix in (("conditional", "conditional"),
                          ("weighted", "weighted"),
@@ -287,7 +340,7 @@ def cmd_bigrams(args) -> int:
             heatmap_export(matrix, mode), encoding="utf-8")
     coverage = coverage_report(matrix, args.threshold)
     doc = {"schema_version": SCHEMA_VERSION,
-           "source_id": table.source_id}
+           "source_id": types.source_id}
     doc.update(coverage.as_dict())
     Path(f"{prefix}_coverage.json").write_text(
         json_dumps(doc), encoding="utf-8")
@@ -318,7 +371,7 @@ def cmd_sample(args) -> int:
             "distributions": distributions_to_dict(
                 distributions, include_values=args.values),
         })
-    _emit(text, args.out)
+    _emit([text], args.out)
     _write_manifest(
         args, "sample", digests,
         {"windows": list(args.windows), "n": args.n, "format": args.format,
@@ -329,12 +382,16 @@ def cmd_sample(args) -> int:
 
 def cmd_sukhotin(args) -> int:
     digests = []
-    table = _read_table(args.input, digests)
-    result = detect_on_document(table, include_space=args.include_space)
+    types, symbols, counts = _read_counts(args.input, digests)
+    # The boundary starts the stream, and each character first occurs in
+    # the first occurrence of some type.
+    result = detect_from_counts(symbols, counts,
+                                BOUNDARY + "".join(types.forms),
+                                args.include_space)
     doc = {"schema_version": SCHEMA_VERSION,
-           "source_id": table.source_id}
+           "source_id": types.source_id}
     doc.update(result.as_dict(diagnostics=args.diagnostics))
-    _emit(json_dumps(doc), args.out)
+    _emit([json_dumps(doc)], args.out)
     _write_manifest(
         args, "sukhotin", digests,
         {"include_space": args.include_space,
@@ -389,7 +446,13 @@ def _rare_in_selection(symbols, counts, rare_min: int) -> frozenset[str]:
     return rare_characters(lowered, threshold=rare_min)
 
 
+def _check_rare_min(rare_min: int) -> None:
+    if rare_min < 1:
+        raise ConfigError(f"--rare-min must be at least 1, got {rare_min}")
+
+
 def cmd_batch(args) -> int:
+    _check_rare_min(args.rare_min)
     digests = []
     raw = _read_input(args.input, digests)
     meta = _load_meta(args, digests)
@@ -456,7 +519,7 @@ def cmd_batch(args) -> int:
             # and every word ends with the boundary
             str(column_sums[symbols.index(BOUNDARY)]),
             str(len(set(present)))]))
-    _emit(header + "".join(r + "\n" for r in rows), args.out)
+    _emit([header, *(r + "\n" for r in rows)], args.out)
     _write_manifest(
         args, "batch", digests,
         {"transcriber": args.transcriber, "comma_breaks": args.comma_breaks,
@@ -541,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "capitals, mask characters rarer than --rare-min")
     p.add_argument("--rare-min", type=int, default=50, metavar="N",
                    help="occurrence count below which --simplify masks a "
-                        "character (default: 50)")
+                        "character; at least 1 (default: 50)")
     p.add_argument("--out", metavar="PATH", help="output TSV (default: stdout)")
 
     p = add("cleanse", cmd_cleanse,
@@ -550,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="long-table TSV")
     p.add_argument("--config", metavar="FILE", help="key=value config file")
     p.add_argument("--threshold", type=float, metavar="FRAC",
-                   help="rare-character proportion threshold "
+                   help="rare-character proportion threshold, in [0, 1) "
                         "(default: 0.0001)")
     p.add_argument("--script-range", action="append", metavar="U+A..U+B",
                    help="keep only characters in this codepoint range "
@@ -613,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: all 16 canonical selections under "
                         "maximal, simplified and minimal)")
     p.add_argument("--rare-min", type=int, default=50, metavar="N",
-                   help="rarity cutoff for the simplified system "
-                        "(default: 50)")
+                   help="rarity cutoff for the simplified system; at least "
+                        "1 (default: 50)")
     p.add_argument("--out", metavar="PATH", help="output TSV (default: stdout)")
 
     return parser

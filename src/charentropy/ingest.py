@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from typing import NoReturn
 
 from .errors import DecodeError, MetadataError, ParseError
@@ -256,13 +256,49 @@ class FolioMetadataMap:
         return cls(entries)
 
 
-def _decode(raw: bytes) -> str:
+# decoded_blocks reads a file this many bytes at a time, so the text it
+# holds at once stays bounded whatever the size of the file.
+_BLOCK_BYTES = 1 << 18
+
+
+def _decode(raw: bytes, offset: int = 0) -> str:
+    """The text of ``raw``, which starts ``offset`` bytes into its file.
+    A bad byte is reported at its offset in the file, and a UTF-8
+    byte-order mark, an encoding signature rather than text, is stripped
+    from the start of the file."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DecodeError("input is not valid UTF-8", exc.start) from None
-    # A UTF-8 byte-order mark is an encoding signature, not text.
-    return text.removeprefix("\ufeff")
+        raise DecodeError("input is not valid UTF-8",
+                          offset + exc.start) from None
+    return text if offset else text.removeprefix("\ufeff")
+
+
+def decoded_blocks(read: Callable[[int], bytes]) -> Iterator[str]:
+    """The text of a file, decoded as :func:`_decode` decodes a whole file,
+    in consecutive blocks of about :data:`_BLOCK_BYTES` bytes, each cut
+    just after a ``\\n`` byte (the last may end anywhere). ``read(n)``
+    returns the file's next ``n`` bytes, or ``b""`` at its end.
+
+    A ``\\n`` byte is never part of a multi-byte character, and it ends a
+    line wherever it stands (``\\r\\n`` included), so the blocks split
+    into the same lines as the whole text does.
+    """
+    offset = 0
+    held: list[bytes] = []
+    while block := read(_BLOCK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            held.append(block)
+            continue
+        held.append(block[:cut])
+        piece = b"".join(held)
+        held = [block[cut:]]
+        yield _decode(piece, offset)
+        offset += len(piece)
+    piece = b"".join(held)
+    if piece:
+        yield _decode(piece, offset)
 
 
 def _table_from_lines(lines: list[tuple], source_id: str) -> LongTable:
@@ -483,10 +519,14 @@ def canonical_selection(table: LongTable, name: str) -> LongTable:
 
 TSV_COLUMNS = RECORD_FIELDS + ("source_id",)
 
-# read_tsv splits the text into pieces of about this many characters, so
-# the per-field strings it makes at once stay bounded whatever the size of
-# the table.
+# read_tsv cuts its text into blocks of about this many characters, as
+# decoded_blocks cuts a file.
 _CHUNK_CHARS = 1 << 18
+
+# write_tsv makes the rows of its text this many at a time.
+_PIECE_ROWS = 1 << 12
+
+TSV_HEADER = "\t".join(TSV_COLUMNS) + "\n"
 
 
 def _position(name: str, text: str) -> int:
@@ -498,25 +538,32 @@ def _position(name: str, text: str) -> int:
     raise ValueError(f"{name} must be a positive integer, got {text!r}")
 
 
-def write_tsv(table: LongTable) -> str:
+def tsv_pieces(table: LongTable) -> Iterator[str]:
+    """The text of :func:`write_tsv`, in consecutive pieces: the header,
+    then the rows :data:`_PIECE_ROWS` at a time."""
     columns = []
     for name, column in zip(RECORD_FIELDS, table.columns):
         if name in _INT_FIELDS:
             as_str = {v: str(v) for v in set(column)}
             column = map(as_str.__getitem__, column)
         columns.append(column)
-    rows = zip(*columns, repeat(table.source_id + "\n"))
-    return "\t".join(TSV_COLUMNS) + "\n" + "".join(map("\t".join, rows))
+    rows = map("\t".join, zip(*columns, repeat(table.source_id + "\n")))
+    yield TSV_HEADER
+    while piece := "".join(islice(rows, _PIECE_ROWS)):
+        yield piece
 
 
-def _line_chunks(text: str):
-    """``text.splitlines()`` in consecutive pieces, each cut after a
-    ``\\n``, which ends a line wherever it stands."""
+def write_tsv(table: LongTable) -> str:
+    return "".join(tsv_pieces(table))
+
+
+def _text_blocks(text: str) -> Iterator[str]:
+    """``text`` in consecutive blocks, each cut just after a ``\\n``."""
     start = 0
     while start < len(text):
         cut = text.find("\n", start + _CHUNK_CHARS)
         end = len(text) if cut < 0 else cut + 1
-        yield text[start:end].splitlines()
+        yield text[start:end]
         start = end
 
 
@@ -582,22 +629,37 @@ def _raise_row_error(lines: list[str], first_line: int,
     raise RuntimeError("rejected long-table rows hold no invalid row")
 
 
-def read_tsv(text: str) -> LongTable:
-    """Parse the long-table TSV that :func:`write_tsv` writes.
+def tsv_slices(blocks: Iterable[str]) -> Iterator[tuple[str, list]]:
+    """The rows of a long-table TSV, validated slice by slice.
 
-    Blank lines are skipped. Raises ParseError naming the first line, in
-    file order, with the wrong number of columns, a source_id other than
-    the first row's, a position not in the form ``write_tsv`` writes (a
-    positive integer in ASCII digits, no sign, space, underscore or leading
-    zero), or a value that WordRecord rejects.
+    ``blocks`` is the text in consecutive blocks, each cut just after a
+    ``\\n`` (the last may end anywhere), as :func:`decoded_blocks` and
+    :func:`_text_blocks` make them. Yields ``(source_id, columns)`` for the
+    rows of each block that holds any: one iterable per
+    :data:`RECORD_FIELDS` entry. Raises :func:`read_tsv`'s ParseError at
+    the first bad line; before that, the remaining blocks are read, so that
+    a bad byte anywhere in a file is reported first, as when the whole file
+    is decoded before it is parsed.
     """
-    columns: list[list] = [[] for _ in RECORD_FIELDS]
+    blocks = iter(blocks)
+    try:
+        yield from _slices(blocks)
+    except ParseError:
+        for _ in blocks:
+            pass
+        raise
+
+
+def _slices(blocks: Iterator[str]) -> Iterator[tuple[str, list]]:
     # Per column, one object per distinct string, shared by every row that
     # repeats it.
     interned: list[dict] = [{} for _ in RECORD_FIELDS]
     source_id = None
     line_number = 0  # lines consumed so far
-    for lines in _line_chunks(text):
+    for block in blocks:
+        lines = block.splitlines()
+        if not lines:
+            continue
         if line_number == 0:
             header = tuple(lines[0].split("\t"))
             if header != TSV_COLUMNS:
@@ -610,11 +672,26 @@ def read_tsv(text: str) -> LongTable:
             chunk = _chunk_columns(rows, source_id, interned)
             if chunk is None:
                 _raise_row_error(lines, line_number + 1, source_id)
-            source_id, values = chunk
-            for column, part in zip(columns, values):
-                column.extend(part)
+            source_id = chunk[0]
+            yield chunk
         line_number += len(lines)
-    return LongTable._from_columns(columns, source_id or "")
+
+
+def read_tsv(text: str) -> LongTable:
+    """Parse the long-table TSV that :func:`write_tsv` writes.
+
+    Blank lines are skipped. Raises ParseError naming the first line, in
+    file order, with the wrong number of columns, a source_id other than
+    the first row's, a position not in the form ``write_tsv`` writes (a
+    positive integer in ASCII digits, no sign, space, underscore or leading
+    zero), or a value that WordRecord rejects.
+    """
+    columns: list[list] = [[] for _ in RECORD_FIELDS]
+    source_id = ""
+    for source_id, values in tsv_slices(_text_blocks(text)):
+        for column, part in zip(columns, values):
+            column.extend(part)
+    return LongTable._from_columns(columns, source_id)
 
 
 def with_words(table: LongTable, words: Iterable[str]) -> LongTable:

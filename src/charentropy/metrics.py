@@ -30,8 +30,11 @@ a selection of the tokens is a frequency vector over the types,
 each type's ``#form#`` as CSR arrays (one offset per type into one code
 array) for the types' forms under some rewrite, and
 :meth:`TypePairs.counts` turns a frequency vector into the count matrix
-with one weighted ``np.bincount``. :func:`to_stream` and
-:func:`pair_counts` count token by token and stay as the reference.
+with one weighted ``np.bincount``. :class:`TypeCounts` holds the same
+types and frequencies for a long-table TSV folded slice by slice, with no
+table. Each statistic is computed from a count matrix
+(``*_from_counts``); :func:`to_stream` and :func:`pair_counts` count token
+by token, stay as the reference, and feed the stream functions.
 """
 
 from __future__ import annotations
@@ -40,13 +43,15 @@ import csv
 import io
 import math
 import operator
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import DataError, EmptyStreamError
-from .ingest import LongTable
+from .ingest import RECORD_FIELDS, LongTable
 
 BOUNDARY = "#"
 
@@ -236,11 +241,63 @@ def type_pairs(types: WordTypes, forms: Sequence[str]) -> TypePairs:
     for t, form in enumerate(forms):
         if BOUNDARY in form:
             raise _boundary_error(types.lines[t], form)
+    return _type_pairs(forms)
+
+
+def _type_pairs(forms: tuple[str, ...]) -> TypePairs:
+    """:func:`type_pairs` of forms none of which holds the boundary."""
     symbols, codes = _pair_codes(stream_from_words(forms))
     offsets = np.zeros(len(forms) + 1, dtype=np.intp)
     np.cumsum([len(form) + 1 for form in forms], out=offsets[1:])
     return TypePairs(forms=forms, symbols=symbols, offsets=offsets,
                      codes=codes)
+
+
+_LINE_NUMBER = RECORD_FIELDS.index("line_number")
+
+
+@dataclass(frozen=True, slots=True)
+class TypeCounts:
+    """The word types of a long table read slice by slice, with no table.
+
+    ``forms`` are the distinct words in first-occurrence order and
+    ``freq[t]`` is the number of tokens of type t. ``boundary_word`` is the
+    ``(line_number, word)`` of the first token that contains the boundary
+    symbol, or None.
+    """
+
+    source_id: str
+    forms: tuple[str, ...]
+    freq: tuple[int, ...]
+    boundary_word: tuple[int, str] | None
+
+    @classmethod
+    def fold(cls, slices: Iterable[tuple[str, list]]) -> "TypeCounts":
+        """Count the rows of ``ingest.tsv_slices``: only the counts of one
+        slice's words and the counts so far are held at once."""
+        counts: Counter = Counter()
+        source_id = ""
+        boundary_word = None
+        for source_id, columns in slices:
+            words = list(columns[0])
+            counts.update(words)
+            if boundary_word is None and BOUNDARY in "".join(words):
+                i = next(i for i, w in enumerate(words) if BOUNDARY in w)
+                line = next(islice(columns[_LINE_NUMBER], i, None))
+                boundary_word = (line, words[i])
+        return cls(source_id=source_id, forms=tuple(counts),
+                   freq=tuple(counts.values()), boundary_word=boundary_word)
+
+    def pairs(self) -> TypePairs:
+        """The types' pair codes. Raises what :func:`to_stream` raises on
+        the table: EmptyStreamError when there are no words, else DataError
+        naming the first word that contains the boundary symbol."""
+        if not self.forms:
+            raise EmptyStreamError(
+                f"document {self.source_id!r} has no words")
+        if self.boundary_word is not None:
+            raise _boundary_error(*self.boundary_word)
+        return _type_pairs(self.forms)
 
 
 def merge_symbols(
@@ -258,7 +315,13 @@ def merge_symbols(
 
 
 def bigram_matrix(stream: CharStream) -> BigramMatrix:
-    symbols, counts = pair_counts(stream)
+    return bigram_matrix_from_counts(*pair_counts(stream))
+
+
+def bigram_matrix_from_counts(symbols: tuple[str, ...],
+                              counts: np.ndarray) -> BigramMatrix:
+    """The bigram matrix over ``symbols`` of the pair-count matrix
+    ``counts``."""
     total = counts.sum()
     joint = counts / total
     row_sums = counts.sum(axis=1, keepdims=True)
@@ -338,18 +401,42 @@ class EntropyReport:
 
 
 def entropy_report(stream: CharStream) -> EntropyReport:
-    _, counts = pair_counts(stream)
-    words = stream.words()
-    charset = len(stream.alphabet)
+    symbols, counts = pair_counts(stream)
+    return entropy_report_from_counts(symbols, counts,
+                                      len(set(stream.words())))
+
+
+def entropy_report_from_counts(symbols: Sequence[str], counts: np.ndarray,
+                               word_type_count: int) -> EntropyReport:
+    """The report of a text whose pair-count matrix over ``symbols`` (the
+    boundary and the alphabet) is ``counts`` and which holds
+    ``word_type_count`` distinct words. Every word ends with the boundary,
+    so the boundary's column sum is the number of words."""
+    charset = len(symbols) - 1
     return EntropyReport(
         charset_size=charset,
         h0=math.log2(charset + 1),
         h1=h1_from_counts(counts),
         h2=h2_from_counts(counts),
         token_count=int(counts.sum()),
-        word_token_count=len(words),
-        word_type_count=len(set(words)),
+        word_token_count=int(counts[:, symbols.index(BOUNDARY)].sum()),
+        word_type_count=word_type_count,
     )
+
+
+def charset_from_counts(
+    symbols: Sequence[str], counts: np.ndarray,
+) -> list[tuple[str, int, float]]:
+    """Ranked census of the successor positions, ``(symbol, count,
+    proportion)``: the column sums of ``counts``, which count each
+    character of each word once and the boundary once per word. Symbols
+    that occur nowhere are left out; sorted by descending count, ties by
+    codepoint."""
+    column_sums = counts.sum(axis=0).tolist()
+    total = sum(column_sums)
+    ranked = sorted(((s, n) for s, n in zip(symbols, column_sums) if n),
+                    key=lambda kv: (-kv[1], kv[0]))
+    return [(c, n, n / total) for c, n in ranked]
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,6 +22,7 @@ every word-edge adjacency.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +72,22 @@ def adjacency_matrix(stream: CharStream, include_space: bool) -> AdjacencyMatrix
     boundary are dropped entirely, though letters appearing only at word
     edges keep a (zero) row so the symbol inventory still reflects the text.
     """
-    sorted_symbols, counts = pair_counts(stream)
+    return adjacency_from_counts(*pair_counts(stream), stream.symbols,
+                                 include_space)
+
+
+def adjacency_from_counts(
+    sorted_symbols: Sequence[str], counts: np.ndarray, text: Iterable[str],
+    include_space: bool,
+) -> AdjacencyMatrix:
+    """:func:`adjacency_matrix` of a stream whose pair-count matrix over
+    ``sorted_symbols`` is ``counts``. The symbols are ordered by their
+    first occurrence in ``text``: the stream, or any text in which the
+    stream's symbols first occur in the same order, such as the boundary
+    followed by the word types in order of first occurrence."""
     adjacency = counts + counts.T
     np.fill_diagonal(adjacency, 0)
-    symbols = tuple(s for s in dict.fromkeys(stream.symbols)
+    symbols = tuple(s for s in dict.fromkeys(text)
                     if include_space or s != BOUNDARY)
     index = {s: i for i, s in enumerate(sorted_symbols)}
     order = [index[s] for s in symbols]
@@ -113,6 +126,17 @@ def detect_from_adjacency(
 def detect_vowels(stream: CharStream, include_space: bool = False) -> SukhotinResult:
     return detect_from_adjacency(
         adjacency_matrix(stream, include_space), include_space)
+
+
+def detect_from_counts(
+    sorted_symbols: Sequence[str], counts: np.ndarray, text: Iterable[str],
+    include_space: bool = False,
+) -> SukhotinResult:
+    """:func:`detect_vowels` from pair counts, as in
+    :func:`adjacency_from_counts`."""
+    return detect_from_adjacency(
+        adjacency_from_counts(sorted_symbols, counts, text, include_space),
+        include_space)
 
 
 def detect_on_document(

@@ -2,9 +2,12 @@
 
 Everything here is deliberately written with different machinery than the
 library (dicts and plain loops instead of numpy; no shared helpers) so that
-agreement between the two is meaningful. Three are exceptions. The
+agreement between the two is meaningful. Four are exceptions. The
 long-table reader is the original row-by-row reader, which builds each row
-as a WordRecord and so shares the record's validation. The batch oracle is
+as a WordRecord and so shares the record's validation. The TSV command
+oracle is ``stats``, ``bigrams``, ``sukhotin`` and ``cleanse`` as they ran
+before they read their input in slices: the whole file decoded, read into
+a table with ``read_tsv``, and the table functions. The batch oracle is
 the token-level path ``batch`` took before it counted word types: it
 composes the library's document transforms and ``entropy_report``, job by
 job. The sampler oracle is ``sample_h2`` as it was before it counted from
@@ -20,11 +23,15 @@ import re
 
 import numpy as np
 
-from charentropy.errors import ParseError
-from charentropy.formats import fmt_float
-from charentropy.ingest import (TSV_COLUMNS, LongTable, WordRecord,
-                                canonical_selection)
-from charentropy.metrics import entropy_report, symbol_codes, to_stream
+from charentropy.cleanse import CleanseConfig, cleanse
+from charentropy.errors import DataError, ParseError
+from charentropy.formats import SCHEMA_VERSION, fmt_float, json_dumps
+from charentropy.ingest import (TSV_COLUMNS, LongTable, WordRecord, _decode,
+                                canonical_selection, read_tsv, write_tsv)
+from charentropy.metrics import (bigram_matrix, coverage_report,
+                                 entropy_report, heatmap_export, symbol_codes,
+                                 to_stream)
+from charentropy.sukhotin import detect_on_document
 from charentropy.translit import (builtin_rules, simplify_document,
                                   transliterate_document)
 
@@ -182,6 +189,59 @@ def read_tsv_rows(text: str) -> LongTable:
         except ValueError as exc:
             raise ParseError(str(exc), n) from None
     return LongTable(records=tuple(records), source_id=source_id or "")
+
+
+def charset_oracle(words) -> list[tuple[str, int, float]]:
+    """The ranked character census, counted character by character: each
+    letter of each word, and the boundary once per word."""
+    counts: dict[str, int] = {}
+    for word in words:
+        for ch in word + BOUNDARY:
+            counts[ch] = counts.get(ch, 0) + 1
+    total = sum(counts.values())
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [(c, n, n / total) for c, n in ranked]
+
+
+def tsv_command_oracle(command: str, raw: bytes, path: str, *,
+                       threshold: float | None = None,
+                       include_space: bool = False):
+    """``(exit code, standard error, {file name: text})`` of ``stats --out
+    o.json``, ``bigrams --out-prefix o``, ``sukhotin --diagnostics --out
+    o.json`` (with ``include_space``) or ``cleanse --out o.tsv`` (with
+    ``--threshold``) on the TSV file ``path`` holding ``raw``: the whole
+    file decoded, read with ``read_tsv``, and the table functions. Every
+    data error names the file. Manifests are left out."""
+    try:
+        table = read_tsv(_decode(raw))
+        head = {"schema_version": SCHEMA_VERSION,
+                "source_id": table.source_id}
+        if command == "stats":
+            report = entropy_report(to_stream(table))
+            files = {"o.json": json_dumps({
+                **head, "entropy": report.as_dict(),
+                "charset": [{"char": c, "count": n, "proportion": p}
+                            for c, n, p in charset_oracle(table.words())]})}
+        elif command == "bigrams":
+            matrix = bigram_matrix(to_stream(table))
+            files = {f"o_{suffix}.csv": heatmap_export(matrix, mode)
+                     for mode, suffix in (("conditional", "conditional"),
+                                          ("weighted", "weighted"),
+                                          ("entropy_contribution",
+                                           "entropy"))}
+            files["o_coverage.json"] = json_dumps(
+                {**head, **coverage_report(matrix).as_dict()})
+        elif command == "sukhotin":
+            result = detect_on_document(table, include_space)
+            files = {"o.json": json_dumps(
+                {**head, **result.as_dict(diagnostics=True)})}
+        else:
+            cfg = (CleanseConfig() if threshold is None
+                   else CleanseConfig(rare_char_threshold=threshold))
+            files = {"o.tsv": write_tsv(cleanse(table, cfg))}
+    except DataError as exc:
+        return 2, f"charentropy: error: {path}: {exc}\n", {}
+    return 0, "", files
 
 
 def batch_rows_oracle(table: LongTable, jobs, rare_min: int):

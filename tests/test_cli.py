@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import charentropy
 import oracles
 from charentropy.cli import BATCH_SYSTEMS, main
-from charentropy.ingest import (CANONICAL_SELECTIONS, FolioMetadataMap,
-                                parse_interlinear, read_tsv)
+from charentropy.ingest import (CANONICAL_SELECTIONS, TSV_COLUMNS,
+                                FolioMetadataMap, parse_interlinear, read_tsv)
 from charentropy.metrics import entropy_report, to_stream
 from test_ingest import _tsv_texts as tsv_texts
 
@@ -164,17 +164,45 @@ def test_bigrams_artifacts(workspace):
     assert abs(sum(cells) - h2) < 1e-6
 
 
-@pytest.mark.parametrize("value, shown",
-                         [("2", "2.0"), ("-0.1", "-0.1"), ("nan", "nan")])
+_BIGRAMS = ["bigrams", "p.tsv", "--out-prefix", "bg"]
+# A missing input shows that the flag is checked before any input is read.
+_CLEANSE = ["cleanse", "missing.tsv", "--out", "c.tsv"]
+
+
+@pytest.mark.parametrize("argv, value, interval", [
+    pytest.param(_BIGRAMS, "2", "[0, 1], got 2.0", id="2-2.0"),
+    pytest.param(_BIGRAMS, "-0.1", "[0, 1], got -0.1", id="-0.1--0.1"),
+    pytest.param(_BIGRAMS, "nan", "[0, 1], got nan", id="nan-nan"),
+    pytest.param(_CLEANSE, "1", "[0, 1), got 1.0", id="cleanse-1"),
+    pytest.param(_CLEANSE, "7", "[0, 1), got 7.0", id="cleanse-7"),
+    pytest.param(_CLEANSE, "-0.1", "[0, 1), got -0.1", id="cleanse--0.1"),
+    pytest.param(_CLEANSE, "nan", "[0, 1), got nan", id="cleanse-nan"),
+])
 def test_bigrams_threshold_outside_unit_interval_is_data_error(
-        workspace, capsys, value, shown):
+        workspace, capsys, argv, value, interval):
     run("ingest", "plain.txt", "--out", "p.tsv")
     capsys.readouterr()
-    assert run("bigrams", "p.tsv", "--threshold", value,
-               "--out-prefix", "bg") == 2
+    before = sorted(workspace.iterdir())
+    assert run(*argv, "--threshold", value) == 2
     assert capsys.readouterr().err == (
-        f"charentropy: error: --threshold must lie in [0, 1], got {shown}\n")
-    assert not list(workspace.glob("bg_*"))
+        f"charentropy: error: --threshold must lie in {interval}\n")
+    assert sorted(workspace.iterdir()) == before  # no artifact, no manifest
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["translit", "p.tsv", "--simplify", "--out", "o.tsv"],
+    ["batch", "page.txt", "--meta", "meta.tsv", "--out", "o.tsv"],
+], ids=["translit", "batch"])
+def test_rare_min_below_one_is_data_error(workspace, capsys, argv, value):
+    # A cutoff below 1 would silently make no character rare.
+    run("ingest", "plain.txt", "--out", "p.tsv")
+    capsys.readouterr()
+    before = sorted(workspace.iterdir())
+    assert run(*argv, "--rare-min", value) == 2
+    assert capsys.readouterr().err == (
+        f"charentropy: error: --rare-min must be at least 1, got {value}\n")
+    assert sorted(workspace.iterdir()) == before
 
 
 def test_sample_json_and_csv(workspace):
@@ -443,6 +471,13 @@ def test_every_subcommand_survives_fuzzed_input(raw):
             argv = [a.format(dir=tmp) for a in argv]
             code, err = _run_fuzzed(argv)
             assert code in (0, 2), (argv, err)
+            # Every error of these commands is about their one input file.
+            if code == 2 and argv[0] in _NAMING_COMMANDS and argv[1] == \
+                    f"{tmp}/in":
+                assert err.startswith(f"charentropy: error: {tmp}/in: "), err
+
+
+_NAMING_COMMANDS = ("stats", "bigrams", "sukhotin", "cleanse")
 
 
 @contextlib.contextmanager
@@ -540,18 +575,40 @@ def test_bad_utf8_in_any_input_is_data_error(workspace, capsys, argv, name,
                    f"(byte offset {offset})\n"), err
 
 
+_ROW = "\t".join(TSV_COLUMNS) + "\nqo\t1\t1\n"
+_ROW_ERROR = "line 2: expected 15 columns, got 3"
+
+
 @pytest.mark.parametrize("argv, name, text, message", [
-    (["batch", "page.txt", "--meta", "meta.tsv", "--jobs", "{name}"],
-     "bad.jobs", "everything\tfull\n",
-     "line 1: expected doc<TAB>selection<TAB>system"),
-    (["cleanse", "p.tsv", "--config", "{name}"], "bad.cfg",
-     "lowercase = maybe\n", "line 1: lowercase must be true/false"),
-    (["translit", "p.tsv", "--rules", "{name}"], "bad.rules", "d\n",
-     "line 1: expected 'pattern<TAB>replacement', got 'd'"),
-    (["batch", "page.txt", "--meta", "{name}"], "bad_meta.tsv",
-     "f1r\therbal\tA\n",
-     "line 1: folio metadata row needs 5 tab-separated fields, got 3"),
-], ids=["jobs", "config", "rules", "meta"])
+    pytest.param(["translit", "{name}", "--system", "maximal"], "bad.tsv",
+                 _ROW, _ROW_ERROR, id="tsv-translit"),
+    pytest.param(["cleanse", "{name}"], "bad.tsv", _ROW, _ROW_ERROR,
+                 id="tsv-cleanse"),
+    pytest.param(["stats", "{name}"], "bad.tsv", "not\ta\ttable\n",
+                 "line 1: unexpected long-table header ('not', 'a', 'table')",
+                 id="tsv-stats"),
+    pytest.param(["bigrams", "{name}"], "bad.tsv", _ROW, _ROW_ERROR,
+                 id="tsv-bigrams"),
+    pytest.param(["sample", "{name}", "--windows", "2"], "bad.tsv", _ROW,
+                 _ROW_ERROR, id="tsv-sample"),
+    pytest.param(["sukhotin", "{name}"], "bad.tsv", _ROW, _ROW_ERROR,
+                 id="tsv-sukhotin"),
+    pytest.param(
+        ["batch", "page.txt", "--meta", "meta.tsv", "--jobs", "{name}"],
+        "bad.jobs", "everything\tfull\n",
+        "line 1: expected doc<TAB>selection<TAB>system", id="jobs"),
+    pytest.param(["cleanse", "p.tsv", "--config", "{name}"], "bad.cfg",
+                 "lowercase = maybe\n",
+                 "line 1: lowercase must be true/false", id="config"),
+    pytest.param(["translit", "p.tsv", "--rules", "{name}"], "bad.rules",
+                 "d\n", "line 1: expected 'pattern<TAB>replacement', got 'd'",
+                 id="rules"),
+    pytest.param(
+        ["batch", "page.txt", "--meta", "{name}"], "bad_meta.tsv",
+        "f1r\therbal\tA\n",
+        "line 1: folio metadata row needs 5 tab-separated fields, got 3",
+        id="meta"),
+])
 def test_syntax_error_in_an_option_file_names_the_file(
         workspace, capsys, argv, name, text, message):
     assert run("ingest", "plain.txt", "--out", "p.tsv") == 0

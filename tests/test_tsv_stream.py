@@ -1,0 +1,169 @@
+"""The commands that read a long-table TSV in slices, against the whole-file
+path, and the memory that reading in slices holds."""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from charentropy import ingest
+from charentropy.cli import main
+from charentropy.ingest import (TSV_COLUMNS, decoded_blocks, from_words,
+                                read_tsv, tsv_slices, write_tsv)
+from charentropy.metrics import TypeCounts, entropy_report, to_stream
+from test_ingest import _tsv_texts as tsv_texts
+
+_WORDS = st.text(st.sampled_from("aabcdeéZ'-.,1\U00010330я"),
+                 min_size=1, max_size=6)
+_HEADER = "\t".join(TSV_COLUMNS) + "\n"
+
+
+def _row(word: str, line: int = 1) -> str:
+    return (f"{word}\t1\t1\t1\t1\tparagraph\t{line}\t1\tf1r\t\therbal\tA\t1"
+            f"\tH\tdoc\n")
+
+
+@st.composite
+def tsv_files(draw):
+    """A valid or near-valid long-table TSV as bytes, with a BOM, mixed
+    line breaks, non-BMP characters and a bad UTF-8 sequence drawn in."""
+    if draw(st.booleans()):
+        text = draw(tsv_texts())
+    else:
+        words = draw(st.lists(_WORDS, max_size=40))
+        if words and draw(st.integers(0, 3)) == 0:
+            words[draw(st.integers(0, len(words) - 1))] += "#"
+        text = write_tsv(from_words(words, source_id="doc"))
+    if draw(st.booleans()):
+        text = text.replace("daiin", "d\U00010330iin")
+    parts = text.split("\n")
+    breaks = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\x85",
+                                            "\u2028"]),
+                           min_size=len(parts) - 1, max_size=len(parts) - 1))
+    text = parts[0] + "".join(map(str.__add__, breaks, parts[1:]))
+    raw = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+    if draw(st.integers(0, 3)) == 0:
+        # Mostly in the later half, so in a later block than the first.
+        at = draw(st.integers(len(raw) // 2, len(raw)))
+        raw = (raw[:at] + draw(st.sampled_from([b"\xff", b"\xe2\x82",
+                                                b"\xc0\xaf"])) + raw[at:])
+    return raw
+
+
+_COMMANDS = (
+    ("stats", ["--out", "o.json"], {}),
+    ("bigrams", ["--out-prefix", "o"], {}),
+    ("sukhotin", ["--diagnostics", "--out", "o.json"], {}),
+    ("sukhotin", ["--include-space", "--diagnostics", "--out", "o.json"],
+     {"include_space": True}),
+    ("cleanse", ["--out", "o.tsv"], {}),
+    ("cleanse", ["--threshold", "0.05", "--out", "o.tsv"],
+     {"threshold": 0.05}),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+# A word holding the boundary before a bad row: the row's error wins.
+@example(raw=(_HEADER + _row("C#") + "qo\t1\n").encode(), block=1)
+# A bad byte in a later block than a bad row: the byte's error wins.
+@example(raw=(_HEADER + "qo\t1\n" + _row("a") * 3).encode() + b"\xff\n",
+         block=16)
+# An empty table, with and without its header.
+@example(raw=_HEADER.encode(), block=1)
+@example(raw=b"", block=1)
+# A BOM, \r\n line ends, a non-BMP word, a blank line and no final break.
+@example(raw=b"\xef\xbb\xbf" + (_HEADER + _row("\U00010330a") + "\n"
+                                + _row("ba", 2)).replace("\n", "\r\n")
+         .encode().removesuffix(b"\r\n"), block=1)
+@given(raw=tsv_files(), block=st.sampled_from([1, 2, 5, 64, 1 << 18]))
+def test_sliced_commands_equal_the_whole_table_path(raw, block):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(ingest, "_BLOCK_BYTES", block):
+        tmp = Path(tmp)
+        path = str(tmp / "in.tsv")
+        Path(path).write_bytes(raw)
+        for command, options, oracle_options in _COMMANDS:
+            out = tmp / "out"
+            out.mkdir()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.chdir(out):
+                code = main([command, path, *options])
+            expected = oracles.tsv_command_oracle(command, raw, path,
+                                                  **oracle_options)
+            files = {p.name: p.read_text(encoding="utf-8")
+                     for p in out.iterdir()
+                     if not p.name.endswith(".manifest.json")}
+            assert (code, err.getvalue(), files) == expected, command
+            if code == 0:
+                (manifest,) = out.glob("*.manifest.json")
+                digests = json.loads(manifest.read_text(encoding="utf-8"))[
+                    "input_digests"]
+                assert digests == [{"path": path, "sha256":
+                                    hashlib.sha256(raw).hexdigest()}]
+            for p in out.iterdir():
+                p.unlink()
+            out.rmdir()
+
+
+def _tsv_file(directory: Path, n_rows: int) -> Path:
+    """A TSV of ``n_rows`` words drawn from a fixed 500-word vocabulary."""
+    rng = random.Random(0)
+    vocabulary = ["".join(rng.choices("abcdefghijklmnop", k=rng.randint(2, 9)))
+                  for _ in range(500)]
+    words = rng.choices(vocabulary, k=n_rows)
+    path = directory / f"{n_rows}.tsv"
+    path.write_text(write_tsv(from_words(words, source_id="doc")),
+                    encoding="utf-8")
+    return path
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _fold(path: Path) -> TypeCounts:
+    with open(path, "rb") as f:
+        return TypeCounts.fold(tsv_slices(decoded_blocks(f.read)))
+
+
+def test_fold_memory_is_flat_in_the_row_count(tmp_path):
+    small, large = _tsv_file(tmp_path, 20_000), _tsv_file(tmp_path, 80_000)
+    assert _fold(large).freq != _fold(small).freq
+    fold_growth = (_traced_peak(lambda: _fold(large))
+                   - _traced_peak(lambda: _fold(small)))
+    assert fold_growth < 1 << 20, fold_growth
+    small_text = small.read_text(encoding="utf-8")
+    large_text = large.read_text(encoding="utf-8")
+    read_small = _traced_peak(lambda: read_tsv(small_text))
+    read_large = _traced_peak(lambda: read_tsv(large_text))
+    assert read_large > 3 * read_small, (read_small, read_large)
+
+
+def test_readme_fold_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    (example,) = [block.split("```", 1)[0]
+                  for block in readme.split("```python\n")[1:]
+                  if "TypeCounts.fold" in block]
+    monkeypatch.chdir(tmp_path)
+    table = from_words("the cat sat on the mat".split())
+    (tmp_path / "clean.tsv").write_text(write_tsv(table), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {})
+    assert float(out.getvalue()) == entropy_report(to_stream(table)).h2
