@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import ConfigError
-from .ingest import TSV_HEADER, LongTable, take, with_words
+from .ingest import LongTable, rewrite_types
 from .metrics import charset_from_counts, pair_counts, to_stream
 
 DEFAULT_RARE_THRESHOLD = 0.0001  # 0.01% of word characters
@@ -117,41 +118,8 @@ def cleaned_forms(forms: Sequence[str], freq: Sequence[int],
 
 def cleanse(table: LongTable, cfg: CleanseConfig) -> LongTable:
     """Run the pipeline over each distinct word once and drop the words it
-    empties."""
-    words = table.words()
-    freq = Counter(words)
-    cleaned = dict(zip(freq, cleaned_forms(tuple(freq), tuple(freq.values()),
-                                           cfg)))
-    new_words = list(map(cleaned.__getitem__, words))
-    kept = take(table, new_words)  # an emptied word is false
-    return with_words(kept, filter(None, new_words))
-
-
-def cleansed_tsv(blocks: Iterable[str],
-                 cleaned: Mapping[str, str]) -> Iterator[str]:
-    """``write_tsv(cleanse(read_tsv(text), cfg))`` in pieces, one per
-    block of a valid long-table TSV's text (see ``ingest.tsv_slices``),
-    where ``cleaned`` maps each word of the table to its form after the
-    pipeline (see :func:`cleaned_forms`).
-
-    Each row is rewritten where it stands: its first field is replaced and
-    the rest is kept, which is how ``write_tsv`` writes a row that
-    ``read_tsv`` accepted. A row whose word is emptied is dropped, and so
-    are blank lines.
-    """
-    yield TSV_HEADER
-    header = True
-    for block in blocks:
-        lines = block.splitlines()
-        if header and lines:
-            lines = lines[1:]
-            header = False
-        rows = []
-        for line in lines:
-            word, _, rest = line.partition("\t")
-            if line and (form := cleaned[word]):
-                rows.append(f"{form}\t{rest}\n")
-        yield "".join(rows)
+    empties (see :func:`cleaned_forms`)."""
+    return rewrite_types(table, partial(cleaned_forms, cfg=cfg))
 
 
 def charset_report(table: LongTable) -> list[tuple[str, int, float]]:

@@ -23,8 +23,9 @@ measurement commands (``stats``, ``bigrams``, ``sample``, ``sukhotin``,
 ``batch``) consume it or, for ``batch``, the raw interlinear file. Tables
 are written a few thousand rows at a time; ``stats``, ``bigrams`` and
 ``sukhotin`` read theirs a block at a time and keep only word-type counts,
-and ``cleanse`` keeps its input's bytes and word-type counts, so none of
-them holds a table.
+and ``translit`` and ``cleanse`` keep their input's bytes and word-type
+counts and rewrite each row where it stands, so none of them holds a
+table.
 """
 
 from __future__ import annotations
@@ -41,14 +42,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cleanse import (CleanseConfig, cleaned_forms, cleansed_tsv,
-                      parse_config, parse_script_range)
-from .errors import CharentropyError, ConfigError, DataError, DecodeError
+from .cleanse import (CleanseConfig, cleaned_forms, parse_config,
+                      parse_script_range)
+from .errors import CharentropyError, ConfigError, DataError
 from .formats import SCHEMA_VERSION, fmt_float, json_dumps, sha256_bytes
 from .ingest import (CANONICAL_SELECTIONS, FolioMetadataMap, LongTable,
                      _decode, canonical_selection, check_words,
                      decoded_blocks, parse_interlinear, parse_plaintext,
-                     read_tsv, selection_mask, tsv_pieces, tsv_slices)
+                     read_tsv, rewritten_tsv, selection_mask, tsv_pieces,
+                     tsv_slices)
 from .metrics import (BOUNDARY, TypeCounts, WordTypes,
                       bigram_matrix_from_counts, charset_from_counts,
                       coverage_report, entropy_report_from_counts,
@@ -58,8 +60,8 @@ from .sampling import (SamplingConfig, distributions_to_csv,
                        distributions_to_dict, sample_h2)
 from .sukhotin import detect_from_counts
 from .translit import (builtin_rules, load_rules, rare_characters,
-                       simplify_document, simplify_maximal,
-                       transliterate_document, transliterate_words)
+                       simplified_forms, simplify_maximal,
+                       transliterate_words)
 
 # Not called here, but perfbench wraps each of these names in this module
 # as a trace point.
@@ -67,6 +69,8 @@ from .cleanse import charset_report, cleanse  # noqa: F401,E402
 from .formats import sha256_file  # noqa: F401,E402
 from .ingest import write_tsv  # noqa: F401,E402
 from .metrics import bigram_matrix, entropy_report, to_stream  # noqa: F401,E402
+from .translit import (simplify_document,  # noqa: F401,E402
+                       transliterate_document)
 
 BATCH_SYSTEMS = ("maximal", "simplified", "minimal", "none")
 
@@ -88,12 +92,12 @@ def _read_input(path, digests: list) -> bytes:
 
 
 @contextlib.contextmanager
-def _naming(path, errors=DataError):
-    """Prefix ``PATH: `` to the message of an ``errors`` exception the
-    block raises, so that a run with several inputs names the bad one."""
+def _naming(path):
+    """Prefix ``PATH: `` to the message of a DataError the block raises, so
+    that a run with several inputs names the bad one."""
     try:
         yield
-    except errors as exc:
+    except DataError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
@@ -149,6 +153,15 @@ def _read_table(path: str, digests: list) -> LongTable:
     text = _read_text(path, digests)
     with _naming(path):
         return read_tsv(text)
+
+
+def _read_types(path: str, digests: list) -> tuple[bytes, TypeCounts]:
+    """A long-table TSV's bytes, read once, and its word types."""
+    raw = _read_input(path, digests)
+    with _naming(path):
+        types = TypeCounts.fold(
+            tsv_slices(decoded_blocks(io.BytesIO(raw).read)))
+    return raw, types
 
 
 def _read_counts(path: str, digests: list):
@@ -210,12 +223,12 @@ def cmd_ingest(args) -> int:
     source_id = args.source_id or Path(args.input).name
     if kind == "interlinear":
         meta = _load_meta(args, digests)
-        with _naming(args.input, DecodeError):
+        with _naming(args.input):
             table = parse_interlinear(
                 raw, meta, args.transcriber,
                 comma_breaks=args.comma_breaks, source_id=source_id)
     else:
-        with _naming(args.input, DecodeError):
+        with _naming(args.input):
             table = parse_plaintext(raw, source_id)
     if args.select:
         table = canonical_selection(table, args.select)
@@ -233,22 +246,26 @@ def cmd_ingest(args) -> int:
 def cmd_translit(args) -> int:
     _check_rare_min(args.rare_min)
     digests = []
-    table = _read_table(args.input, digests)
+    # Two passes over the input's bytes: one counts the word types, which
+    # are rewritten once each, and one rewrites the rows where they stand.
+    raw, types = _read_types(args.input, digests)
     if args.simplify:
-        out_table = simplify_document(table, threshold=args.rare_min)
+        new_forms = simplified_forms(types.forms, types.freq,
+                                     threshold=args.rare_min)
         rules_label = f"simplify(<{args.rare_min})"
-    elif args.rules:
-        text = _read_text(args.rules, digests)
-        with _naming(args.rules):
-            ruleset = load_rules(text, Path(args.rules).stem)
-        out_table = transliterate_document(table, ruleset)
-        rules_label = ruleset.name
     else:
-        ruleset = builtin_rules(args.system)
-        _read_builtin(f"{args.system}.rules", digests)
-        out_table = transliterate_document(table, ruleset)
-        rules_label = args.system
-    _emit(tsv_pieces(out_table), args.out)
+        if args.rules:
+            text = _read_text(args.rules, digests)
+            with _naming(args.rules):
+                ruleset = load_rules(text, Path(args.rules).stem)
+        else:
+            ruleset = builtin_rules(args.system)
+            _read_builtin(f"{args.system}.rules", digests)
+        with _naming(args.input):
+            new_forms = transliterate_words(types.forms, ruleset)
+        rules_label = ruleset.name
+    new = dict(zip(types.forms, new_forms))
+    _emit(rewritten_tsv(decoded_blocks(io.BytesIO(raw).read), new), args.out)
     _write_manifest(
         args, "translit", digests,
         {"rules": rules_label, "rare_min": args.rare_min,
@@ -283,18 +300,10 @@ def cmd_cleanse(args) -> int:
         raise ConfigError(
             f"--threshold must lie in [0, 1), got {args.threshold}")
     digests = []
-    raw = _read_input(args.input, digests)
-    # Two passes over the input's bytes: one counts the word types, whose
-    # frequencies decide which characters are rare, and one rewrites the
-    # rows where they stand.
-    with _naming(args.input):
-        types = TypeCounts.fold(
-            tsv_slices(decoded_blocks(io.BytesIO(raw).read)))
+    raw, types = _read_types(args.input, digests)
     cfg = _cleanse_config(args, digests)
-    cleaned = dict(zip(types.forms,
-                       cleaned_forms(types.forms, types.freq, cfg)))
-    _emit(cleansed_tsv(decoded_blocks(io.BytesIO(raw).read), cleaned),
-          args.out)
+    new = dict(zip(types.forms, cleaned_forms(types.forms, types.freq, cfg)))
+    _emit(rewritten_tsv(decoded_blocks(io.BytesIO(raw).read), new), args.out)
     _write_manifest(
         args, "cleanse", digests,
         {"lowercase": cfg.lowercase,
@@ -359,7 +368,8 @@ def cmd_sample(args) -> int:
         samples_per_size=args.n,
         seed=args.seed,
     )
-    distributions = sample_h2(table, cfg)
+    with _naming(args.input):
+        distributions = sample_h2(table, cfg)
     if args.format == "csv":
         text = distributions_to_csv(distributions)
     else:
@@ -459,7 +469,7 @@ def cmd_batch(args) -> int:
     _read_builtin("maximal.rules", digests)
     _read_builtin("minimal.rules", digests)
     jobs_text = _read_text(args.jobs, digests) if args.jobs else None
-    with _naming(args.input, DecodeError):
+    with _naming(args.input):
         table = parse_interlinear(
             raw, meta, args.transcriber,
             comma_breaks=args.comma_breaks,

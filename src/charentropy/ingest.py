@@ -10,9 +10,11 @@ one row of the table, built on demand.
 Columns are validated once, where tables are built: the two parsers,
 :func:`read_tsv`, :func:`from_words` and :func:`with_words`. Every other table
 derives from those through the only two transforms, :func:`with_words`
-(replace every word) and :func:`take` (keep the rows a boolean mask selects),
-so word rewrites elsewhere in the package compute one result per distinct
-word and map it back over the tokens.
+(replace every word) and :func:`take` (keep the rows a boolean mask selects).
+Every word rewrite in the package (transliteration, simplification,
+cleansing) is a map from word types and their frequencies to new forms,
+applied to a table by :func:`rewrite_types` and to the rows of a TSV, where
+they stand, by :func:`rewritten_tsv`.
 
 Interlinear input follows a documented subset of the line-by-line
 transcription family used for the Voynich manuscript:
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from typing import NoReturn
@@ -557,6 +559,32 @@ def write_tsv(table: LongTable) -> str:
     return "".join(tsv_pieces(table))
 
 
+def rewritten_tsv(blocks: Iterable[str],
+                  new: Mapping[str, str]) -> Iterator[str]:
+    """``write_tsv(rewrite_types(read_tsv(text), rewrite))`` in pieces, one
+    per block of a valid long-table TSV's text (see :func:`tsv_slices`),
+    where ``new`` maps each word of the table to its rewritten form.
+
+    Each row is rewritten where it stands: its first field is replaced and
+    the rest is kept, which is how ``write_tsv`` writes a row that
+    ``read_tsv`` accepted. A row whose new form is empty is dropped, and so
+    are blank lines.
+    """
+    yield TSV_HEADER
+    header = True
+    for block in blocks:
+        lines = block.splitlines()
+        if header and lines:
+            lines = lines[1:]
+            header = False
+        rows = []
+        for line in lines:
+            word, _, rest = line.partition("\t")
+            if line and (form := new[word]):
+                rows.append(f"{form}\t{rest}\n")
+        yield "".join(rows)
+
+
 def _text_blocks(text: str) -> Iterator[str]:
     """``text`` in consecutive blocks, each cut just after a ``\\n``."""
     start = 0
@@ -702,6 +730,24 @@ def with_words(table: LongTable, words: Iterable[str]) -> LongTable:
     check_words(words)
     return LongTable._from_columns(
         (words, *table.columns[1:]), table.source_id)
+
+
+def rewrite_types(
+    table: LongTable,
+    rewrite: Callable[[tuple[str, ...], tuple[int, ...]], Sequence[str]],
+) -> LongTable:
+    """The table with each word replaced by the new form of its type.
+
+    ``rewrite(forms, freq)`` is given the table's distinct words in order
+    of first occurrence and the number of tokens of each, and returns each
+    one's new form. A row whose new form is empty is dropped; the others
+    keep their metadata and positions."""
+    words = table.words()
+    freq = Counter(words)
+    new = dict(zip(freq, rewrite(tuple(freq), tuple(freq.values()))))
+    new_words = list(map(new.__getitem__, words))
+    kept = take(table, new_words)  # an emptied word is false
+    return with_words(kept, filter(None, new_words))
 
 
 def from_words(words: Sequence[str], source_id: str = "") -> LongTable:

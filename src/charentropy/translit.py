@@ -27,17 +27,19 @@ replacements.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import RewriteError, RuleFileError
-from .ingest import LongTable, check_words, with_words
+from .ingest import LongTable, check_words, rewrite_types
 
 RARE_THRESHOLD = 50  # a character this frequent (or more) is not "rare"
 RARE_EXEMPT = frozenset("x")  # rare but kept distinct, never masked
 MASK = "*"
 
-DEFAULT_LIGATURE_MAP = {c: c.lower() for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"}
+# Ligature-marked characters are the capitals; simplification lowers them.
+LIGATURE_LOWERING = {ord(c): c.lower() for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,25 +91,27 @@ class RuleSet:
         return cls(name=name, rules=rules, declared_alphabet=frozenset(alphabet))
 
 
-def apply(word: str, rules: RuleSet) -> str:
-    """Rewrite ``word`` in a single pass, longest match first."""
+def _scan(word: str, rules: RuleSet) -> Iterator[tuple[Rule | None, str]]:
+    """The single longest-match pass over ``word``: each rule that fires
+    with its replacement, and each character no pattern matches with
+    None."""
     index = rules._index
-    out: list[str] = []
     i = 0
     n = len(word)
     while i < n:
-        c = word[i]
-        matched = False
-        for rule in index.get(c, ()):
+        for rule in index.get(word[i], ()):
             if word.startswith(rule.pattern, i):
-                out.append(rule.replacement)
+                yield rule, rule.replacement
                 i += len(rule.pattern)
-                matched = True
                 break
-        if not matched:
-            out.append(c)
+        else:
+            yield None, word[i]
             i += 1
-    return "".join(out)
+
+
+def apply(word: str, rules: RuleSet) -> str:
+    """Rewrite ``word`` in a single pass, longest match first."""
+    return "".join([out for _, out in _scan(word, rules)])
 
 
 def rule_usage(words, rules: RuleSet) -> dict[str, int]:
@@ -116,20 +120,9 @@ def rule_usage(words, rules: RuleSet) -> dict[str, int]:
     Reverse conversion out of a many-to-one system is ambiguous, so this
     firing census is the supported diagnostic instead.
     """
-    counts = Counter()
-    index = rules._index
-    for word in words:
-        i = 0
-        n = len(word)
-        while i < n:
-            for rule in index.get(word[i], ()):
-                if word.startswith(rule.pattern, i):
-                    counts[rule.pattern] += 1
-                    i += len(rule.pattern)
-                    break
-            else:
-                i += 1
-    return {r.pattern: counts.get(r.pattern, 0) for r in rules.rules}
+    counts = Counter(rule.pattern for word in words
+                     for rule, _ in _scan(word, rules) if rule is not None)
+    return {r.pattern: counts[r.pattern] for r in rules.rules}
 
 
 def lint_alphabet(words, rules: RuleSet) -> dict[str, int]:
@@ -147,27 +140,25 @@ def lint_alphabet(words, rules: RuleSet) -> dict[str, int]:
     return dict(sorted(stray.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def transliterate_words(words: Sequence[str], rules: RuleSet) -> list[str]:
-    """apply() mapped over ``words``, each distinct word rewritten once.
+def transliterate_words(forms: Sequence[str], rules: RuleSet) -> list[str]:
+    """apply() mapped over ``forms``, a document's distinct words in order
+    of first occurrence.
 
-    Raises RewriteError for the first word, in the order given, whose
+    Raises RewriteError for the first form, in the order given, whose
     rewrite is empty (rewrites must never delete words) or is not a valid
-    surface form. Given a document's words, or its distinct words in order
-    of first occurrence, that is the first such word of the document.
+    surface form: the first such word of the document.
     """
-    rewritten = {w: apply(w, rules) for w in dict.fromkeys(words)}
-    new_words = list(map(rewritten.__getitem__, words))
-    erased = (new_words.index("") if "" in rewritten.values()
-              else len(new_words))
+    new_forms = [apply(w, rules) for w in forms]
+    erased = new_forms.index("") if "" in new_forms else len(new_forms)
     try:
         # An invalid rewrite earlier in the document is reported first.
-        check_words(new_words[:erased])
+        check_words(new_forms[:erased])
     except ValueError as exc:
         raise RewriteError(str(exc)) from None
-    if erased < len(new_words):
+    if erased < len(new_forms):
         raise RewriteError(
-            f"rule set {rules.name!r} erased the word {words[erased]!r}")
-    return new_words
+            f"rule set {rules.name!r} erased the word {forms[erased]!r}")
+    return new_forms
 
 
 def transliterate_document(table: LongTable, rules: RuleSet) -> LongTable:
@@ -176,66 +167,53 @@ def transliterate_document(table: LongTable, rules: RuleSet) -> LongTable:
     Word count is preserved by construction; see
     :func:`transliterate_words` for the errors.
     """
-    return with_words(table, transliterate_words(table.words(), rules))
+    return rewrite_types(table,
+                         lambda forms, _: transliterate_words(forms, rules))
 
 
-def rare_characters(
-    counts: Mapping[str, int], *, threshold: int = RARE_THRESHOLD,
-    exempt: frozenset[str] = RARE_EXEMPT,
-) -> frozenset[str]:
+def rare_characters(counts: Mapping[str, int], *,
+                    threshold: int = RARE_THRESHOLD) -> frozenset[str]:
     """The characters of a char -> occurrence count mapping that occur
-    fewer than ``threshold`` times.
-
-    The exempt set (by default just ``x``) is never reported rare, however
-    scarce.
-    """
-    return frozenset(
-        c for c, n in counts.items() if n < threshold and c not in exempt)
+    fewer than ``threshold`` times, except :data:`RARE_EXEMPT`, which is
+    never reported rare however scarce."""
+    return frozenset(c for c, n in counts.items()
+                     if n < threshold and c not in RARE_EXEMPT)
 
 
-def simplify_maximal(
-    word: str,
-    rare_chars: frozenset[str] | set[str],
-    ligature_map: dict[str, str] | None = None,
-) -> str:
+def simplify_maximal(word: str, rare_chars: frozenset[str] | set[str]) -> str:
     """Reduce a fully decomposed word: drop ligature marking, mask rarities.
 
-    Ligature-marked characters (capitals, by convention) are lowered first
-    via ``ligature_map``; then every character in ``rare_chars`` becomes the
-    ``*`` mask. ``x`` is exempt from masking even if listed rare.
+    Ligature-marked characters (capitals, by convention) are lowered first;
+    then every character in ``rare_chars`` becomes the ``*`` mask. ``x`` is
+    exempt from masking even if listed rare.
     """
-    if ligature_map is None:
-        ligature_map = DEFAULT_LIGATURE_MAP
     out = []
-    for c in word:
-        c = ligature_map.get(c, c)
-        if c in rare_chars and c not in RARE_EXEMPT:
-            c = MASK
-        out.append(c)
+    for c in word.translate(LIGATURE_LOWERING):
+        out.append(MASK if c in rare_chars and c not in RARE_EXEMPT else c)
     return "".join(out)
 
 
-def simplify_document(
-    table: LongTable,
-    *,
-    threshold: int = RARE_THRESHOLD,
-    ligature_map: dict[str, str] | None = None,
-) -> LongTable:
-    """Corpus-driven simplification: rare set computed on the table itself.
-
-    Rarity is judged after ligature lowering, so a character split across
-    plain and ligature-marked spellings is counted once.
-    """
-    if ligature_map is None:
-        ligature_map = DEFAULT_LIGATURE_MAP
-    words = table.words()
-    lowered = {w: "".join(ligature_map.get(c, c) for c in w)
-               for w in set(words)}
-    counts = Counter("".join(map(lowered.__getitem__, words)))
+def simplified_forms(forms: Sequence[str], freq: Sequence[int], *,
+                     threshold: int = RARE_THRESHOLD) -> list[str]:
+    """Each word type's form after :func:`simplify_maximal`, for a document
+    holding ``freq[t]`` tokens of ``forms[t]``. The rare set is the
+    document's own: each lowered type's characters are counted times its
+    frequency, so rarity is judged after ligature lowering and a character
+    split across plain and ligature-marked spellings is counted once."""
+    lowered = [w.translate(LIGATURE_LOWERING) for w in forms]
+    counts: Counter = Counter()
+    for form, n in zip(lowered, freq):
+        for c in form:
+            counts[c] += n
     rare = rare_characters(counts, threshold=threshold)
-    simplified = {w: simplify_maximal(low, rare, ligature_map)
-                  for w, low in lowered.items()}
-    return with_words(table, map(simplified.__getitem__, words))
+    return [simplify_maximal(w, rare) for w in lowered]
+
+
+def simplify_document(table: LongTable, *,
+                      threshold: int = RARE_THRESHOLD) -> LongTable:
+    """Corpus-driven simplification: rare set computed on the table itself
+    (see :func:`simplified_forms`)."""
+    return rewrite_types(table, partial(simplified_forms, threshold=threshold))
 
 
 def load_rules(text: str, name: str) -> RuleSet:

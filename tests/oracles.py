@@ -5,34 +5,37 @@ library (dicts and plain loops instead of numpy; no shared helpers) so that
 agreement between the two is meaningful. Four are exceptions. The
 long-table reader is the original row-by-row reader, which builds each row
 as a WordRecord and so shares the record's validation. The TSV command
-oracle is ``stats``, ``bigrams``, ``sukhotin`` and ``cleanse`` as they ran
-before they read their input in slices: the whole file decoded, read into
-a table with ``read_tsv``, and the table functions. The batch oracle is
+oracle is ``stats``, ``bigrams``, ``sukhotin``, ``translit`` and
+``cleanse`` as they ran before they read their input in slices: the whole
+file decoded, read into a table with ``read_tsv``, and the table
+functions, with ``translit`` rewriting token by token. The batch oracle is
 the token-level path ``batch`` took before it counted word types: it
-composes the library's document transforms and ``entropy_report``, job by
-job. The sampler oracle is ``sample_h2`` as it was before it counted from
-checkpoints: a dense numpy count of each window over every pair of
-symbols, and h2 as a generator over the occupied cells; the tests compare
-its values with ``==``.
+composes the library's transliteration, this module's token-by-token
+simplification and ``entropy_report``, job by job. The sampler oracle is
+``sample_h2`` as it was before it counted from checkpoints: a dense numpy
+count of each window over every pair of symbols, and h2 as a generator
+over the occupied cells; the tests compare its values with ``==``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 
 from charentropy.cleanse import CleanseConfig, cleanse
-from charentropy.errors import DataError, ParseError
+from charentropy.errors import DataError, ParseError, RewriteError
 from charentropy.formats import SCHEMA_VERSION, fmt_float, json_dumps
 from charentropy.ingest import (TSV_COLUMNS, LongTable, WordRecord, _decode,
-                                canonical_selection, read_tsv, write_tsv)
+                                canonical_selection, read_tsv, with_words,
+                                write_tsv)
 from charentropy.metrics import (bigram_matrix, coverage_report,
                                  entropy_report, heatmap_export, symbol_codes,
                                  to_stream)
 from charentropy.sukhotin import detect_on_document
-from charentropy.translit import (builtin_rules, simplify_document,
+from charentropy.translit import (apply, builtin_rules, load_rules,
                                   transliterate_document)
 
 BOUNDARY = "#"
@@ -203,15 +206,79 @@ def charset_oracle(words) -> list[tuple[str, int, float]]:
     return [(c, n, n / total) for c, n in ranked]
 
 
+def longest_match_oracle(word: str, rules) -> tuple[str, dict[str, int]]:
+    """``(rewritten word, pattern -> firings)`` of one left-to-right pass
+    of ``rules``, a sequence of objects with ``pattern`` and
+    ``replacement``: at each position every rule is tried, the longest
+    pattern that starts there fires (the earliest rule among equally long
+    ones) and scanning resumes after it; a character no pattern matches is
+    copied."""
+    out = ""
+    fired: dict[str, int] = {}
+    i = 0
+    while i < len(word):
+        best = None
+        for rule in rules:
+            n = len(rule.pattern)
+            if word[i:i + n] == rule.pattern and (
+                    best is None or n > len(best.pattern)):
+                best = rule
+        if best is None:
+            out += word[i]
+            i += 1
+        else:
+            out += best.replacement
+            fired[best.pattern] = fired.get(best.pattern, 0) + 1
+            i += len(best.pattern)
+    return out, fired
+
+
+def simplify_document_oracle(table: LongTable, threshold: int) -> LongTable:
+    """``simplify_document`` as it was before it counted word types: the
+    ASCII capitals lowered, every character of every token counted one by
+    one, and each character rarer than ``threshold`` masked with ``*``,
+    except ``x``."""
+    words = table.words()
+    lowered = {w: "".join(c.lower() if "A" <= c <= "Z" else c for c in w)
+               for w in set(words)}
+    counts: dict[str, int] = {}
+    for word in words:
+        for c in lowered[word]:
+            counts[c] = counts.get(c, 0) + 1
+    rare = {c for c, n in counts.items() if n < threshold and c != "x"}
+    simplified = {w: "".join("*" if c in rare else c for c in low)
+                  for w, low in lowered.items()}
+    return with_words(table, [simplified[w] for w in words])
+
+
+def _translit_oracle(table: LongTable, system: str | None,
+                     rules: str | None, rare_min: int | None) -> LongTable:
+    """``translit`` on a table, token by token."""
+    if rare_min is not None:
+        return simplify_document_oracle(table, rare_min)
+    ruleset = (builtin_rules(system) if system else
+               load_rules(Path(rules).read_text(encoding="utf-8"),
+                          Path(rules).stem))
+    words = table.words()
+    new = [apply(w, ruleset) for w in words]
+    if "" in new:
+        raise RewriteError(f"rule set {ruleset.name!r} erased the word "
+                           f"{words[new.index('')]!r}")
+    return with_words(table, new)
+
+
 def tsv_command_oracle(command: str, raw: bytes, path: str, *,
                        threshold: float | None = None,
-                       include_space: bool = False):
+                       include_space: bool = False,
+                       system: str | None = None, rules: str | None = None,
+                       rare_min: int | None = None):
     """``(exit code, standard error, {file name: text})`` of ``stats --out
     o.json``, ``bigrams --out-prefix o``, ``sukhotin --diagnostics --out
-    o.json`` (with ``include_space``) or ``cleanse --out o.tsv`` (with
-    ``--threshold``) on the TSV file ``path`` holding ``raw``: the whole
-    file decoded, read with ``read_tsv``, and the table functions. Every
-    data error names the file. Manifests are left out."""
+    o.json`` (with ``include_space``), ``translit --out o.tsv`` (with
+    ``--system``, ``--rules`` or ``--simplify --rare-min``) or ``cleanse
+    --out o.tsv`` (with ``--threshold``) on the TSV file ``path`` holding
+    ``raw``: the whole file decoded, read with ``read_tsv``, and the table
+    functions. Every data error names the file. Manifests are left out."""
     try:
         table = read_tsv(_decode(raw))
         head = {"schema_version": SCHEMA_VERSION,
@@ -235,6 +302,9 @@ def tsv_command_oracle(command: str, raw: bytes, path: str, *,
             result = detect_on_document(table, include_space)
             files = {"o.json": json_dumps(
                 {**head, **result.as_dict(diagnostics=True)})}
+        elif command == "translit":
+            files = {"o.tsv": write_tsv(
+                _translit_oracle(table, system, rules, rare_min))}
         else:
             cfg = (CleanseConfig() if threshold is None
                    else CleanseConfig(rare_char_threshold=threshold))
@@ -263,7 +333,7 @@ def batch_rows_oracle(table: LongTable, jobs, rare_min: int):
                          f"selection {selection!r} is empty\n")
             continue
         if system == "simplified":
-            selected = simplify_document(selected, threshold=rare_min)
+            selected = simplify_document_oracle(selected, rare_min)
         report = entropy_report(to_stream(selected))
         out += "\t".join([
             doc, system, str(report.charset_size), fmt_float(report.h2),

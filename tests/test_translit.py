@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from charentropy.errors import RuleFileError
 from charentropy.ingest import from_words
 from charentropy.translit import (Rule, RuleSet, apply, builtin_rules,
@@ -147,6 +148,24 @@ def test_rule_usage_counts_firings():
     assert usage["ee"] == 2
     assert usage["iin"] == 1
     assert usage["cth"] == 0
+
+
+_RULES = st.dictionaries(st.text("abc", min_size=1, max_size=3),
+                         st.text("abxy", max_size=2), max_size=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rules=_RULES, words=st.lists(st.text("abcd", max_size=8), max_size=6))
+def test_scanner_matches_a_plain_longest_match_pass(rules, words):
+    pairs = [(p, r) for p, r in rules.items() if p != r]
+    rs = ruleset(*pairs, alphabet="abcxy")
+    fired: dict[str, int] = dict.fromkeys(rules, 0)
+    for word in words:
+        out, counts = oracles.longest_match_oracle(word, rs.rules)
+        assert apply(word, rs) == out
+        for pattern, n in counts.items():
+            fired[pattern] += n
+    assert rule_usage(words, rs) == {p: fired[p] for p, _ in pairs}
 
 
 def test_lint_alphabet_reports_strays():

@@ -59,16 +59,29 @@ def tsv_files(draw):
     return raw
 
 
+# Each command, its options and the oracle's; ``{out}`` is the directory
+# the outputs go to, ``{tmp}`` the one holding the input and ``erase.rules``.
 _COMMANDS = (
-    ("stats", ["--out", "o.json"], {}),
-    ("bigrams", ["--out-prefix", "o"], {}),
-    ("sukhotin", ["--diagnostics", "--out", "o.json"], {}),
-    ("sukhotin", ["--include-space", "--diagnostics", "--out", "o.json"],
-     {"include_space": True}),
-    ("cleanse", ["--out", "o.tsv"], {}),
-    ("cleanse", ["--threshold", "0.05", "--out", "o.tsv"],
+    ("stats", ["--out", "{out}/o.json"], {}),
+    ("bigrams", ["--out-prefix", "{out}/o"], {}),
+    ("sukhotin", ["--diagnostics", "--out", "{out}/o.json"], {}),
+    ("sukhotin", ["--include-space", "--diagnostics", "--out",
+                  "{out}/o.json"], {"include_space": True}),
+    ("translit", ["--system", "maximal", "--out", "{out}/o.tsv"],
+     {"system": "maximal"}),
+    ("translit", ["--system", "minimal", "--out", "{out}/o.tsv"],
+     {"system": "minimal"}),
+    ("translit", ["--simplify", "--rare-min", "2", "--out", "{out}/o.tsv"],
+     {"rare_min": 2}),
+    ("translit", ["--rules", "{tmp}/erase.rules", "--out", "{out}/o.tsv"],
+     {"rules": "{tmp}/erase.rules"}),
+    ("cleanse", ["--out", "{out}/o.tsv"], {}),
+    ("cleanse", ["--threshold", "0.05", "--out", "{out}/o.tsv"],
      {"threshold": 0.05}),
 )
+
+# Erases the word ``qo``, which the near-valid TSVs hold.
+_ERASE_RULES = "#! alphabet: qo\nqo\t\n"
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -77,6 +90,8 @@ _COMMANDS = (
 # A bad byte in a later block than a bad row: the byte's error wins.
 @example(raw=(_HEADER + "qo\t1\n" + _row("a") * 3).encode() + b"\xff\n",
          block=16)
+# A word the erasing rule set erases, after one it keeps.
+@example(raw=(_HEADER + _row("daiin") + _row("qo", 2)).encode(), block=1)
 # An empty table, with and without its header.
 @example(raw=_HEADER.encode(), block=1)
 @example(raw=b"", block=1)
@@ -91,25 +106,30 @@ def test_sliced_commands_equal_the_whole_table_path(raw, block):
         tmp = Path(tmp)
         path = str(tmp / "in.tsv")
         Path(path).write_bytes(raw)
+        (tmp / "erase.rules").write_text(_ERASE_RULES, encoding="utf-8")
         for command, options, oracle_options in _COMMANDS:
             out = tmp / "out"
             out.mkdir()
+            options = [o.format(out=out, tmp=tmp) for o in options]
+            oracle_options = {k: v.format(tmp=tmp) if isinstance(v, str)
+                              else v for k, v in oracle_options.items()}
             err = io.StringIO()
-            with contextlib.redirect_stderr(err), \
-                    contextlib.chdir(out):
+            with contextlib.redirect_stderr(err):
                 code = main([command, path, *options])
             expected = oracles.tsv_command_oracle(command, raw, path,
                                                   **oracle_options)
             files = {p.name: p.read_text(encoding="utf-8")
                      for p in out.iterdir()
                      if not p.name.endswith(".manifest.json")}
-            assert (code, err.getvalue(), files) == expected, command
+            assert (code, err.getvalue(), files) == expected, options
             if code == 0:
                 (manifest,) = out.glob("*.manifest.json")
                 digests = json.loads(manifest.read_text(encoding="utf-8"))[
                     "input_digests"]
-                assert digests == [{"path": path, "sha256":
-                                    hashlib.sha256(raw).hexdigest()}]
+                assert [d for d in digests if d["path"] == path] == [
+                    {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}]
+            else:
+                assert not any(out.iterdir()), options
             for p in out.iterdir():
                 p.unlink()
             out.rmdir()
