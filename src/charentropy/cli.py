@@ -164,6 +164,12 @@ def _read_types(path: str, digests: list) -> tuple[bytes, TypeCounts]:
     return raw, types
 
 
+def _emit_rewritten(raw: bytes, types: TypeCounts, new_forms, out) -> None:
+    """Write the TSV ``raw`` with each word of ``types`` in its new form."""
+    new = dict(zip(types.forms, new_forms))
+    _emit(rewritten_tsv(decoded_blocks(io.BytesIO(raw).read), new), out)
+
+
 def _read_counts(path: str, digests: list):
     """``(types, symbols, counts)``: the word types of a long-table TSV
     and the pair-count matrix of its words over ``symbols``, read from the
@@ -264,8 +270,7 @@ def cmd_translit(args) -> int:
         with _naming(args.input):
             new_forms = transliterate_words(types.forms, ruleset)
         rules_label = ruleset.name
-    new = dict(zip(types.forms, new_forms))
-    _emit(rewritten_tsv(decoded_blocks(io.BytesIO(raw).read), new), args.out)
+    _emit_rewritten(raw, types, new_forms, args.out)
     _write_manifest(
         args, "translit", digests,
         {"rules": rules_label, "rare_min": args.rare_min,
@@ -302,8 +307,8 @@ def cmd_cleanse(args) -> int:
     digests = []
     raw, types = _read_types(args.input, digests)
     cfg = _cleanse_config(args, digests)
-    new = dict(zip(types.forms, cleaned_forms(types.forms, types.freq, cfg)))
-    _emit(rewritten_tsv(decoded_blocks(io.BytesIO(raw).read), new), args.out)
+    _emit_rewritten(raw, types, cleaned_forms(types.forms, types.freq, cfg),
+                    args.out)
     _write_manifest(
         args, "cleanse", digests,
         {"lowercase": cfg.lowercase,

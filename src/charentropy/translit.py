@@ -141,12 +141,12 @@ def lint_alphabet(words, rules: RuleSet) -> dict[str, int]:
 
 
 def transliterate_words(forms: Sequence[str], rules: RuleSet) -> list[str]:
-    """apply() mapped over ``forms``, a document's distinct words in order
-    of first occurrence.
+    """apply() mapped over ``forms``, once per form given.
 
     Raises RewriteError for the first form, in the order given, whose
     rewrite is empty (rewrites must never delete words) or is not a valid
-    surface form: the first such word of the document.
+    surface form. Given a document's word types in order of first
+    occurrence, that is the first such word of the document.
     """
     new_forms = [apply(w, rules) for w in forms]
     erased = new_forms.index("") if "" in new_forms else len(new_forms)

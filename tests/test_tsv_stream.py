@@ -8,6 +8,7 @@ import json
 import random
 import tempfile
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 from unittest import mock
 
@@ -84,6 +85,25 @@ _COMMANDS = (
 _ERASE_RULES = "#! alphabet: qo\nqo\t\n"
 
 
+
+def _digest(path: str, raw: bytes) -> dict:
+    return {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+
+
+def _expected_digests(path: str, raw: bytes, options: list[str]) -> list:
+    """The manifest digests of a command run on ``path``, sorted by path as
+    the manifest lists them: the input's, and the rule table's when
+    ``translit`` was given one."""
+    digests = [_digest(path, raw)]
+    if "--system" in options:
+        name = options[options.index("--system") + 1] + ".rules"
+        digests.append(_digest(f"builtin:{name}", resources.files(
+            "charentropy.data").joinpath(name).read_bytes()))
+    if "--rules" in options:
+        rules = options[options.index("--rules") + 1]
+        digests.append(_digest(rules, Path(rules).read_bytes()))
+    return sorted(digests, key=lambda d: d["path"])
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 # A word holding the boundary before a bad row: the row's error wins.
 @example(raw=(_HEADER + _row("C#") + "qo\t1\n").encode(), block=1)
@@ -126,8 +146,7 @@ def test_sliced_commands_equal_the_whole_table_path(raw, block):
                 (manifest,) = out.glob("*.manifest.json")
                 digests = json.loads(manifest.read_text(encoding="utf-8"))[
                     "input_digests"]
-                assert [d for d in digests if d["path"] == path] == [
-                    {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}]
+                assert digests == _expected_digests(path, raw, options)
             else:
                 assert not any(out.iterdir()), options
             for p in out.iterdir():
