@@ -26,13 +26,12 @@ proportions, so a second pass removes nothing.
 from __future__ import annotations
 
 import unicodedata
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import ConfigError
-from .ingest import LongTable, rewrite_types
+from .ingest import LongTable, character_counts, rewrite_types
 from .metrics import charset_from_counts, pair_counts, to_stream
 
 DEFAULT_RARE_THRESHOLD = 0.0001  # 0.01% of word characters
@@ -100,10 +99,7 @@ def cleaned_forms(forms: Sequence[str], freq: Sequence[int],
 
     drop: set[str] = set()
     if cfg.rare_char_threshold > 0.0:
-        counts: Counter = Counter()
-        for form, n in zip(cleaned, freq):
-            for c in form:
-                counts[c] += n
+        counts = character_counts(cleaned, freq)
         total = sum(counts.values())
         drop = {c for c, n in counts.items()
                 if n / total < cfg.rare_char_threshold and c not in keep}

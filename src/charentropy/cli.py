@@ -21,11 +21,11 @@ The long-table TSV (see the ingest module) is the interchange format:
 ``ingest`` produces it, ``translit`` and ``cleanse`` transform it, and the
 measurement commands (``stats``, ``bigrams``, ``sample``, ``sukhotin``,
 ``batch``) consume it or, for ``batch``, the raw interlinear file. Tables
-are written a few thousand rows at a time; ``stats``, ``bigrams`` and
-``sukhotin`` read theirs a block at a time and keep only word-type counts,
-and ``translit`` and ``cleanse`` keep their input's bytes and word-type
-counts and rewrite each row where it stands, so none of them holds a
-table.
+are written a few thousand rows at a time; ``stats``, ``bigrams``,
+``sukhotin`` and ``sample`` fold theirs into word types a block at a time
+(``sample`` keeps a type id per word), and ``translit`` and ``cleanse``
+keep their input's bytes and word-type counts and rewrite each row where
+it stands, so none of them holds a table.
 """
 
 from __future__ import annotations
@@ -46,16 +46,14 @@ from .cleanse import (CleanseConfig, cleaned_forms, parse_config,
                       parse_script_range)
 from .errors import CharentropyError, ConfigError, DataError
 from .formats import SCHEMA_VERSION, fmt_float, json_dumps, sha256_bytes
-from .ingest import (CANONICAL_SELECTIONS, FolioMetadataMap, LongTable,
-                     _decode, canonical_selection, check_words,
-                     decoded_blocks, parse_interlinear, parse_plaintext,
-                     read_tsv, rewritten_tsv, selection_mask, tsv_pieces,
-                     tsv_slices)
-from .metrics import (BOUNDARY, TypeCounts, WordTypes,
-                      bigram_matrix_from_counts, charset_from_counts,
-                      coverage_report, entropy_report_from_counts,
-                      h2_from_counts, heatmap_export, merge_symbols,
-                      type_pairs)
+from .ingest import (CANONICAL_SELECTIONS, FolioMetadataMap, _decode,
+                     canonical_selection, check_words, decoded_blocks,
+                     parse_interlinear, parse_plaintext, rewritten_tsv,
+                     selection_mask, tsv_pieces, tsv_slices)
+from .metrics import (BOUNDARY, TypeCounts, bigram_matrix_from_counts,
+                      charset_from_counts, coverage_report,
+                      entropy_report_from_counts, h2_from_counts,
+                      heatmap_export, merge_symbols)
 from .sampling import (SamplingConfig, distributions_to_csv,
                        distributions_to_dict, sample_h2)
 from .sukhotin import detect_from_counts
@@ -67,7 +65,7 @@ from .translit import (builtin_rules, load_rules, rare_characters,
 # as a trace point.
 from .cleanse import charset_report, cleanse  # noqa: F401,E402
 from .formats import sha256_file  # noqa: F401,E402
-from .ingest import write_tsv  # noqa: F401,E402
+from .ingest import read_tsv, write_tsv  # noqa: F401,E402
 from .metrics import bigram_matrix, entropy_report, to_stream  # noqa: F401,E402
 from .translit import (simplify_document,  # noqa: F401,E402
                        transliterate_document)
@@ -149,12 +147,6 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _read_table(path: str, digests: list) -> LongTable:
-    text = _read_text(path, digests)
-    with _naming(path):
-        return read_tsv(text)
-
-
 def _read_types(path: str, digests: list) -> tuple[bytes, TypeCounts]:
     """A long-table TSV's bytes, read once, and its word types."""
     raw = _read_input(path, digests)
@@ -170,13 +162,12 @@ def _emit_rewritten(raw: bytes, types: TypeCounts, new_forms, out) -> None:
     _emit(rewritten_tsv(decoded_blocks(io.BytesIO(raw).read), new), out)
 
 
-def _read_counts(path: str, digests: list):
-    """``(types, symbols, counts)``: the word types of a long-table TSV
-    and the pair-count matrix of its words over ``symbols``, read from the
-    file a block at a time, with the manifest digest taken from the same
-    bytes. The types' errors (a word holding the boundary, no words) are
-    raised after the whole file has been read, so a bad row or byte
-    anywhere is reported first."""
+def _fold_input(path: str, digests: list, *,
+                tokens: bool = False) -> TypeCounts:
+    """The word types of a long-table TSV (and its tokens, if asked), read
+    from the file a block at a time, with the manifest digest taken from
+    the same bytes. The types' own errors are left to their user, so that
+    a bad row or byte anywhere in the file is reported first."""
     sha = hashlib.sha256()
     with open(path, "rb") as f:
 
@@ -186,9 +177,18 @@ def _read_counts(path: str, digests: list):
             return block
 
         with _naming(path):
-            types = TypeCounts.fold(tsv_slices(decoded_blocks(read)))
-            pairs = types.pairs()
+            types = TypeCounts.fold(tsv_slices(decoded_blocks(read)),
+                                    tokens=tokens)
     digests.append((str(path), sha.hexdigest()))
+    return types
+
+
+def _read_counts(path: str, digests: list):
+    """``(types, symbols, counts)``: a TSV's word types and the pair-count
+    matrix of its words over ``symbols``."""
+    types = _fold_input(path, digests)
+    with _naming(path):
+        pairs = types.pairs()
     return types, pairs.symbols, pairs.counts(types.freq)
 
 
@@ -366,21 +366,23 @@ def cmd_bigrams(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if (w := min(args.windows)) < 1:
+        raise ConfigError(f"--windows must be at least 1, got {w}")
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
+    if not 0 <= args.seed < 2 ** 64:
+        raise ConfigError(f"--seed must lie in [0, 2**64), got {args.seed}")
+    cfg = SamplingConfig(tuple(args.windows), args.n, args.seed)
     digests = []
-    table = _read_table(args.input, digests)
-    cfg = SamplingConfig(
-        window_sizes=tuple(args.windows),
-        samples_per_size=args.n,
-        seed=args.seed,
-    )
+    types = _fold_input(args.input, digests, tokens=True)
     with _naming(args.input):
-        distributions = sample_h2(table, cfg)
+        distributions = sample_h2(types, cfg)
     if args.format == "csv":
         text = distributions_to_csv(distributions)
     else:
         text = json_dumps({
             "schema_version": SCHEMA_VERSION,
-            "source_id": table.source_id,
+            "source_id": types.source_id,
             "seed": args.seed,
             "samples_per_size": args.n,
             "distributions": distributions_to_dict(
@@ -491,7 +493,7 @@ def cmd_batch(args) -> int:
     # bincount over its system's per-type pair codes. Rarity belongs to a
     # selection: a simplified job merges the symbols of its own maximal
     # counts.
-    types = WordTypes.of(table)
+    types = TypeCounts.of(table)
     maximal = transliterate_words(types.forms, builtin_rules("maximal"))
     forms = {"none": types.forms, "maximal": maximal,
              "minimal": transliterate_words(maximal,
@@ -512,7 +514,7 @@ def cmd_batch(args) -> int:
             continue
         base = "maximal" if system == "simplified" else system
         if base not in pairs:
-            pairs[base] = type_pairs(types, forms[base])
+            pairs[base] = types.pairs(forms[base])
         per_type = pairs[base]
         symbols, counts = per_type.symbols, per_type.counts(freq)
         present = list(compress(per_type.forms, freq.tolist()))

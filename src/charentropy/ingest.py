@@ -239,7 +239,6 @@ class FolioMetadataMap:
         """
         entries: dict[str, tuple[str, str, str, str]] = {}
         for n, line in enumerate(text.splitlines(), start=1):
-            line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             fields = line.split("\t")
@@ -254,6 +253,8 @@ class FolioMetadataMap:
                 raise ParseError(f"unknown language {language!r}", n)
             if hand not in HANDS:
                 raise ParseError(f"unknown hand {hand!r}", n)
+            if folio in entries:
+                raise ParseError(f"folio {folio!r} is listed twice", n)
             entries[folio] = (section, language, hand, quire)
         return cls(entries)
 
@@ -748,6 +749,15 @@ def rewrite_types(
     new_words = list(map(new.__getitem__, words))
     kept = take(table, new_words)  # an emptied word is false
     return with_words(kept, filter(None, new_words))
+
+
+def character_counts(forms: Iterable[str], freq: Iterable[int]) -> Counter:
+    """Each character's count in ``freq[t]`` tokens of each ``forms[t]``."""
+    counts: Counter = Counter()
+    for form, n in zip(forms, freq):
+        for c in form:
+            counts[c] += n
+    return counts
 
 
 def from_words(words: Sequence[str], source_id: str = "") -> LongTable:

@@ -23,16 +23,16 @@ Conventions, applied uniformly and worth stating once:
 
 Every statistic here is a function of the pair-count matrix, and that
 matrix is ``sum over types t of freq(t) * pairs("#" + t + "#")``, so it can
-be counted from word types instead of tokens. :class:`WordTypes` holds a
-table's distinct words in first-occurrence order and each token's type id;
-a selection of the tokens is a frequency vector over the types,
-``np.bincount(ids[mask])``. :func:`type_pairs` lays out the pair codes of
-each type's ``#form#`` as CSR arrays (one offset per type into one code
-array) for the types' forms under some rewrite, and
-:meth:`TypePairs.counts` turns a frequency vector into the count matrix
-with one weighted ``np.bincount``. :class:`TypeCounts` holds the same
-types and frequencies for a long-table TSV folded slice by slice, with no
-table. Each statistic is computed from a count matrix
+be counted from word types instead of tokens. :class:`TypeCounts` holds
+a document's distinct words in first-occurrence order and their
+frequencies, folded from a long table's rows slice by slice, and on
+request each token's type id, so that a selection of the tokens is a
+frequency vector over the types, ``np.bincount(ids[mask])``.
+:meth:`TypeCounts.pairs` lays out the pair codes of each type's ``#form#``
+as CSR arrays (one offset per type into one code array), for the types'
+forms or a rewrite of them, and :meth:`TypePairs.counts` turns a
+frequency vector into the count matrix with one weighted
+``np.bincount``. Each statistic is computed from a count matrix
 (``*_from_counts``); :func:`to_stream` and :func:`pair_counts` count token
 by token, stay as the reference, and feed the stream functions.
 """
@@ -164,42 +164,9 @@ def _pair_codes(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
 
 def pair_counts(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
     """Count matrix over codepoint-sorted symbols (boundary included)."""
-    if len(stream.symbols) < 2:
-        raise ValueError("need at least two symbols to form a bigram")
     symbols, codes = _pair_codes(stream)
     k = len(symbols)
     return symbols, np.bincount(codes, minlength=k * k).reshape(k, k)
-
-
-@dataclass(frozen=True, slots=True)
-class WordTypes:
-    """A table's words as word types.
-
-    ``forms`` are the distinct words in first-occurrence order, token i is
-    ``forms[ids[i]]``, and ``lines[t]`` is the line number of the first
-    token of type t. Because types are numbered in order of first
-    occurrence, the first type with some property holds the first token
-    with it.
-    """
-
-    forms: tuple[str, ...]
-    ids: np.ndarray
-    lines: tuple[int, ...]
-
-    @classmethod
-    def of(cls, table: LongTable) -> "WordTypes":
-        index: dict[str, int] = {}
-        ids = np.array([index.setdefault(w, len(index))
-                        for w in table.column("surface_form")], dtype=np.intp)
-        first = np.unique(ids, return_index=True)[1]
-        line_numbers = table.column("line_number")
-        return cls(forms=tuple(index), ids=ids,
-                   lines=tuple(line_numbers[i] for i in first.tolist()))
-
-    def frequencies(self, mask: np.ndarray) -> np.ndarray:
-        """Tokens of each type among the tokens the boolean ``mask``
-        keeps."""
-        return np.bincount(self.ids[mask], minlength=len(self.forms))
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,77 +194,92 @@ class TypePairs:
         return flat.astype(np.int64).reshape(k, k)
 
 
-def type_pairs(types: WordTypes, forms: Sequence[str]) -> TypePairs:
-    """Pair codes of ``forms``: the types' forms, or a rewrite of them one
-    for one.
-
-    Raises DataError, as :func:`to_stream` does, naming the first word (by
-    its first token) whose form contains the boundary symbol, and
-    EmptyStreamError when there are no types.
-    """
-    forms = tuple(forms)
-    if len(forms) != len(types.forms):
-        raise ValueError(f"{len(forms)} forms for {len(types.forms)} types")
-    for t, form in enumerate(forms):
-        if BOUNDARY in form:
-            raise _boundary_error(types.lines[t], form)
-    return _type_pairs(forms)
-
-
-def _type_pairs(forms: tuple[str, ...]) -> TypePairs:
-    """:func:`type_pairs` of forms none of which holds the boundary."""
-    symbols, codes = _pair_codes(stream_from_words(forms))
-    offsets = np.zeros(len(forms) + 1, dtype=np.intp)
-    np.cumsum([len(form) + 1 for form in forms], out=offsets[1:])
-    return TypePairs(forms=forms, symbols=symbols, offsets=offsets,
-                     codes=codes)
-
-
 _LINE_NUMBER = RECORD_FIELDS.index("line_number")
 
 
 @dataclass(frozen=True, slots=True)
 class TypeCounts:
-    """The word types of a long table read slice by slice, with no table.
+    """The words of a long table as word types.
 
     ``forms`` are the distinct words in first-occurrence order and
     ``freq[t]`` is the number of tokens of type t. ``boundary_word`` is the
     ``(line_number, word)`` of the first token that contains the boundary
-    symbol, or None.
+    symbol, or None. With the tokens kept (else both None), token i is
+    ``forms[ids[i]]`` and ``lines[t]`` is the line of type t's first token.
     """
 
     source_id: str
     forms: tuple[str, ...]
     freq: tuple[int, ...]
     boundary_word: tuple[int, str] | None
+    ids: np.ndarray | None = None
+    lines: tuple[int, ...] | None = None
 
     @classmethod
-    def fold(cls, slices: Iterable[tuple[str, list]]) -> "TypeCounts":
-        """Count the rows of ``ingest.tsv_slices``: only the counts of one
-        slice's words and the counts so far are held at once."""
+    def fold(cls, slices: Iterable[tuple[str, list]], *,
+             tokens: bool = False) -> "TypeCounts":
+        """Count the rows of ``ingest.tsv_slices``, holding one slice's words
+        and the counts so far, and if ``tokens``, the int32 type ids."""
         counts: Counter = Counter()
-        source_id = ""
-        boundary_word = None
+        index: dict[str, int] = {}  # type ids, when tokens are kept
+        ids: list[np.ndarray] = []
+        lines: list[int] = []
+        source_id, boundary_word = "", None
         for source_id, columns in slices:
             words = list(columns[0])
+            line_numbers = columns[_LINE_NUMBER]
             counts.update(words)
+            if tokens:
+                line_numbers, known = list(line_numbers), len(index)
+                for w in dict.fromkeys(words):
+                    index.setdefault(w, len(index))
+                part = np.fromiter(map(index.__getitem__, words), np.int32,
+                                   len(words))
+                ids.append(part)
+                types, first = np.unique(part, return_index=True)
+                lines += [line_numbers[i]
+                          for i in first[types >= known].tolist()]
             if boundary_word is None and BOUNDARY in "".join(words):
                 i = next(i for i, w in enumerate(words) if BOUNDARY in w)
-                line = next(islice(columns[_LINE_NUMBER], i, None))
-                boundary_word = (line, words[i])
+                boundary_word = (next(islice(line_numbers, i, None)),
+                                 words[i])
         return cls(source_id=source_id, forms=tuple(counts),
-                   freq=tuple(counts.values()), boundary_word=boundary_word)
+                   freq=tuple(counts.values()), boundary_word=boundary_word,
+                   ids=(np.concatenate(ids or [np.zeros(0, np.int32)])
+                        if tokens else None),
+                   lines=tuple(lines) if tokens else None)
 
-    def pairs(self) -> TypePairs:
-        """The types' pair codes. Raises what :func:`to_stream` raises on
-        the table: EmptyStreamError when there are no words, else DataError
-        naming the first word that contains the boundary symbol."""
+    @classmethod
+    def of(cls, table: LongTable) -> "TypeCounts":
+        """The table's word types and tokens, folded as one slice."""
+        return cls.fold([(table.source_id, table.columns)], tokens=True)
+
+    def frequencies(self, mask: np.ndarray) -> np.ndarray:
+        """Tokens of each type among those the boolean ``mask`` keeps."""
+        return np.bincount(self.ids[mask], minlength=len(self.forms))
+
+    def pairs(self, forms: Sequence[str] | None = None) -> TypePairs:
+        """Pair codes of the types' forms or of ``forms``, a rewrite of them
+        one for one (which needs the tokens kept). Raises what
+        :func:`to_stream` raises on the (rewritten) table: EmptyStreamError,
+        or DataError naming the first word that holds the boundary."""
         if not self.forms:
             raise EmptyStreamError(
                 f"document {self.source_id!r} has no words")
-        if self.boundary_word is not None:
-            raise _boundary_error(*self.boundary_word)
-        return _type_pairs(self.forms)
+        if forms is None:
+            if self.boundary_word is not None:
+                raise _boundary_error(*self.boundary_word)
+            forms = self.forms
+        elif len(forms := tuple(forms)) != len(self.forms):
+            raise ValueError(f"{len(forms)} forms for {len(self.forms)} types")
+        elif any(BOUNDARY in form for form in forms):
+            t = next(t for t, form in enumerate(forms) if BOUNDARY in form)
+            raise _boundary_error(self.lines[t], forms[t])
+        symbols, codes = _pair_codes(stream_from_words(forms))
+        offsets = np.zeros(len(forms) + 1, dtype=np.intp)
+        np.cumsum([len(form) + 1 for form in forms], out=offsets[1:])
+        return TypePairs(forms=forms, symbols=symbols, offsets=offsets,
+                         codes=codes)
 
 
 def merge_symbols(

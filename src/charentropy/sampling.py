@@ -9,7 +9,8 @@ spread per window size.
 Windows are word-aligned and ignore line/paragraph structure. Each window
 is measured with its own leading and trailing boundary; because the full
 document stream already separates words with single boundary symbols, a
-window's stream is literally a contiguous slice of the document stream.
+window's stream is literally a contiguous slice of the document stream,
+whose pairs are those of its tokens' word types (``metrics.TypeCounts``).
 
 Counting a window costs the same whatever its length. Only the m distinct
 adjacent pairs that occur in the document are counted, renumbered 0..m-1
@@ -42,7 +43,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import LongTable
-from .metrics import BOUNDARY, h2_from_cells, symbol_codes, to_stream
+from .metrics import TypeCounts, h2_from_cells
+from .metrics import to_stream  # noqa: F401  (a perfbench trace point)
 
 DEFAULT_SAMPLES_PER_SIZE = 1000
 
@@ -97,21 +99,23 @@ class WindowCounts:
     :meth:`h2`.
     """
 
-    def __init__(self, table: LongTable) -> None:
-        symbols, codes = symbol_codes(to_stream(table))
-        k = len(symbols)
-        # Renumber the pairs (a, b) that occur in the order of a * k + b, so
-        # that the pairs of one row are adjacent. Counts, and so pair
-        # numbers, fit 32 bits unless the text has 2**31 characters.
-        heads, tails = codes[:-1], codes[1:]
-        small = np.int32 if len(heads) < 2 ** 31 else np.int64
-        seen = np.zeros((k, k), dtype=bool)
-        seen[heads, tails] = True
-        occurring = np.flatnonzero(seen)
+    def __init__(self, types: TypeCounts) -> None:
+        if types.ids is None:
+            raise ValueError("WindowCounts needs the tokens' type ids")
+        pairs = types.pairs()
+        k = len(pairs.symbols)
+        # Renumber the pairs (a, b) that occur (the types') in the order of
+        # a * k + b, so that the pairs of one row are adjacent. Counts, and
+        # so pair numbers, fit 32 bits unless the text has 2**31 characters.
+        occurring, pair_of_code = np.unique(pairs.codes, return_inverse=True)
         m = len(occurring)
-        remap = np.zeros(k * k, dtype=small)
-        remap[occurring] = np.arange(m)
-        self._pairs = remap.reshape(k, k)[heads, tails]
+        # The text's pairs are those of its tokens' types, in token order.
+        sizes = np.diff(pairs.offsets)[types.ids]
+        ends = np.cumsum(sizes)
+        n_pairs = int(ends[-1])
+        small = np.int32 if n_pairs < 2 ** 31 else np.int64
+        self._pairs = pair_of_code[np.arange(n_pairs) + np.repeat(
+            pairs.offsets[types.ids] - ends + sizes, sizes)].astype(small)
         self._m = m
         # The pairs of row i of the count matrix are pairs
         # row_starts[i]:row_starts[i + 1] of the m; _row_of[j] is the row of
@@ -121,15 +125,14 @@ class WindowCounts:
         self._row_starts = row_starts
         self._row_of = np.repeat(np.arange(len(row_starts)),
                                  np.diff(row_starts, append=m))
-        # boundaries[i] is the char index of the boundary before word i; the
-        # window of words [i, i+w) spans pair indices [boundaries[i],
+        # The window of words [i, i+w) spans pair indices [boundaries[i],
         # boundaries[i+w]).
-        self._boundaries = np.flatnonzero(codes == symbols.index(BOUNDARY))
-        self.n_words = len(self._boundaries) - 1
+        self._boundaries = np.concatenate(([0], ends))
+        self.n_words = len(sizes)
         # The smallest spacing at which the table, one row of m counts per
         # checkpoint at words 0, spacing, 2 * spacing, ... <= n_words,
         # holds no more numbers than the text has pairs.
-        self.spacing = self.n_words // (len(heads) // m) + 1
+        self.spacing = self.n_words // (n_pairs // m) + 1
         # _cumulative[j] counts the pairs before checkpoint j, the boundary
         # before word j * spacing.
         self._checkpoints = self._boundaries[::self.spacing]
@@ -157,13 +160,14 @@ class WindowCounts:
         return h2_from_cells(counts[occupied], row_sums[occupied], hi - lo)
 
 
-def sample_h2(table: LongTable, cfg: SamplingConfig) -> list[SampleDistribution]:
-    """Resample h2 at each configured window size.
-
-    Raises ConfigError naming the offending size if any window exceeds the
-    document's word count.
-    """
-    windows = WindowCounts(table)
+def sample_h2(document: LongTable | TypeCounts,
+              cfg: SamplingConfig) -> list[SampleDistribution]:
+    """Resample h2 at each configured window size, over a table or its
+    TypeCounts with the tokens kept. Raises ConfigError naming the
+    offending size if any window exceeds the document's word count."""
+    if isinstance(document, LongTable):
+        document = TypeCounts.of(document)
+    windows = WindowCounts(document)
     n_words = windows.n_words
     too_big = [w for w in cfg.window_sizes if w > n_words]
     if too_big:

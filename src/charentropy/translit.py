@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import RewriteError, RuleFileError
-from .ingest import LongTable, check_words, rewrite_types
+from .ingest import LongTable, character_counts, check_words, rewrite_types
 
 RARE_THRESHOLD = 50  # a character this frequent (or more) is not "rare"
 RARE_EXEMPT = frozenset("x")  # rare but kept distinct, never masked
@@ -201,11 +201,8 @@ def simplified_forms(forms: Sequence[str], freq: Sequence[int], *,
     frequency, so rarity is judged after ligature lowering and a character
     split across plain and ligature-marked spellings is counted once."""
     lowered = [w.translate(LIGATURE_LOWERING) for w in forms]
-    counts: Counter = Counter()
-    for form, n in zip(lowered, freq):
-        for c in form:
-            counts[c] += n
-    rare = rare_characters(counts, threshold=threshold)
+    rare = rare_characters(character_counts(lowered, freq),
+                           threshold=threshold)
     return [simplify_maximal(w, rare) for w in lowered]
 
 

@@ -5,9 +5,9 @@ library (dicts and plain loops instead of numpy; no shared helpers) so that
 agreement between the two is meaningful. Four are exceptions. The
 long-table reader is the original row-by-row reader, which builds each row
 as a WordRecord and so shares the record's validation. The TSV command
-oracle is ``stats``, ``bigrams``, ``sukhotin``, ``translit`` and
-``cleanse`` as they ran before they read their input in slices: the whole
-file decoded, read into a table with ``read_tsv``, and the table
+oracle is ``stats``, ``bigrams``, ``sukhotin``, ``sample``, ``translit``
+and ``cleanse`` as they ran before they read their input in slices: the
+whole file decoded, read into a table with ``read_tsv``, and the table
 functions, with ``translit`` rewriting token by token. The batch oracle is
 the token-level path ``batch`` took before it counted word types: it
 composes the library's transliteration, this module's token-by-token
@@ -34,6 +34,8 @@ from charentropy.ingest import (TSV_COLUMNS, LongTable, WordRecord, _decode,
 from charentropy.metrics import (bigram_matrix, coverage_report,
                                  entropy_report, heatmap_export, symbol_codes,
                                  to_stream)
+from charentropy.sampling import (SamplingConfig, distributions_to_dict,
+                                  sample_h2)
 from charentropy.sukhotin import detect_on_document
 from charentropy.translit import (apply, builtin_rules, load_rules,
                                   transliterate_document)
@@ -271,10 +273,12 @@ def tsv_command_oracle(command: str, raw: bytes, path: str, *,
                        threshold: float | None = None,
                        include_space: bool = False,
                        system: str | None = None, rules: str | None = None,
-                       rare_min: int | None = None):
+                       rare_min: int | None = None,
+                       sampling: SamplingConfig | None = None):
     """``(exit code, standard error, {file name: text})`` of ``stats --out
     o.json``, ``bigrams --out-prefix o``, ``sukhotin --diagnostics --out
-    o.json`` (with ``include_space``), ``translit --out o.tsv`` (with
+    o.json`` (with ``include_space``), ``sample --values --out o.json``
+    (with the flags of ``sampling``), ``translit --out o.tsv`` (with
     ``--system``, ``--rules`` or ``--simplify --rare-min``) or ``cleanse
     --out o.tsv`` (with ``--threshold``) on the TSV file ``path`` holding
     ``raw``: the whole file decoded, read with ``read_tsv``, and the table
@@ -302,6 +306,12 @@ def tsv_command_oracle(command: str, raw: bytes, path: str, *,
             result = detect_on_document(table, include_space)
             files = {"o.json": json_dumps(
                 {**head, **result.as_dict(diagnostics=True)})}
+        elif command == "sample":
+            files = {"o.json": json_dumps({
+                **head, "seed": sampling.seed,
+                "samples_per_size": sampling.samples_per_size,
+                "distributions": distributions_to_dict(
+                    sample_h2(table, sampling), include_values=True)})}
         elif command == "translit":
             files = {"o.tsv": write_tsv(
                 _translit_oracle(table, system, rules, rare_min))}

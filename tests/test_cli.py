@@ -205,6 +205,25 @@ def test_rare_min_below_one_is_data_error(workspace, capsys, argv, value):
     assert sorted(workspace.iterdir()) == before
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--windows", "5", "--n", "0"], "--n must be at least 1, got 0"),
+    (["--windows", "5", "--seed", "-1"],
+     "--seed must lie in [0, 2**64), got -1"),
+    (["--windows", "5", "--seed", str(2 ** 64)],
+     f"--seed must lie in [0, 2**64), got {2 ** 64}"),
+    (["--windows=-5,10"], "--windows must be at least 1, got -5"),
+    (["--windows", "5,0"], "--windows must be at least 1, got 0"),
+], ids=["n", "seed-negative", "seed-too-large", "windows-negative",
+        "windows-zero"])
+def test_sample_flags_are_checked_before_the_input_is_read(
+        workspace, capsys, flags, message):
+    # The input does not exist: the flag is reported, not the file.
+    before = sorted(workspace.iterdir())
+    assert run("sample", "missing.tsv", *flags, "--out", "s.json") == 2
+    assert capsys.readouterr().err == f"charentropy: error: {message}\n"
+    assert sorted(workspace.iterdir()) == before
+
+
 def test_sample_json_and_csv(workspace):
     run("ingest", "plain.txt", "--out", "p.tsv")
     assert run("sample", "p.tsv", "--windows", "2,5", "--n", "6",

@@ -274,6 +274,14 @@ def test_metadata_map_rejects_bad_rows():
         FolioMetadataMap.from_tsv("f1r\therbal\tA\t9\tA\n")
 
 
+def test_metadata_map_rejects_a_folio_listed_twice():
+    with pytest.raises(ParseError) as caught:
+        FolioMetadataMap.from_tsv("f1r\therbal\tA\t1\tq1\n"
+                                  "# comment\n"
+                                  "f1r\tstars\tB\t2\tq9\n")
+    assert str(caught.value) == "line 3: folio 'f1r' is listed twice"
+
+
 def test_metadata_map_skips_comments_and_header():
     m = FolioMetadataMap.from_tsv(
         "# comment\nfolio\tsection\tlanguage\thand\tquire\n"

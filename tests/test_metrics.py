@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 import oracles
 from charentropy.errors import DataError, EmptyStreamError
 from charentropy.ingest import from_words
-from charentropy.metrics import (BOUNDARY, CharStream, WordTypes,
+from charentropy.metrics import (BOUNDARY, CharStream, TypeCounts,
                                  bigram_matrix, coverage_report,
                                  entropy_contribution, entropy_report,
                                  heatmap_export, merge_symbols, pair_counts,
-                                 stream_from_words, to_stream, type_pairs)
+                                 stream_from_words, to_stream)
 
 words_strategy = st.lists(
     st.text(alphabet="abcde", min_size=1, max_size=8),
@@ -130,7 +130,7 @@ def assert_counts_of(words, symbols, counts):
 
 @given(words_strategy, st.data())
 def test_type_counts_equal_stream_counts(words, data):
-    types = WordTypes.of(from_words(words))
+    types = TypeCounts.of(from_words(words))
     assert list(types.forms) == list(dict.fromkeys(words))
     assert [types.forms[i] for i in types.ids] == words
     mask = np.array(data.draw(st.lists(
@@ -140,24 +140,24 @@ def test_type_counts_equal_stream_counts(words, data):
     freq = types.frequencies(mask)
     assert freq.tolist() == [kept.count(f) for f in types.forms]
 
-    pairs = type_pairs(types, types.forms)
+    pairs = types.pairs(types.forms)
     counts = pairs.counts(freq)
     assert counts.dtype == np.int64
     assert_counts_of(kept, pairs.symbols, counts)
 
     # The same over a rewrite of the forms, one for one.
-    upper = type_pairs(types, [f.upper() + "z" for f in types.forms])
+    upper = types.pairs([f.upper() + "z" for f in types.forms])
     assert_counts_of([w.upper() + "z" for w in kept], upper.symbols,
                      upper.counts(freq))
 
 
 @given(words_strategy, st.data())
 def test_type_counts_add_over_disjoint_frequencies(words, data):
-    types = WordTypes.of(from_words(words))
+    types = TypeCounts.of(from_words(words))
     part = np.array(data.draw(st.lists(
         st.booleans(), min_size=len(words), max_size=len(words))))
     first, second = types.frequencies(part), types.frequencies(~part)
-    pairs = type_pairs(types, types.forms)
+    pairs = types.pairs(types.forms)
     assert np.array_equal(pairs.counts(first) + pairs.counts(second),
                           pairs.counts(first + second))
     assert np.array_equal(pairs.counts(first + second),
@@ -168,14 +168,15 @@ def test_boundary_inside_a_form_names_the_first_such_word():
     table = from_words(["ab", "c#", "d#e", "c#"])
     with pytest.raises(DataError) as caught:
         to_stream(table)
-    types = WordTypes.of(table)
+    types = TypeCounts.of(table)
     with pytest.raises(DataError) as again:
-        type_pairs(types, types.forms)
-    assert str(again.value) == str(caught.value) == (
+        types.pairs(types.forms)
+    with pytest.raises(DataError) as own:
+        types.pairs()
+    assert str(again.value) == str(own.value) == str(caught.value) == (
         "line 2: word 'c#' contains the word boundary symbol '#'")
     with pytest.raises(DataError, match="line 3: word 'd#e'"):
-        type_pairs(WordTypes.of(from_words(["ab", "ab", "de"])),
-                   ["ab", "d#e"])
+        TypeCounts.of(from_words(["ab", "ab", "de"])).pairs(["ab", "d#e"])
 
 
 @given(words_strategy, st.data())

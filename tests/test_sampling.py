@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from charentropy.errors import ConfigError
 from charentropy.ingest import from_words
-from charentropy.metrics import (entropy_report, h2_from_counts,
+from charentropy.metrics import (TypeCounts, entropy_report, h2_from_counts,
                                  stream_from_words, to_stream)
 from charentropy.sampling import (SampleDistribution, SamplingConfig,
                                   WindowCounts, distributions_to_csv,
@@ -87,7 +87,7 @@ def _corpora(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(table=_corpora(), seed=st.integers(0, 2 ** 64 - 1), data=st.data())
 def test_sample_h2_equals_the_dense_count_oracle(table, seed, data):
-    windows = WindowCounts(table)
+    windows = WindowCounts(TypeCounts.of(table))
     n, s = windows.n_words, windows.spacing
     assert windows._cumulative.size <= len(windows._pairs)
     sizes = sorted({w for w in (1, n, s - 1, s, s + 1,

@@ -6,21 +6,25 @@ import hashlib
 import io
 import json
 import random
+import statistics
 import tempfile
 import tracemalloc
 from importlib import resources
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from charentropy import ingest
 from charentropy.cli import main
+from charentropy.errors import ParseError
 from charentropy.ingest import (TSV_COLUMNS, decoded_blocks, from_words,
                                 read_tsv, tsv_slices, write_tsv)
 from charentropy.metrics import TypeCounts, entropy_report, to_stream
+from charentropy.sampling import SamplingConfig
 from test_ingest import _tsv_texts as tsv_texts
 
 _WORDS = st.text(st.sampled_from("aabcdeéZ'-.,1\U00010330я"),
@@ -68,6 +72,11 @@ _COMMANDS = (
     ("sukhotin", ["--diagnostics", "--out", "{out}/o.json"], {}),
     ("sukhotin", ["--include-space", "--diagnostics", "--out",
                   "{out}/o.json"], {"include_space": True}),
+    # Windows of 1 and 3 words: a table of one or two words is too short.
+    ("sample", ["--windows", "1,3", "--n", "3", "--seed", "7", "--values",
+                "--out", "{out}/o.json"],
+     {"sampling": SamplingConfig(window_sizes=(1, 3), samples_per_size=3,
+                                 seed=7)}),
     ("translit", ["--system", "maximal", "--out", "{out}/o.tsv"],
      {"system": "maximal"}),
     ("translit", ["--system", "minimal", "--out", "{out}/o.tsv"],
@@ -107,6 +116,9 @@ def _expected_digests(path: str, raw: bytes, options: list[str]) -> list:
 @settings(max_examples=150, deadline=None, derandomize=True)
 # A word holding the boundary before a bad row: the row's error wins.
 @example(raw=(_HEADER + _row("C#") + "qo\t1\n").encode(), block=1)
+# A word holding the boundary in a table long enough for every window.
+@example(raw=(_HEADER + _row("ab") + _row("C#", 2) + _row("d", 3)
+              + _row("ab", 4)).encode(), block=1)
 # A bad byte in a later block than a bad row: the byte's error wins.
 @example(raw=(_HEADER + "qo\t1\n" + _row("a") * 3).encode() + b"\xff\n",
          block=16)
@@ -154,6 +166,28 @@ def test_sliced_commands_equal_the_whole_table_path(raw, block):
             out.rmdir()
 
 
+def _types_or_error(fold):
+    """The fields of the TypeCounts ``fold()`` makes, ids as a list, or the
+    message of the ParseError it raises."""
+    try:
+        types = fold()
+    except ParseError as exc:
+        return str(exc)
+    assert types.ids.dtype == np.int32
+    return (types.source_id, types.forms, types.freq, types.boundary_word,
+            types.ids.tolist(), types.lines)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=tsv_texts(), block=st.sampled_from([1, 2, 5, 64, 1 << 18]))
+def test_a_fold_keeping_tokens_equals_the_types_of_the_table(text, block):
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+        sliced = _types_or_error(lambda: TypeCounts.fold(
+            tsv_slices(decoded_blocks(io.BytesIO(text.encode()).read)),
+            tokens=True))
+    assert sliced == _types_or_error(lambda: TypeCounts.of(read_tsv(text)))
+
+
 def _tsv_file(directory: Path, n_rows: int) -> Path:
     """A TSV of ``n_rows`` words drawn from a fixed 500-word vocabulary."""
     rng = random.Random(0)
@@ -193,12 +227,17 @@ def test_fold_memory_is_flat_in_the_row_count(tmp_path):
     assert read_large > 3 * read_small, (read_small, read_large)
 
 
-def test_readme_fold_example_runs(tmp_path, monkeypatch):
+def _readme_example(marker: str) -> str:
+    """The one Python example of the README that holds ``marker``."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
         encoding="utf-8")
-    (example,) = [block.split("```", 1)[0]
-                  for block in readme.split("```python\n")[1:]
-                  if "TypeCounts.fold" in block]
+    (example,) = [code for block in readme.split("```python\n")[1:]
+                  if marker in (code := block.split("```", 1)[0])]
+    return example
+
+
+def test_readme_fold_example_runs(tmp_path, monkeypatch):
+    example = _readme_example("TypeCounts.fold")
     monkeypatch.chdir(tmp_path)
     table = from_words("the cat sat on the mat".split())
     (tmp_path / "clean.tsv").write_text(write_tsv(table), encoding="utf-8")
@@ -206,3 +245,15 @@ def test_readme_fold_example_runs(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(out):
         exec(compile(example, "README.md", "exec"), {})
     assert float(out.getvalue()) == entropy_report(to_stream(table)).h2
+
+
+def test_readme_sample_example_runs():
+    example = _readme_example("TypeCounts.of")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {})
+    table = from_words("the cat sat on the mat".split())
+    cfg = SamplingConfig(window_sizes=(2, 4), samples_per_size=10, seed=1)
+    means = [statistics.fmean(values)
+             for values in oracles.sample_h2_oracle(table, cfg)]
+    assert out.getvalue() == f"{means}\n"
