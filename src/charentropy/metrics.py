@@ -45,7 +45,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -204,8 +204,9 @@ class TypeCounts:
     ``forms`` are the distinct words in first-occurrence order and
     ``freq[t]`` is the number of tokens of type t. ``boundary_word`` is the
     ``(line_number, word)`` of the first token that contains the boundary
-    symbol, or None. With the tokens kept (else both None), token i is
-    ``forms[ids[i]]`` and ``lines[t]`` is the line of type t's first token.
+    symbol, or None. With the tokens kept (else None), token i is
+    ``forms[ids[i]]``; :meth:`of` also keeps ``lines[t]``, the line of type
+    t's first token.
     """
 
     source_id: str
@@ -220,39 +221,38 @@ class TypeCounts:
              tokens: bool = False) -> "TypeCounts":
         """Count the rows of ``ingest.tsv_slices``, holding one slice's words
         and the counts so far, and if ``tokens``, the int32 type ids."""
-        counts: Counter = Counter()
+        counts: Counter = Counter()  # the types, unless tokens are kept
         index: dict[str, int] = {}  # type ids, when tokens are kept
-        ids: list[np.ndarray] = []
-        lines: list[int] = []
+        ids: list[np.ndarray] = [np.zeros(0, np.int32)]
         source_id, boundary_word = "", None
         for source_id, columns in slices:
             words = list(columns[0])
-            line_numbers = columns[_LINE_NUMBER]
-            counts.update(words)
-            if tokens:
-                line_numbers, known = list(line_numbers), len(index)
+            if not tokens:
+                counts.update(words)
+            else:
                 for w in dict.fromkeys(words):
                     index.setdefault(w, len(index))
-                part = np.fromiter(map(index.__getitem__, words), np.int32,
-                                   len(words))
-                ids.append(part)
-                types, first = np.unique(part, return_index=True)
-                lines += [line_numbers[i]
-                          for i in first[types >= known].tolist()]
+                ids.append(np.fromiter(map(index.__getitem__, words),
+                                       np.int32, len(words)))
             if boundary_word is None and BOUNDARY in "".join(words):
                 i = next(i for i, w in enumerate(words) if BOUNDARY in w)
-                boundary_word = (next(islice(line_numbers, i, None)),
+                boundary_word = (next(islice(columns[_LINE_NUMBER], i, None)),
                                  words[i])
+        token_ids = np.concatenate(ids) if tokens else None
+        if tokens:  # type ids number the forms in first-occurrence order
+            counts = dict(zip(index, np.bincount(token_ids).tolist()))
         return cls(source_id=source_id, forms=tuple(counts),
                    freq=tuple(counts.values()), boundary_word=boundary_word,
-                   ids=(np.concatenate(ids or [np.zeros(0, np.int32)])
-                        if tokens else None),
-                   lines=tuple(lines) if tokens else None)
+                   ids=token_ids)
 
     @classmethod
     def of(cls, table: LongTable) -> "TypeCounts":
-        """The table's word types and tokens, folded as one slice."""
-        return cls.fold([(table.source_id, table.columns)], tokens=True)
+        """The table's word types and tokens, folded as one slice, and each
+        type's first line."""
+        types = cls.fold([(table.source_id, table.columns)], tokens=True)
+        first = np.unique(types.ids, return_index=True)[1].tolist()
+        lines = table.columns[_LINE_NUMBER]
+        return replace(types, lines=tuple(lines[i] for i in first))
 
     def frequencies(self, mask: np.ndarray) -> np.ndarray:
         """Tokens of each type among those the boolean ``mask`` keeps."""
@@ -260,7 +260,7 @@ class TypeCounts:
 
     def pairs(self, forms: Sequence[str] | None = None) -> TypePairs:
         """Pair codes of the types' forms or of ``forms``, a rewrite of them
-        one for one (which needs the tokens kept). Raises what
+        one for one (which needs :meth:`of`'s lines). Raises what
         :func:`to_stream` raises on the (rewritten) table: EmptyStreamError,
         or DataError naming the first word that holds the boundary."""
         if not self.forms:

@@ -175,7 +175,7 @@ def _types_or_error(fold):
         return str(exc)
     assert types.ids.dtype == np.int32
     return (types.source_id, types.forms, types.freq, types.boundary_word,
-            types.ids.tolist(), types.lines)
+            types.ids.tolist())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
