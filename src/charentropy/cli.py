@@ -25,7 +25,9 @@ are written a few thousand rows at a time; ``stats``, ``bigrams``,
 ``sukhotin`` and ``sample`` fold theirs into word types a block at a time
 (``sample`` keeps a type id per word), and ``translit`` and ``cleanse``
 keep their input's bytes and word-type counts and rewrite each row where
-it stands, so none of them holds a table.
+it stands, so none of them holds a table. numpy is loaded on first use, so
+only the commands that count load it: ``--version``, ``ingest``,
+``translit`` and ``cleanse`` start without it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ import sys
 from collections.abc import Iterable
 from itertools import compress
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .cleanse import (CleanseConfig, cleaned_forms, parse_config,
@@ -505,8 +505,8 @@ def cmd_batch(args) -> int:
     rows = []
     for doc, selection, system in jobs:
         if selection not in frequencies:
-            mask = np.frombuffer(selection_mask(table, selection), bool)
-            frequencies[selection] = types.frequencies(mask)
+            frequencies[selection] = types.frequencies(
+                selection_mask(table, selection))
         freq = frequencies[selection]
         if not freq.any():
             print(f"charentropy: batch: skipping {doc}/{system}: "
@@ -531,7 +531,7 @@ def cmd_batch(args) -> int:
         rows.append("\t".join([
             doc, system,
             # every letter of the selection follows some symbol
-            str(np.count_nonzero(column_sums) - 1),
+            str(column_sums.nonzero()[0].size - 1),
             fmt_float(h2_from_counts(counts)),
             # and every word ends with the boundary
             str(column_sums[symbols.index(BOUNDARY)]),

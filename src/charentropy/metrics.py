@@ -48,10 +48,11 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from itertools import islice
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import DataError, EmptyStreamError
 from .ingest import RECORD_FIELDS, LongTable
+
+np = lazy_import("numpy")
 
 BOUNDARY = "#"
 
@@ -223,7 +224,7 @@ class TypeCounts:
         and the counts so far, and if ``tokens``, the int32 type ids."""
         counts: Counter = Counter()  # the types, unless tokens are kept
         index: dict[str, int] = {}  # type ids, when tokens are kept
-        ids: list[np.ndarray] = [np.zeros(0, np.int32)]
+        ids: list[np.ndarray] = [np.zeros(0, np.int32)] if tokens else []
         source_id, boundary_word = "", None
         for source_id, columns in slices:
             words = list(columns[0])
@@ -254,9 +255,11 @@ class TypeCounts:
         lines = table.columns[_LINE_NUMBER]
         return replace(types, lines=tuple(lines[i] for i in first))
 
-    def frequencies(self, mask: np.ndarray) -> np.ndarray:
-        """Tokens of each type among those the boolean ``mask`` keeps."""
-        return np.bincount(self.ids[mask], minlength=len(self.forms))
+    def frequencies(self, mask: bytes | np.ndarray) -> np.ndarray:
+        """Tokens of each type among those ``mask`` keeps: a boolean array
+        or bytes of 0 and 1 (``ingest.selection_mask``), one per token."""
+        keep = np.frombuffer(mask, bool)
+        return np.bincount(self.ids[keep], minlength=len(self.forms))
 
     def pairs(self, forms: Sequence[str] | None = None) -> TypePairs:
         """Pair codes of the types' forms or of ``forms``, a rewrite of them

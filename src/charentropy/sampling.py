@@ -36,15 +36,16 @@ from __future__ import annotations
 
 import csv
 import io
-import statistics
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import ConfigError
 from .ingest import LongTable
 from .metrics import TypeCounts, h2_from_cells
 from .metrics import to_stream  # noqa: F401  (a perfbench trace point)
+
+np = lazy_import("numpy")
+statistics = lazy_import("statistics")
 
 DEFAULT_SAMPLES_PER_SIZE = 1000
 

@@ -25,10 +25,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .ingest import LongTable
 from .metrics import BOUNDARY, CharStream, pair_counts, to_stream
+
+np = lazy_import("numpy")
 
 
 @dataclass(frozen=True, slots=True)
