@@ -1,24 +1,19 @@
-"""Import a module on its first attribute access. charentropy loads numpy
-this way, so the commands that never count (``--version``, ``ingest``,
-``translit``, ``cleanse``) do not pay for it.
-
-This is the standard library's ``importlib.util.LazyLoader`` recipe, as in
-Scientific Python SPEC 1. ``LazyLoader`` is not thread-safe before Python
-3.13; charentropy is single-threaded.
-"""
+"""Lazy imports by ``importlib.util.LazyLoader`` (Scientific Python SPEC 1).
+``LazyLoader`` is not thread-safe before Python 3.13; charentropy is
+single-threaded."""
 
 import importlib.util
 import sys
 
 
 def lazy_import(name: str):
-    """The module ``name``: the one already imported, else a module that
-    runs its code on first attribute access."""
+    """The module ``name`` if imported, else one that loads on first use."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

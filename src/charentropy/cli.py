@@ -25,9 +25,8 @@ are written a few thousand rows at a time; ``stats``, ``bigrams``,
 ``sukhotin`` and ``sample`` fold theirs into word types a block at a time
 (``sample`` keeps a type id per word), and ``translit`` and ``cleanse``
 keep their input's bytes and word-type counts and rewrite each row where
-it stands, so none of them holds a table. numpy is loaded on first use, so
-only the commands that count load it: ``--version``, ``ingest``,
-``translit`` and ``cleanse`` start without it.
+it stands, so none of them holds a table. numpy loads on first use, which
+``--version``, ``ingest``, ``translit`` and ``cleanse`` never reach.
 """
 
 from __future__ import annotations

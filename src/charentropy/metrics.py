@@ -256,8 +256,7 @@ class TypeCounts:
         return replace(types, lines=tuple(lines[i] for i in first))
 
     def frequencies(self, mask: bytes | np.ndarray) -> np.ndarray:
-        """Tokens of each type among those ``mask`` keeps: a boolean array
-        or bytes of 0 and 1 (``ingest.selection_mask``), one per token."""
+        """Tokens of each type that ``mask`` (bools or 0/1 bytes) keeps."""
         keep = np.frombuffer(mask, bool)
         return np.bincount(self.ids[keep], minlength=len(self.forms))
 
