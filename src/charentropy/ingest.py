@@ -8,7 +8,10 @@ transcriber); the table carries one ``source_id``. A :class:`WordRecord` is
 one row of the table, built on demand.
 
 Columns are validated once, where tables are built: the two parsers,
-:func:`read_tsv`, :func:`from_words` and :func:`with_words`. Every other table
+:func:`read_tsv`, :func:`from_words` and :func:`with_words`. A TSV is read
+a block at a time: one pattern per file accepts a block of good rows in a
+single match, and a block it rejects is checked row by row, which alone
+decides which line is in error and why. Every other table
 derives from those through the only two transforms, :func:`with_words`
 (replace every word) and :func:`take` (keep the rows a boolean mask selects).
 Every word rewrite in the package (transliteration, simplification,
@@ -49,7 +52,6 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
-from typing import NoReturn
 
 from .errors import DecodeError, MetadataError, ParseError
 
@@ -140,21 +142,11 @@ class WordRecord:
                 raise ValueError(f"unknown {name} {value!r}")
 
 
-def _invalid_values(name: str, values: set) -> set:
-    """The values among ``values`` that WordRecord rejects in field
-    ``name``, a text field."""
-    if name == "surface_form":
-        return {w for w in values
-                if not w or not _WHITESPACE_CHARS.isdisjoint(w)}
-    if name in _ENUM_FIELDS:
-        return values.difference(_ENUM_FIELDS[name])
-    return set()
-
-
 def check_words(words: Sequence[str]) -> None:
     """Raise WordRecord's ValueError for the first invalid word, if any,
     judging each distinct word once."""
-    bad = _invalid_values("surface_form", set(words))
+    bad = {w for w in set(words)
+           if not w or not _WHITESPACE_CHARS.isdisjoint(w)}
     if bad:
         _check_surface_form(next(w for w in words if w in bad))
 
@@ -596,47 +588,39 @@ def _text_blocks(text: str) -> Iterator[str]:
         start = end
 
 
-def _chunk_columns(rows: list[str], source_id: str | None,
-                   interned: list[dict]):
-    """``(source_id, columns)`` of non-blank data lines, or None when a row
-    is invalid or has another source_id than ``source_id`` (when given) or
-    the first row. Each column is validated over its distinct values, and
-    its strings are taken from its dict in ``interned``."""
-    width = len(TSV_COLUMNS)
-    # No line contains "\n", so a field that is exactly "\n" ends a row, and
-    # every row has ``width`` fields when those fields sit at every
-    # (width + 1)-th place and nowhere else.
-    fields = "\t\n\t".join(rows).split("\t")
-    if (len(fields) != (width + 1) * len(rows) - 1
-            or fields[width::width + 1].count("\n") != len(rows) - 1):
-        return None
-    ids = set(fields[width - 1::width + 1])
-    if len(ids) != 1 or (source_id is not None and source_id not in ids):
-        return None
-    columns = []
-    for i, (name, cache) in enumerate(zip(RECORD_FIELDS, interned)):
-        part = fields[i::width + 1]
-        # Page metadata is mostly constant over a chunk, and comparing equal
-        # strings is cheaper than hashing each of them.
-        constant = part.count(part[0]) == len(part)
-        distinct = {part[0]} if constant else set(part)
+_LINE_NUMBER = RECORD_FIELDS.index("line_number")
+
+# The characters at which str.splitlines breaks a line, as a regex class
+# body. No row that _rows_pattern accepts holds one inside a field.
+_LINE_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+
+
+def _rows_pattern(source_id: str) -> re.Pattern:
+    """A pattern whose ``fullmatch`` accepts rows of ``source_id`` and blank
+    lines, each ended by ``\\n`` or ``\\r\\n`` (the last may be unended),
+    that :func:`_checked_rows` accepts. No field admits its separator."""
+    free = rf"[^\t{_LINE_BREAKS}]*"
+    fields = [rf"[^ \t{_LINE_BREAKS}]+"]
+    for name in RECORD_FIELDS[1:]:
         if name in _INT_FIELDS:
-            try:
-                value_of = {s: _position(name, s) for s in distinct}
-            except ValueError:
-                return None
-        elif _invalid_values(name, distinct):
-            return None
+            fields.append("[1-9][0-9]*")
+        elif name in _ENUM_FIELDS:
+            fields.append(f"(?:{'|'.join(_ENUM_FIELDS[name])})")
         else:
-            value_of = {s: cache.setdefault(s, s) for s in distinct}
-        columns.append(repeat(value_of[part[0]], len(part)) if constant
-                       else map(value_of.__getitem__, part))
-    return ids.pop(), columns
+            fields.append(free)
+    row = r"\t".join([*fields, re.escape(source_id)])
+    # A line is checked in a lookahead, which keeps none of its backtracking
+    # state, then consumed: a match holds a little state per line.
+    return re.compile(rf"(?:(?=(?:{row})?\r?\n).*\n)*(?:{row})?")
 
 
-def _raise_row_error(lines: list[str], first_line: int,
-                     source_id: str | None) -> NoReturn:
-    """Raise the ParseError of the first invalid line, row by row."""
+def _checked_rows(lines: list[str], first_line: int,
+                  source_id: str) -> list[str]:
+    """The non-blank lines of a block whose first line is line number
+    ``first_line``, checked row by row. Raises the ParseError of the first
+    line with the wrong number of columns, a source_id other than
+    ``source_id``, or a value WordRecord rejects."""
+    rows = []
     for n, line in enumerate(lines, start=first_line):
         if not line:
             continue
@@ -644,9 +628,7 @@ def _raise_row_error(lines: list[str], first_line: int,
         if len(fields) != len(TSV_COLUMNS):
             raise ParseError(
                 f"expected {len(TSV_COLUMNS)} columns, got {len(fields)}", n)
-        if source_id is None:
-            source_id = fields[-1]
-        elif fields[-1] != source_id:
+        if fields[-1] != source_id:
             raise ParseError(
                 f"source_id {fields[-1]!r} differs from {source_id!r} "
                 f"on the rows above", n)
@@ -655,54 +637,60 @@ def _raise_row_error(lines: list[str], first_line: int,
                          for name, v in zip(RECORD_FIELDS, fields)))
         except ValueError as exc:
             raise ParseError(str(exc), n) from None
-    raise RuntimeError("rejected long-table rows hold no invalid row")
+        rows.append(line)
+    return rows
 
 
-def tsv_slices(blocks: Iterable[str]) -> Iterator[tuple[str, list]]:
-    """The rows of a long-table TSV, validated slice by slice.
+def tsv_slices(blocks: Iterable[str]
+               ) -> Iterator[tuple[str, list[str], Callable[[int], int]]]:
+    """The words of a long-table TSV, validated slice by slice.
 
     ``blocks`` is the text in consecutive blocks, each cut just after a
-    ``\\n`` (the last may end anywhere), as :func:`decoded_blocks` and
-    :func:`_text_blocks` make them. Yields ``(source_id, columns)`` for the
-    rows of each block that holds any: one iterable per
-    :data:`RECORD_FIELDS` entry. Raises :func:`read_tsv`'s ParseError at
-    the first bad line; before that, the remaining blocks are read, so that
-    a bad byte anywhere in a file is reported first, as when the whole file
-    is decoded before it is parsed.
+    ``\\n`` (the last may end anywhere), as :func:`decoded_blocks` makes
+    them. Yields ``(source_id, words, line_of)`` for each block that holds
+    rows, where ``line_of(i)`` reads the line_number of row i. Raises
+    :func:`read_tsv`'s ParseError at the first bad line, after reading the
+    remaining blocks, so that a bad byte anywhere in a file is reported
+    first, as when the whole file is decoded before it is parsed.
     """
     blocks = iter(blocks)
     try:
-        yield from _slices(blocks)
+        for source_id, rows in _slices(blocks):
+            yield (source_id, [row[:row.index("\t")] for row in rows],
+                   lambda i, rows=rows: int(rows[i].split("\t")[_LINE_NUMBER]))
     except ParseError:
         for _ in blocks:
             pass
         raise
 
 
-def _slices(blocks: Iterator[str]) -> Iterator[tuple[str, list]]:
-    # Per column, one object per distinct string, shared by every row that
-    # repeats it.
-    interned: list[dict] = [{} for _ in RECORD_FIELDS]
-    source_id = None
+def _slices(blocks: Iterable[str]) -> Iterator[tuple[str, list[str]]]:
+    """``(source_id, rows)`` for each block of a long-table TSV that holds
+    rows: its non-blank lines, checked by the first row's source_id's
+    pattern, and row by row when the pattern rejects them."""
+    source_id = pattern = None
     line_number = 0  # lines consumed so far
     for block in blocks:
         lines = block.splitlines()
         if not lines:
             continue
+        start = 0  # where the block's rows begin
         if line_number == 0:
             header = tuple(lines[0].split("\t"))
             if header != TSV_COLUMNS:
                 raise ParseError(
                     f"unexpected long-table header {header!r}", 1)
+            start = len(TSV_HEADER)  # a "\r\n"'s "\n" reads as a blank line
             lines = lines[1:]
             line_number = 1
         rows = [line for line in lines if line]
         if rows:
-            chunk = _chunk_columns(rows, source_id, interned)
-            if chunk is None:
-                _raise_row_error(lines, line_number + 1, source_id)
-            source_id = chunk[0]
-            yield chunk
+            if source_id is None:
+                source_id = rows[0][rows[0].rfind("\t") + 1:]
+                pattern = _rows_pattern(source_id)
+            if not pattern.fullmatch(block, start):
+                rows = _checked_rows(lines, line_number + 1, source_id)
+            yield source_id, rows
         line_number += len(lines)
 
 
@@ -715,11 +703,22 @@ def read_tsv(text: str) -> LongTable:
     positive integer in ASCII digits, no sign, space, underscore or leading
     zero), or a value that WordRecord rejects.
     """
+    width = len(TSV_COLUMNS)
     columns: list[list] = [[] for _ in RECORD_FIELDS]
+    # Per column, one object per distinct string, shared by the rows.
+    interned: list[dict] = [{} for _ in RECORD_FIELDS]
     source_id = ""
-    for source_id, values in tsv_slices(_text_blocks(text)):
-        for column, part in zip(columns, values):
-            column.extend(part)
+    for source_id, rows in _slices(_text_blocks(text)):
+        # Every row has ``width`` fields: column j is fields[j::width].
+        fields = "\t".join(rows).split("\t")
+        for j, (name, column, cache) in enumerate(
+                zip(RECORD_FIELDS, columns, interned)):
+            part = fields[j::width]
+            if name in _INT_FIELDS:
+                value_of = {s: int(s) for s in set(part)}
+                column.extend(map(value_of.__getitem__, part))
+            else:
+                column.extend(map(cache.setdefault, part, part))
     return LongTable._from_columns(columns, source_id)
 
 

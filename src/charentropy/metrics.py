@@ -44,13 +44,12 @@ import io
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
-from itertools import islice
 
 from ._lazy import lazy_import
 from .errors import DataError, EmptyStreamError
-from .ingest import RECORD_FIELDS, LongTable
+from .ingest import LongTable
 
 np = lazy_import("numpy")
 
@@ -195,9 +194,6 @@ class TypePairs:
         return flat.astype(np.int64).reshape(k, k)
 
 
-_LINE_NUMBER = RECORD_FIELDS.index("line_number")
-
-
 @dataclass(frozen=True, slots=True)
 class TypeCounts:
     """The words of a long table as word types.
@@ -218,16 +214,16 @@ class TypeCounts:
     lines: tuple[int, ...] | None = None
 
     @classmethod
-    def fold(cls, slices: Iterable[tuple[str, list]], *,
+    def fold(cls, slices: Iterable[tuple[str, Sequence[str], Callable]], *,
              tokens: bool = False) -> "TypeCounts":
-        """Count the rows of ``ingest.tsv_slices``, holding one slice's words
-        and the counts so far, and if ``tokens``, the int32 type ids."""
+        """Count the words of ``ingest.tsv_slices``, holding one slice's
+        words and the counts so far, and if ``tokens``, the int32 type ids.
+        Only the first word holding the boundary asks ``line_of`` its line."""
         counts: Counter = Counter()  # the types, unless tokens are kept
         index: dict[str, int] = {}  # type ids, when tokens are kept
         ids: list[np.ndarray] = [np.zeros(0, np.int32)] if tokens else []
         source_id, boundary_word = "", None
-        for source_id, columns in slices:
-            words = list(columns[0])
+        for source_id, words, line_of in slices:
             if not tokens:
                 counts.update(words)
             else:
@@ -237,8 +233,7 @@ class TypeCounts:
                                        np.int32, len(words)))
             if boundary_word is None and BOUNDARY in "".join(words):
                 i = next(i for i, w in enumerate(words) if BOUNDARY in w)
-                boundary_word = (next(islice(columns[_LINE_NUMBER], i, None)),
-                                 words[i])
+                boundary_word = (line_of(i), words[i])
         token_ids = np.concatenate(ids) if tokens else None
         if tokens:  # type ids number the forms in first-occurrence order
             counts = dict(zip(index, np.bincount(token_ids).tolist()))
@@ -250,9 +245,10 @@ class TypeCounts:
     def of(cls, table: LongTable) -> "TypeCounts":
         """The table's word types and tokens, folded as one slice, and each
         type's first line."""
-        types = cls.fold([(table.source_id, table.columns)], tokens=True)
+        lines = table.column("line_number")
+        types = cls.fold([(table.source_id, table.columns[0],
+                           lines.__getitem__)], tokens=True)
         first = np.unique(types.ids, return_index=True)[1].tolist()
-        lines = table.columns[_LINE_NUMBER]
         return replace(types, lines=tuple(lines[i] for i in first))
 
     def frequencies(self, mask: bytes | np.ndarray) -> np.ndarray:
@@ -265,6 +261,8 @@ class TypeCounts:
         one for one (which needs :meth:`of`'s lines). Raises what
         :func:`to_stream` raises on the (rewritten) table: EmptyStreamError,
         or DataError naming the first word that holds the boundary."""
+        if forms is not None and self.lines is None:
+            raise ValueError("pairs(forms) needs TypeCounts.of's lines")
         if not self.forms:
             raise EmptyStreamError(
                 f"document {self.source_id!r} has no words")

@@ -1,7 +1,9 @@
+import contextlib
+import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -393,16 +395,24 @@ def _tsv_texts(draw):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
+# A row pattern that accepts no block, so that every block is checked row
+# by row.
+_NO_PATTERN = mock.patch.object(ingest, "_rows_pattern",
+                                lambda source_id: re.compile("(?!)"))
+
+
 @settings(max_examples=400, deadline=None)
-@given(text=_tsv_texts(), chunk_chars=st.sampled_from([1, 9, 200, 1 << 18]))
-def test_read_tsv_matches_row_by_row_reference(text, chunk_chars):
+@given(text=_tsv_texts(), chunk_chars=st.sampled_from([1, 9, 200, 1 << 18]),
+       row_by_row=st.booleans())
+def test_read_tsv_matches_row_by_row_reference(text, chunk_chars, row_by_row):
     # Small chunk sizes put chunk cuts between (and next to) every kind of
     # row, including the first one that fails.
     try:
         expected = oracles.read_tsv_rows(text)
     except ParseError as exc:
         expected = exc
-    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars), \
+            (_NO_PATTERN if row_by_row else contextlib.nullcontext()):
         if isinstance(expected, ParseError):
             with pytest.raises(ParseError) as exc:
                 read_tsv(text)
@@ -410,3 +420,71 @@ def test_read_tsv_matches_row_by_row_reference(text, chunk_chars):
             assert str(exc.value) == str(expected)
         else:
             assert read_tsv(text) == expected
+
+
+# Characters at which str.splitlines breaks a line.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@st.composite
+def _near_valid_blocks(draw):
+    """``(source_id, block)``: rows of a long-table TSV after its header,
+    mostly valid, with whitespace or a line break drawn into a field, a
+    source_id other than the block's, or a position that only looks like
+    write_tsv's."""
+    source_id = draw(st.sampled_from(["doc", "", "a.b", "x|y", "(", "d 1"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 19))  # 5 to 19: a valid row
+        if kind == 0:
+            lines.append("")
+            continue
+        row = [draw(st.sampled_from(["daiin", "C#", "#", "é", "x*"])),
+               *(str(draw(st.integers(1, 12))) for _ in range(4)),
+               draw(st.sampled_from(LOCUS_KINDS)),
+               str(draw(st.integers(1, 12))), str(draw(st.integers(1, 3))),
+               draw(st.sampled_from(["f1r", "", "f 1"])), "", "herbal",
+               draw(st.sampled_from(LANGUAGES)), draw(st.sampled_from(HANDS)),
+               "H", source_id]
+        if kind in (1, 2):  # the word, or any other field
+            column = 0 if kind == 1 else draw(st.integers(1, len(row) - 1))
+            at = draw(st.integers(0, len(row[column])))
+            row[column] = (row[column][:at] + draw(st.sampled_from(
+                " \t" + _LINE_BREAKS)) + row[column][at:])
+        elif kind == 3:
+            row[-1] = draw(st.sampled_from(["aXb", "x", "y", "(", "", "doc",
+                                            "d 1 "]))
+        elif kind == 4:
+            column = draw(st.sampled_from([1, 2, 3, 4, 6, 7]))
+            row[column] = draw(st.sampled_from(["0", "07", "\u0663",
+                                                "\uff17", "1\u0663"]))
+        lines.append("\t".join(row))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    block = "".join(map(str.__add__, lines, ends))
+    if block and draw(st.booleans()):
+        block = block.removesuffix("\n").removesuffix("\r")
+    return source_id, block
+
+
+def _one_row(word="daiin", position="1", source_id="doc"):
+    return (f"{word}\t{position}\t1\t1\t1\tparagraph\t1\t1\tf1r\t\therbal"
+            f"\tA\t1\tH\t{source_id}\n")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@example(("doc", _one_row("da iin")))
+@example(("doc", "\n" + _one_row(position="\u0663")))
+@example(("doc", _one_row() + "\r\n" + _one_row(position="07")))
+@example(("a.b", _one_row(source_id="a.b") + _one_row(source_id="aXb")))
+@given(_near_valid_blocks())
+def test_a_pattern_match_implies_the_row_check_accepts(drawn):
+    source_id, block = drawn
+    if ingest._rows_pattern(source_id).fullmatch(block) is None:
+        return
+    lines = block.splitlines()
+    rows = [line for line in lines if line]
+    assert ingest._checked_rows(lines, 2, source_id) == rows
+    # The source_id a file's pattern is made for is its first row's.
+    if rows:
+        assert rows[0].split("\t")[-1] == source_id

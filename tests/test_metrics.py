@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from charentropy.errors import DataError, EmptyStreamError
-from charentropy.ingest import from_words
+from charentropy.ingest import from_words, tsv_slices, write_tsv
 from charentropy.metrics import (BOUNDARY, CharStream, TypeCounts,
                                  bigram_matrix, coverage_report,
                                  entropy_contribution, entropy_report,
@@ -177,6 +177,16 @@ def test_boundary_inside_a_form_names_the_first_such_word():
         "line 2: word 'c#' contains the word boundary symbol '#'")
     with pytest.raises(DataError, match="line 3: word 'd#e'"):
         TypeCounts.of(from_words(["ab", "ab", "de"])).pairs(["ab", "d#e"])
+
+
+def test_pairs_of_a_rewrite_needs_the_lines_of_a_table():
+    # A fold keeps no line per type, so it cannot name the line of a
+    # rewritten form that holds the boundary; it says so, whatever forms.
+    types = TypeCounts.fold(tsv_slices([write_tsv(from_words(["ab", "cd"]))]))
+    for forms in (["ab", "c#d"], types.forms, ["too", "many", "forms"]):
+        with pytest.raises(ValueError, match=r"needs TypeCounts\.of.s lines"):
+            types.pairs(forms)
+    assert types.pairs().forms == ("ab", "cd")
 
 
 @given(words_strategy, st.data())

@@ -1,11 +1,14 @@
 """The package and its tests run on Python 3.10, the oldest version
 ``pyproject.toml`` allows: every file parses with 3.10's grammar and uses
-none of the standard-library names that 3.11 added."""
+none of the standard-library names that 3.11 added, and the long-table row
+pattern uses none of the regex syntax that 3.11 added."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from charentropy import ingest
 
 ROOT = Path(__file__).resolve().parent.parent
 OLDEST = (3, 10)
@@ -79,3 +82,12 @@ def test_each_3_11_name_is_caught(source, name):
 def test_3_11_syntax_is_caught():
     with pytest.raises(SyntaxError):
         newer_names("try:\n    pass\nexcept* ValueError:\n    pass\n")
+
+
+@pytest.mark.parametrize("source_id", ["doc", "", "a.b", "x|y", "(", "+*?"])
+def test_the_row_pattern_is_python_3_10_regex(source_id):
+    # 3.11 added possessive quantifiers and atomic groups; 3.10's re
+    # rejects them when it compiles the pattern.
+    pattern = ingest._rows_pattern(source_id).pattern
+    for syntax in ("*+", "++", "?+", "}+", "(?>"):
+        assert syntax not in pattern, syntax

@@ -25,6 +25,7 @@ from charentropy.ingest import (TSV_COLUMNS, decoded_blocks, from_words,
                                 read_tsv, tsv_slices, write_tsv)
 from charentropy.metrics import TypeCounts, entropy_report, to_stream
 from charentropy.sampling import SamplingConfig
+from test_ingest import _NO_PATTERN, parse
 from test_ingest import _tsv_texts as tsv_texts
 
 _WORDS = st.text(st.sampled_from("aabcdeéZ'-.,1\U00010330я"),
@@ -115,26 +116,30 @@ def _expected_digests(path: str, raw: bytes, options: list[str]) -> list:
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 # A word holding the boundary before a bad row: the row's error wins.
-@example(raw=(_HEADER + _row("C#") + "qo\t1\n").encode(), block=1)
+@example(raw=(_HEADER + _row("C#") + "qo\t1\n").encode(), block=1,
+         row_by_row=False)
 # A word holding the boundary in a table long enough for every window.
 @example(raw=(_HEADER + _row("ab") + _row("C#", 2) + _row("d", 3)
-              + _row("ab", 4)).encode(), block=1)
+              + _row("ab", 4)).encode(), block=1, row_by_row=False)
 # A bad byte in a later block than a bad row: the byte's error wins.
 @example(raw=(_HEADER + "qo\t1\n" + _row("a") * 3).encode() + b"\xff\n",
-         block=16)
+         block=16, row_by_row=False)
 # A word the erasing rule set erases, after one it keeps.
-@example(raw=(_HEADER + _row("daiin") + _row("qo", 2)).encode(), block=1)
+@example(raw=(_HEADER + _row("daiin") + _row("qo", 2)).encode(), block=1,
+         row_by_row=False)
 # An empty table, with and without its header.
-@example(raw=_HEADER.encode(), block=1)
-@example(raw=b"", block=1)
+@example(raw=_HEADER.encode(), block=1, row_by_row=False)
+@example(raw=b"", block=1, row_by_row=False)
 # A BOM, \r\n line ends, a non-BMP word, a blank line and no final break.
 @example(raw=b"\xef\xbb\xbf" + (_HEADER + _row("\U00010330a") + "\n"
                                 + _row("ba", 2)).replace("\n", "\r\n")
-         .encode().removesuffix(b"\r\n"), block=1)
-@given(raw=tsv_files(), block=st.sampled_from([1, 2, 5, 64, 1 << 18]))
-def test_sliced_commands_equal_the_whole_table_path(raw, block):
+         .encode().removesuffix(b"\r\n"), block=1, row_by_row=False)
+@given(raw=tsv_files(), block=st.sampled_from([1, 2, 5, 64, 1 << 18]),
+       row_by_row=st.booleans())
+def test_sliced_commands_equal_the_whole_table_path(raw, block, row_by_row):
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(ingest, "_BLOCK_BYTES", block):
+            mock.patch.object(ingest, "_BLOCK_BYTES", block), \
+            (_NO_PATTERN if row_by_row else contextlib.nullcontext()):
         tmp = Path(tmp)
         path = str(tmp / "in.tsv")
         Path(path).write_bytes(raw)
@@ -186,6 +191,41 @@ def test_a_fold_keeping_tokens_equals_the_types_of_the_table(text, block):
             tsv_slices(decoded_blocks(io.BytesIO(text.encode()).read)),
             tokens=True))
     assert sliced == _types_or_error(lambda: TypeCounts.of(read_tsv(text)))
+
+
+def _row_checks(raw: bytes, block: int) -> int:
+    """How many blocks a fold of ``raw``, read ``block`` bytes at a time,
+    checks row by row."""
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block), \
+            mock.patch.object(ingest, "_checked_rows",
+                              wraps=ingest._checked_rows) as checked:
+        try:
+            TypeCounts.fold(tsv_slices(decoded_blocks(io.BytesIO(raw).read)))
+        except ParseError:
+            pass
+    return checked.call_count
+
+
+def test_written_tables_take_only_the_row_pattern():
+    # Checking a block row by row is several times slower than matching it:
+    # a CRLF copy of a TSV, or blank lines in it, must not fall back to it.
+    rng = random.Random(0)
+    words = ["".join(rng.choices("abcdé#", k=rng.randint(1, 6)))
+             for _ in range(3000)]
+    # Every locus kind, language and hand, and a source_id the pattern
+    # must escape.
+    pages = parse("<f1r.P1.1;H> a1.a2\n<f1r.L1.1;H> lab\n"
+                  "<f26r.P1.1;H> b1.b2.b3\n<f67r.P1.1;H> u1\n",
+                  source_id="doc (1)")
+    text = (write_tsv(from_words(words, source_id="doc (1)"))
+            + write_tsv(pages).removeprefix(_HEADER))
+    spaced = text.replace("\n", "\n\n")  # a blank line after every line
+    bad = text + "qo\t1\n"
+    for block in (1, 2, 5, 64, 4096, 1 << 18):
+        for good in (text, text.replace("\n", "\r\n"), spaced,
+                     spaced.replace("\n", "\r\n")):
+            assert _row_checks(good.encode(), block) == 0, block
+        assert _row_checks(bad.encode(), block) > 0, block
 
 
 def _tsv_file(directory: Path, n_rows: int) -> Path:
