@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import ConfigError
-from .ingest import LongTable, character_counts, rewrite_types
+from .ingest import (LongTable, character_counts, content_lines,
+                     rewrite_types)
 from .metrics import charset_from_counts, pair_counts, to_stream
 
 DEFAULT_RARE_THRESHOLD = 0.0001  # 0.01% of word characters
@@ -162,10 +163,8 @@ def parse_config(text: str) -> CleanseConfig:
     characters, no separators).
     """
     values: dict[str, object] = {}
-    for n, line in enumerate(text.splitlines(), start=1):
+    for n, line in content_lines(text):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         if "=" not in line:
             raise ConfigError(f"line {n}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")

@@ -21,7 +21,9 @@ The long-table TSV (see the ingest module) is the interchange format:
 ``ingest`` produces it, ``translit`` and ``cleanse`` transform it, and the
 measurement commands (``stats``, ``bigrams``, ``sample``, ``sukhotin``,
 ``batch``) consume it or, for ``batch``, the raw interlinear file. Tables
-are written a few thousand rows at a time; ``stats``, ``bigrams``,
+are written a few thousand rows at a time. ``ingest`` makes one table per
+run of plain-text paragraphs, but parses interlinear text whole, so that
+every missing folio is reported first. ``stats``, ``bigrams``,
 ``sukhotin`` and ``sample`` fold theirs into word types a block at a time
 (``sample`` keeps a type id per word), and ``translit`` and ``cleanse``
 keep their input's bytes and word-type counts and rewrite each row where
@@ -46,9 +48,10 @@ from .cleanse import (CleanseConfig, cleaned_forms, parse_config,
 from .errors import CharentropyError, ConfigError, DataError
 from .formats import SCHEMA_VERSION, fmt_float, json_dumps, sha256_bytes
 from .ingest import (CANONICAL_SELECTIONS, FolioMetadataMap, _decode,
-                     canonical_selection, check_words, decoded_blocks,
-                     parse_interlinear, parse_plaintext, rewritten_tsv,
-                     selection_mask, tsv_pieces, tsv_slices)
+                     _table_from_lines, canonical_selection, check_words,
+                     content_lines, decoded_blocks, parse_interlinear,
+                     plaintext_runs, rewritten_tsv, selection_mask,
+                     tsv_pieces, tsv_slices)
 from .metrics import (BOUNDARY, TypeCounts, bigram_matrix_from_counts,
                       charset_from_counts, coverage_report,
                       entropy_report_from_counts, h2_from_counts,
@@ -64,7 +67,7 @@ from .translit import (builtin_rules, load_rules, rare_characters,
 # as a trace point.
 from .cleanse import charset_report, cleanse  # noqa: F401,E402
 from .formats import sha256_file  # noqa: F401,E402
-from .ingest import read_tsv, write_tsv  # noqa: F401,E402
+from .ingest import parse_plaintext, read_tsv, write_tsv  # noqa: F401,E402
 from .metrics import bigram_matrix, entropy_report, to_stream  # noqa: F401,E402
 from .translit import (simplify_document,  # noqa: F401,E402
                        transliterate_document)
@@ -202,17 +205,31 @@ def _load_meta(args, digests: list) -> FolioMetadataMap:
     return meta.permissive() if args.allow_missing_meta else meta
 
 
-def _sniff_kind(raw: bytes) -> str:
-    try:
-        text = raw.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError:
-        return "plaintext"  # the plaintext parser reports the bad byte
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        return "interlinear" if stripped.startswith("<") else "plaintext"
-    return "plaintext"
+def _sniff_kind(text: str) -> str:
+    first = next(content_lines(text), (0, ""))[1]
+    return "interlinear" if first.lstrip().startswith("<") else "plaintext"
+
+
+def _check_plaintext_flags(args) -> None:
+    """Raise ConfigError when a flag that only interlinear input reads is
+    given for input read as plain text."""
+    given = [f"--{name.replace('_', '-')}"
+             for name in ("meta", "transcriber", "comma_breaks",
+                          "allow_missing_meta")
+             if getattr(args, name) not in (None, False)]
+    if given:
+        raise ConfigError(
+            f"{args.input}: {', '.join(given)} apply only to interlinear "
+            f"input, and this input is read as plain text")
+
+
+def _plaintext_tables(text: str, source_id: str):
+    """The tables of plain text, one per run of whole paragraphs, each run
+    released before its table is written."""
+    for run in plaintext_runs(text):
+        table = _table_from_lines(run, source_id)
+        run.clear()
+        yield table
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +238,21 @@ def _sniff_kind(raw: bytes) -> str:
 
 def cmd_ingest(args) -> int:
     digests = []
-    raw = _read_input(args.input, digests)
-    kind = args.kind
-    if kind == "auto":
-        kind = _sniff_kind(raw)
+    text = _read_text(args.input, digests)
+    kind = _sniff_kind(text) if args.kind == "auto" else args.kind
     source_id = args.source_id or Path(args.input).name
     if kind == "interlinear":
         meta = _load_meta(args, digests)
         with _naming(args.input):
-            table = parse_interlinear(
-                raw, meta, args.transcriber,
-                comma_breaks=args.comma_breaks, source_id=source_id)
+            tables = [parse_interlinear(
+                text, meta, args.transcriber,
+                comma_breaks=args.comma_breaks, source_id=source_id)]
     else:
-        with _naming(args.input):
-            table = parse_plaintext(raw, source_id)
+        _check_plaintext_flags(args)
+        tables = _plaintext_tables(text, source_id)
     if args.select:
-        table = canonical_selection(table, args.select)
-    _emit(tsv_pieces(table), args.out)
+        tables = (canonical_selection(t, args.select) for t in tables)
+    _emit(tsv_pieces(tables), args.out)
     _write_manifest(
         args, "ingest", digests,
         {"kind": kind, "transcriber": args.transcriber,
@@ -420,9 +435,7 @@ def _batch_jobs(text: str) -> list[tuple[str, str, str]]:
     """(doc label, selection name, system) rows, in output order, from the
     text of a ``--jobs`` file."""
     jobs = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for n, line in content_lines(text):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ConfigError(

@@ -8,16 +8,18 @@ transcriber); the table carries one ``source_id``. A :class:`WordRecord` is
 one row of the table, built on demand.
 
 Columns are validated once, where tables are built: the two parsers,
-:func:`read_tsv`, :func:`from_words` and :func:`with_words`. A TSV is read
-a block at a time: one pattern per file accepts a block of good rows in a
-single match, and a block it rejects is checked row by row, which alone
-decides which line is in error and why. Every other table
-derives from those through the only two transforms, :func:`with_words`
-(replace every word) and :func:`take` (keep the rows a boolean mask selects).
-Every word rewrite in the package (transliteration, simplification,
-cleansing) is a map from word types and their frequencies to new forms,
-applied to a table by :func:`rewrite_types` and to the rows of a TSV, where
-they stand, by :func:`rewritten_tsv`.
+:func:`read_tsv`, :func:`from_words` and :func:`with_words`. One function
+assigns the positions of the parsers' and from_words' tables from their
+lines; plain text also comes in runs of whole paragraphs
+(:func:`plaintext_runs`). A TSV is read a block at a time: one pattern per
+file accepts a block of good rows in a single match, and a block it rejects
+is checked row by row, which alone decides which line is in error and why.
+Every other table derives from those through the only two transforms,
+:func:`with_words` (replace every word) and :func:`take` (keep the rows a
+boolean mask selects). Every word rewrite in the package (transliteration,
+simplification, cleansing) is a map from word types and their frequencies
+to new forms, applied to a table by :func:`rewrite_types` and to the rows
+of a TSV, where they stand, by :func:`rewritten_tsv`.
 
 Interlinear input follows a documented subset of the line-by-line
 transcription family used for the Voynich manuscript:
@@ -51,7 +53,8 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, groupby, islice, repeat
+from operator import itemgetter
 
 from .errors import DecodeError, MetadataError, ParseError
 
@@ -81,6 +84,9 @@ _LOCUS_RE = re.compile(
 )
 
 _ANNOTATION_RE = re.compile(r"\{[^{}]*\}")
+
+# folio, quire, section, language, hand and transcriber of a plain-text line.
+_UNCLASSIFIED_PAGE = ("", "", "", UNCLASSIFIED, UNCLASSIFIED, "")
 
 # The columns of a LongTable, in WordRecord field order.
 RECORD_FIELDS = (
@@ -230,9 +236,7 @@ class FolioMetadataMap:
         ``#``-prefixed lines are comments; a literal header row is skipped.
         """
         entries: dict[str, tuple[str, str, str, str]] = {}
-        for n, line in enumerate(text.splitlines(), start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+        for n, line in content_lines(text):
             fields = line.split("\t")
             if fields[0] == "folio" and len(fields) == 5:
                 continue
@@ -249,6 +253,14 @@ class FolioMetadataMap:
                 raise ParseError(f"folio {folio!r} is listed twice", n)
             entries[folio] = (section, language, hand, quire)
         return cls(entries)
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of ``text`` that is neither
+    blank nor a comment (its first non-blank character is ``#``)."""
+    for n, line in enumerate(text.splitlines(), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield n, line
 
 
 # decoded_blocks reads a file this many bytes at a time, so the text it
@@ -296,40 +308,28 @@ def decoded_blocks(read: Callable[[int], bytes]) -> Iterator[str]:
         yield _decode(piece, offset)
 
 
-def _table_from_lines(lines: list[tuple], source_id: str) -> LongTable:
+def _table_from_lines(lines: Iterable[tuple], source_id: str) -> LongTable:
     """Expand per-line words and attributes into a table's columns.
 
     Each entry of ``lines`` is ``(words, locus_kind, line_number,
     paragraph_number, folio, quire, section, language, hand, transcriber)``
-    for one text line, in document order. Every attribute repeats for each
-    word of its line, and the four position columns follow from the
-    per-line word counts and paragraph numbers.
+    for one text line, in document order, with the lines of a paragraph
+    next to each other. Every attribute repeats for each word of its line,
+    and the four position columns follow from the per-line word counts and
+    paragraph numbers. This is the one place positions are assigned.
     """
-    counts = [len(line[0]) for line in lines]
-    para_size: Counter = Counter()
-    for n, line in zip(counts, lines):
-        para_size[line[3]] += n
-    line_fwd: list[int] = []
-    line_rev: list[int] = []
-    para_fwd: list[int] = []
-    para_rev: list[int] = []
-    placed: Counter = Counter()  # words of each paragraph already placed
-    for n, line in zip(counts, lines):
-        para = line[3]
-        before = placed[para]
-        placed[para] += n
-        left = para_size[para] - before
-        line_fwd.extend(range(1, n + 1))
-        line_rev.extend(range(n, 0, -1))
-        para_fwd.extend(range(before + 1, before + n + 1))
-        para_rev.extend(range(left, left - n, -1))
     per_line = list(zip(*lines)) or [()] * 10
+    counts = list(map(len, per_line[0]))
+    para_sizes = [sum(n for _, n in paragraph) for _, paragraph in groupby(
+        zip(per_line[3], counts), key=itemgetter(0))]
+    positions = []  # line_pos_fwd, line_pos_rev, para_pos_fwd, para_pos_rev
+    for sizes in (counts, para_sizes):
+        positions.append(chain.from_iterable(range(1, n + 1) for n in sizes))
+        positions.append(chain.from_iterable(range(n, 0, -1) for n in sizes))
     words = chain.from_iterable(per_line[0])
     attributes = (chain.from_iterable(map(repeat, values, counts))
                   for values in per_line[1:])
-    return LongTable._from_columns(
-        (words, line_fwd, line_rev, para_fwd, para_rev, *attributes),
-        source_id)
+    return LongTable._from_columns((words, *positions, *attributes), source_id)
 
 
 def _split_payload(payload: str, comma_breaks: bool, line_number: int) -> tuple[str, ...]:
@@ -353,7 +353,7 @@ def _split_payload(payload: str, comma_breaks: bool, line_number: int) -> tuple[
 
 
 def parse_interlinear(
-    raw: bytes,
+    raw: bytes | str,
     meta: FolioMetadataMap,
     transcriber_filter: str | None = None,
     *,
@@ -367,18 +367,15 @@ def parse_interlinear(
     computed over the filtered text (an interlinear file repeats each locus
     once per transcriber; positions describe a single transcriber's
     document). ``comma_breaks=True`` treats uncertain breaks as real breaks
-    instead of deleting them.
+    instead of deleting them. ``raw`` is the file's bytes, or its text
+    already decoded as :func:`_decode` decodes them.
 
     Raises ParseError for malformed locus headers (with the line number) and
     MetadataError listing every folio missing from ``meta``.
     """
-    text = _decode(raw)
+    text = raw if isinstance(raw, str) else _decode(raw)
     parsed: list[tuple[str, str, int, str, tuple[str, ...], int]] = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.lstrip().startswith("#"):
-            continue
+    for n, line in content_lines(text):
         m = _LOCUS_RE.match(line.strip())
         if m is None:
             raise ParseError(
@@ -418,28 +415,40 @@ def parse_interlinear(
     return _table_from_lines(lines, source_id)
 
 
-def parse_plaintext(raw: bytes, source_id: str) -> LongTable:
-    """Parse whitespace-separated plain text into a LongTable.
+def plaintext_runs(text: str) -> Iterator[list[tuple]]:
+    """The lines of plain text ``text`` as :func:`_table_from_lines` takes
+    them, in runs of whole paragraphs: a run ends at the first blank line
+    after it holds :data:`_PIECE_ROWS` words, or at the end of the text.
 
     Line numbers are physical file lines; paragraphs are blocks separated by
     blank lines. All classification fields are unclassified (folio, quire,
     section and transcriber are empty strings).
     """
-    text = _decode(raw)
-    lines: list[tuple] = []
-    paragraph = 0
+    run: list[tuple] = []
+    size = paragraph = 0
     in_block = False
     for n, line in enumerate(text.splitlines(), start=1):
         words = line.split()
         if not words:
+            if size >= _PIECE_ROWS:
+                yield run
+                run, size = [], 0
             in_block = False
             continue
         if not in_block:
             paragraph += 1
             in_block = True
-        lines.append((words, PARAGRAPH, n, paragraph, "", "", "",
-                      UNCLASSIFIED, UNCLASSIFIED, ""))
-    return _table_from_lines(lines, source_id)
+        run.append((words, PARAGRAPH, n, paragraph, *_UNCLASSIFIED_PAGE))
+        size += len(words)
+    if run:
+        yield run
+
+
+def parse_plaintext(raw: bytes, source_id: str) -> LongTable:
+    """Parse whitespace-separated plain text into a LongTable: the lines of
+    every run of :func:`plaintext_runs`, in one table."""
+    return _table_from_lines(
+        chain.from_iterable(plaintext_runs(_decode(raw))), source_id)
 
 
 def take(table: LongTable, mask: Sequence[bool]) -> LongTable:
@@ -518,7 +527,7 @@ TSV_COLUMNS = RECORD_FIELDS + ("source_id",)
 # decoded_blocks cuts a file.
 _CHUNK_CHARS = 1 << 18
 
-# write_tsv makes the rows of its text this many at a time.
+# Rows per piece of tsv_pieces, and words before a plain-text run may end.
 _PIECE_ROWS = 1 << 12
 
 TSV_HEADER = "\t".join(TSV_COLUMNS) + "\n"
@@ -533,23 +542,27 @@ def _position(name: str, text: str) -> int:
     raise ValueError(f"{name} must be a positive integer, got {text!r}")
 
 
-def tsv_pieces(table: LongTable) -> Iterator[str]:
-    """The text of :func:`write_tsv`, in consecutive pieces: the header,
-    then the rows :data:`_PIECE_ROWS` at a time."""
-    columns = []
-    for name, column in zip(RECORD_FIELDS, table.columns):
-        if name in _INT_FIELDS:
-            as_str = {v: str(v) for v in set(column)}
-            column = map(as_str.__getitem__, column)
-        columns.append(column)
-    rows = map("\t".join, zip(*columns, repeat(table.source_id + "\n")))
+def tsv_pieces(tables: Iterable[LongTable]) -> Iterator[str]:
+    """The text of :func:`write_tsv` for the rows of ``tables`` one after
+    another, in consecutive pieces: the header, then each table's rows
+    :data:`_PIECE_ROWS` at a time. A table is taken only once the pieces
+    before it are written."""
     yield TSV_HEADER
-    while piece := "".join(islice(rows, _PIECE_ROWS)):
-        yield piece
+    ints = [RECORD_FIELDS.index(name) for name in _INT_FIELDS]
+    for table in tables:
+        columns = list(table.columns)
+        # One string for each number of the table, whatever its column.
+        numbers = set().union(*(columns[i] for i in ints))
+        as_str = dict(zip(numbers, map(str, numbers)))
+        for i in ints:
+            columns[i] = map(as_str.__getitem__, columns[i])
+        rows = map("\t".join, zip(*columns, repeat(table.source_id + "\n")))
+        while piece := "".join(islice(rows, _PIECE_ROWS)):
+            yield piece
 
 
 def write_tsv(table: LongTable) -> str:
-    return "".join(tsv_pieces(table))
+    return "".join(tsv_pieces([table]))
 
 
 def rewritten_tsv(blocks: Iterable[str],
@@ -764,11 +777,6 @@ def from_words(words: Sequence[str], source_id: str = "") -> LongTable:
     and synthetic corpora)."""
     words = tuple(words)
     check_words(words)
-    n = len(words)
-    ones = (1,) * n
-    return LongTable._from_columns(
-        (words, ones, ones, range(1, n + 1), range(n, 0, -1),
-         (PARAGRAPH,) * n, range(1, n + 1), ones,
-         ("",) * n, ("",) * n, ("",) * n,
-         (UNCLASSIFIED,) * n, (UNCLASSIFIED,) * n, ("",) * n),
-        source_id)
+    return _table_from_lines(
+        [((w,), PARAGRAPH, n, 1, *_UNCLASSIFIED_PAGE)
+         for n, w in enumerate(words, start=1)], source_id)

@@ -4,7 +4,8 @@ Everything here is deliberately written with different machinery than the
 library (dicts and plain loops instead of numpy; no shared helpers) so that
 agreement between the two is meaningful. Four are exceptions. The
 long-table reader is the original row-by-row reader, which builds each row
-as a WordRecord and so shares the record's validation. The TSV command
+as a WordRecord and so shares the record's validation, as the plain-text
+table oracle does for each word it places. The TSV command
 oracle is ``stats``, ``bigrams``, ``sukhotin``, ``sample``, ``translit``
 and ``cleanse`` as they ran before they read their input in slices: the
 whole file decoded, read into a table with ``read_tsv``, and the table
@@ -194,6 +195,36 @@ def read_tsv_rows(text: str) -> LongTable:
         except ValueError as exc:
             raise ParseError(str(exc), n) from None
     return LongTable(records=tuple(records), source_id=source_id or "")
+
+
+def plaintext_table_oracle(raw: bytes, source_id: str) -> LongTable:
+    """Plain text as a table, built one WordRecord per word. Paragraphs are
+    gathered whole first; each word's positions are then counted in a loop
+    over its paragraph's lines and words."""
+    paragraphs: list[list[tuple[int, list[str]]]] = []
+    in_paragraph = False
+    text = raw.decode("utf-8").removeprefix("\ufeff")
+    for n, line in enumerate(text.splitlines(), start=1):
+        words = line.split()
+        if not words:
+            in_paragraph = False
+        elif in_paragraph:
+            paragraphs[-1].append((n, words))
+        else:
+            paragraphs.append([(n, words)])
+            in_paragraph = True
+    records = []
+    for number, lines in enumerate(paragraphs, start=1):
+        size = sum(len(words) for _, words in lines)
+        placed = 0
+        for n, words in lines:
+            for i, word in enumerate(words):
+                placed += 1
+                records.append(WordRecord(
+                    word, i + 1, len(words) - i, placed, size - placed + 1,
+                    "paragraph", n, number, "", "", "", "unclassified",
+                    "unclassified", ""))
+    return LongTable(records=records, source_id=source_id)
 
 
 def charset_oracle(words) -> list[tuple[str, int, float]]:

@@ -91,6 +91,31 @@ def test_ingest_strips_utf8_byte_order_mark(workspace):
             == (workspace / "page.txt.tsv").read_bytes())
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("plain.txt", ["--transcriber", "H"]),
+    ("plain.txt", ["--comma-breaks"]),
+    ("plain.txt", ["--allow-missing-meta"]),
+    ("plain.txt", ["--transcriber", "H", "--comma-breaks", "--meta",
+                   "/nonexistent.tsv"]),
+    ("page.txt", ["--kind", "plaintext", "--meta", "meta.tsv"]),
+    # An interlinear file that does not start with a locus header is
+    # sniffed as plain text.
+    ("late.txt", ["--meta", "meta.tsv", "--transcriber", "H"]),
+])
+def test_ingest_rejects_interlinear_flags_on_plain_text(workspace, capsys,
+                                                         name, argv):
+    (workspace / "late.txt").write_text("f1r\n" + INTERLINEAR,
+                                        encoding="utf-8")
+    before = sorted(workspace.iterdir())
+    assert run("ingest", name, *argv, "--out", "o.tsv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"charentropy: error: {name}: "), err
+    for flag in argv:
+        if flag.startswith("--") and flag != "--kind":
+            assert flag in err, err
+    assert sorted(workspace.iterdir()) == before  # no artifact, no manifest
+
+
 def test_ingest_missing_folio_is_data_error(workspace, capsys):
     (workspace / "bad.txt").write_text(
         "<f9r.P1.1;H> daiin\n", encoding="utf-8")

@@ -1,9 +1,11 @@
 """The commands that read a long-table TSV in slices, against the whole-file
-path, and the memory that reading in slices holds."""
+path; plain-text ``ingest``, which writes a run of paragraphs at a time,
+against a word-by-word oracle; and the memory that both hold."""
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 import statistics
@@ -21,7 +23,8 @@ import oracles
 from charentropy import ingest
 from charentropy.cli import main
 from charentropy.errors import ParseError
-from charentropy.ingest import (TSV_COLUMNS, decoded_blocks, from_words,
+from charentropy.ingest import (TSV_COLUMNS, canonical_selection,
+                                decoded_blocks, from_words, parse_plaintext,
                                 read_tsv, tsv_slices, write_tsv)
 from charentropy.metrics import TypeCounts, entropy_report, to_stream
 from charentropy.sampling import SamplingConfig
@@ -228,6 +231,67 @@ def test_written_tables_take_only_the_row_pattern():
         assert _row_checks(bad.encode(), block) > 0, block
 
 
+# Every line break of str.splitlines, and "\r\n".
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029"]
+_PLAIN_LINES = st.one_of(
+    st.sampled_from(["", " ", "\t", " \u3000 "]),
+    st.lists(st.tuples(st.sampled_from([" ", "\t", "  ", "\xa0"]),
+                       st.text(st.sampled_from("abé.,'Zя\U00010330#<"),
+                               min_size=1, max_size=4)),
+             min_size=1, max_size=12).map(
+        lambda parts: "".join(map("".join, parts))))
+
+
+@st.composite
+def plain_texts(draw):
+    """Plain text as bytes: lines of words, blank and whitespace-only lines,
+    each ended by a drawn line break, with a BOM and no final break drawn
+    in."""
+    lines = draw(st.lists(_PLAIN_LINES, max_size=30))
+    ends = draw(st.lists(st.sampled_from(_LINE_ENDS), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    if ends and draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+# One paragraph much longer than a run, then one much shorter.
+@example(raw=b"a b c\nd e f g\nh\n\ni j\n", bad_at=None)
+@example(raw=b"a b\n\nc", bad_at=4)
+@given(raw=plain_texts(), bad_at=st.one_of(st.none(), st.integers(0)))
+def test_streamed_ingest_equals_the_plaintext_oracle(raw, bad_at):
+    if bad_at is not None:
+        at = bad_at % (len(raw) + 1)
+        raw = raw[:at] + b"\xff" + raw[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "in.txt", Path(tmp) / "o.tsv"
+        path.write_bytes(raw)
+        for rows, select in itertools.product([1, 2, 5, 4096],
+                                              [None, "full_text", "a"]):
+            err = io.StringIO()
+            with mock.patch.object(ingest, "_PIECE_ROWS", rows), \
+                    contextlib.redirect_stderr(err):
+                code = main(["ingest", str(path), "--kind", "plaintext",
+                             "--out", str(out),
+                             *(["--select", select] if select else [])])
+            if bad_at is not None:
+                assert code == 2
+                assert err.getvalue().startswith(
+                    f"charentropy: error: {path}: input is not valid UTF-8")
+                assert not out.exists()
+                continue
+            assert code == 0, err.getvalue()
+            table = oracles.plaintext_table_oracle(raw, "in.txt")
+            if select:
+                table = canonical_selection(table, select)
+            assert out.read_bytes() == write_tsv(table).encode(), (rows,
+                                                                   select)
+            out.unlink()
+
+
 def _tsv_file(directory: Path, n_rows: int) -> Path:
     """A TSV of ``n_rows`` words drawn from a fixed 500-word vocabulary."""
     rng = random.Random(0)
@@ -237,6 +301,19 @@ def _tsv_file(directory: Path, n_rows: int) -> Path:
     path = directory / f"{n_rows}.tsv"
     path.write_text(write_tsv(from_words(words, source_id="doc")),
                     encoding="utf-8")
+    return path
+
+
+def _plaintext_file(directory: Path, n_words: int) -> Path:
+    """``n_words`` words of the same vocabulary as :func:`_tsv_file`'s, ten
+    to a line, in paragraphs of one to nine lines."""
+    words = read_tsv(_tsv_file(directory, n_words).read_text(
+        encoding="utf-8")).words()
+    rng = random.Random(1)
+    lines = [" ".join(words[i:i + 10]) + "\n" * rng.choice([1] * 4 + [2])
+             for i in range(0, n_words, 10)]
+    path = directory / f"{n_words}.txt"
+    path.write_text("".join(lines), encoding="utf-8")
     return path
 
 
@@ -265,6 +342,23 @@ def test_fold_memory_is_flat_in_the_row_count(tmp_path):
     read_small = _traced_peak(lambda: read_tsv(small_text))
     read_large = _traced_peak(lambda: read_tsv(large_text))
     assert read_large > 3 * read_small, (read_small, read_large)
+    # Plain-text ingest holds its input's text and one run of paragraphs,
+    # where parse_plaintext holds the whole table.
+    small, large = (_plaintext_file(tmp_path, 20_000),
+                    _plaintext_file(tmp_path, 80_000))
+
+    def ingest_text(path: Path) -> None:
+        assert main(["ingest", str(path), "--out", str(tmp_path / "o.tsv")]) == 0
+
+    def parse(path: Path) -> None:
+        parse_plaintext(path.read_bytes(), "doc")
+
+    ingest_text(small)
+    ingest_growth = (_traced_peak(lambda: ingest_text(large))
+                     - _traced_peak(lambda: ingest_text(small)))
+    parse_growth = (_traced_peak(lambda: parse(large))
+                    - _traced_peak(lambda: parse(small)))
+    assert ingest_growth < parse_growth / 4, (ingest_growth, parse_growth)
 
 
 def _readme_example(marker: str) -> str:
