@@ -260,6 +260,7 @@ def plain_texts(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 # One paragraph much longer than a run, then one much shorter.
 @example(raw=b"a b c\nd e f g\nh\n\ni j\n", bad_at=None)
+# A bad byte after the first run.
 @example(raw=b"a b\n\nc", bad_at=4)
 @given(raw=plain_texts(), bad_at=st.one_of(st.none(), st.integers(0)))
 def test_streamed_ingest_equals_the_plaintext_oracle(raw, bad_at):
@@ -292,25 +293,27 @@ def test_streamed_ingest_equals_the_plaintext_oracle(raw, bad_at):
             out.unlink()
 
 
-def _tsv_file(directory: Path, n_rows: int) -> Path:
-    """A TSV of ``n_rows`` words drawn from a fixed 500-word vocabulary."""
+def _words(n: int) -> list[str]:
+    """``n`` words drawn from a fixed 500-word vocabulary."""
     rng = random.Random(0)
     vocabulary = ["".join(rng.choices("abcdefghijklmnop", k=rng.randint(2, 9)))
                   for _ in range(500)]
-    words = rng.choices(vocabulary, k=n_rows)
+    return rng.choices(vocabulary, k=n)
+
+
+def _tsv_file(directory: Path, n_rows: int) -> Path:
+    """A TSV of ``n_rows`` words drawn from a fixed 500-word vocabulary."""
     path = directory / f"{n_rows}.tsv"
-    path.write_text(write_tsv(from_words(words, source_id="doc")),
+    path.write_text(write_tsv(from_words(_words(n_rows), source_id="doc")),
                     encoding="utf-8")
     return path
 
 
 def _plaintext_file(directory: Path, n_words: int) -> Path:
-    """``n_words`` words of the same vocabulary as :func:`_tsv_file`'s, ten
-    to a line, in paragraphs of one to nine lines."""
-    words = read_tsv(_tsv_file(directory, n_words).read_text(
-        encoding="utf-8")).words()
-    rng = random.Random(1)
-    lines = [" ".join(words[i:i + 10]) + "\n" * rng.choice([1] * 4 + [2])
+    """Plain text of ``n_words`` words of the same vocabulary, ten to a
+    line, with a blank line after one line in five."""
+    words = _words(n_words)
+    lines = [" ".join(words[i:i + 10]) + ("\n\n" if i % 50 == 40 else "\n")
              for i in range(0, n_words, 10)]
     path = directory / f"{n_words}.txt"
     path.write_text("".join(lines), encoding="utf-8")
@@ -348,7 +351,8 @@ def test_fold_memory_is_flat_in_the_row_count(tmp_path):
                     _plaintext_file(tmp_path, 80_000))
 
     def ingest_text(path: Path) -> None:
-        assert main(["ingest", str(path), "--out", str(tmp_path / "o.tsv")]) == 0
+        assert main(["ingest", str(path), "--out",
+                     str(tmp_path / "o.tsv")]) == 0
 
     def parse(path: Path) -> None:
         parse_plaintext(path.read_bytes(), "doc")
