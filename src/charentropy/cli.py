@@ -565,13 +565,10 @@ def cmd_batch(args) -> int:
 
 def _windows_arg(text: str) -> list[int]:
     try:
-        windows = [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"windows must be comma-separated integers, got {text!r}")
-    if not windows:
-        raise argparse.ArgumentTypeError("windows list is empty")
-    return windows
 
 
 def _add_meta_flags(p) -> None:

@@ -29,7 +29,12 @@ Reproducibility: the generator is numpy's default PCG64, and every
 the master seed via ``SeedSequence(entropy=seed, spawn_key=(size_index,
 sample_index))``. Results are therefore bit-identical for a given seed
 whether samples run serially or in parallel, and appending more samples
-never disturbs earlier ones.
+never disturbs earlier ones. The starts of a window size's samples come
+from one numpy pass over a block of sample indices, which reproduces each
+child generator's first draw bit for bit: SeedSequence's hashing, PCG64's
+seeding and first output (O'Neill 2014), and Lemire's bounded integer. A
+draw that Lemire's method rejects, and indices or ranges beyond 32 bits,
+take the per-sample generator itself.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 
 from ._lazy import lazy_import
 from .errors import ConfigError
-from .ingest import LongTable
+from .ingest import _PIECE_ROWS, LongTable
 from .metrics import TypeCounts, h2_from_cells
 from .metrics import to_stream  # noqa: F401  (a perfbench trace point)
 
@@ -178,13 +183,96 @@ def sample_h2(document: LongTable | TypeCounts,
     results = []
     for size_index, w in enumerate(cfg.window_sizes):
         values = []
-        for sample_index in range(cfg.samples_per_size):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=cfg.seed, spawn_key=(size_index, sample_index)))
-            start = int(rng.integers(0, n_words - w + 1))
-            values.append(windows.h2(start, w))
+        # Blocks of sample indices keep the arrays of _starts small.
+        for first in range(0, cfg.samples_per_size, _PIECE_ROWS):
+            indices = np.arange(
+                first, min(first + _PIECE_ROWS, cfg.samples_per_size),
+                dtype=np.uint64)
+            values += [windows.h2(start, w) for start in _starts(
+                cfg.seed, size_index, indices, n_words - w + 1)]
         results.append(SampleDistribution.from_values(w, values))
     return results
+
+
+def _sample_start(seed: int, size_index: int, sample_index: int,
+                  n: int) -> int:
+    """The start in [0, n) that the child generator of (size_index,
+    sample_index) draws: the seed schedule, one sample at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=seed, spawn_key=(size_index, sample_index)))
+    return int(rng.integers(0, n))
+
+
+# SeedSequence's hash constants, and PCG64's 128-bit multiplier as its
+# high and low 64 bits. Every constant is a Python int and every operand
+# it meets a uint64 array, which wraps silently and promotes alike under
+# numpy 1 and 2 (a uint64 scalar with a Python int is a float in numpy 1).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = (
+    0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_M32 = 0xFFFFFFFF
+
+
+def _hash(values, init: int, mult: int, skip: int, count: int):
+    """SeedSequence's hash steps skip..skip+count-1, one per row, applied
+    to ``values`` (count rows, or one row broadcast)."""
+    h = [init * pow(mult, skip + k, 1 << 32) % (1 << 32)
+         for k in range(count + 1)]
+    xor = np.array(h[:-1], dtype=np.uint64)[:, None]
+    factor = np.array(h[1:], dtype=np.uint64)[:, None]
+    values = ((values ^ xor) * factor) & _M32
+    return values ^ (values >> 16)
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + increment on PCG64's 128-bit state held as
+    uint64 halves; the high half of lo * _PCG_LO comes from 32-bit limbs."""
+    lo0, lo1 = lo & _M32, lo >> 32
+    b0, b1 = _PCG_LO & _M32, _PCG_LO >> 32
+    cross0, cross1 = lo0 * b1, lo1 * b0
+    carry = ((lo0 * b0 >> 32) + (cross0 & _M32) + (cross1 & _M32)) >> 32
+    hi = (hi * _PCG_LO + lo * _PCG_HI + lo1 * b1 + (cross0 >> 32)
+          + (cross1 >> 32) + carry)
+    lo = lo * _PCG_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def _starts(seed: int, size_index: int, sample_indices, n: int) -> list:
+    """``_sample_start(seed, size_index, j, n)`` for each j of
+    ``sample_indices``, the first draws computed in one numpy pass; the
+    seed is below 2**64, as SamplingConfig requires."""
+    js = np.asarray(sample_indices, dtype=np.uint64)
+    if size_index > _M32 or n > 1 << 32:
+        return [_sample_start(seed, size_index, j, n) for j in js.tolist()]
+    # SeedSequence mixes each entropy word past its pool of 4 into the pool
+    # in turn, so the pool after the seed (zero-padded to 4 words) and the
+    # size index is that of the one-word spawn key; the sample index then
+    # takes hash steps 20..23 (16 for the pool, 4 for the size index).
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=(
+        size_index,)).pool.astype(np.uint64)[:, None]
+    pool = (_MIX_L * pool
+            - _MIX_R * _hash(js & _M32, _INIT_A, _MULT_A, 20, 4)) & _M32
+    pool ^= pool >> 16
+    # generate_state(4, uint64): 8 hashed pool words, paired little-endian.
+    words = _hash(np.concatenate((pool, pool)), _INIT_B, _MULT_B, 0, 8)
+    w0, w1, w2, w3 = words[0::2] | words[1::2] << 32
+    # PCG64's seeding: state 0 and increment 2 * (w2, w3) + 1, a step, the
+    # state plus (w0, w1), a step; then the first draw's step.
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    lo = inc_lo + w1
+    hi = inc_hi + w0 + (lo < w1)
+    for _ in range(2):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    # The XSL-RR output's low 32 bits, scaled to [0, n) by Lemire's method;
+    # it rejects a draw whose low product is below 2**32 % n.
+    out, turn = hi ^ lo, hi >> 58
+    scaled = ((out >> turn | out << (64 - turn & 63)) & _M32) * n
+    starts = (scaled >> 32).tolist()
+    redraw = ((scaled & _M32) < (1 << 32) % n) | (js > _M32)
+    for k in np.flatnonzero(redraw).tolist():
+        starts[k] = _sample_start(seed, size_index, int(js[k]), n)
+    return starts
 
 
 def distributions_to_dict(

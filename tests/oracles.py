@@ -15,7 +15,9 @@ composes the library's transliteration, this module's token-by-token
 simplification and ``entropy_report``, job by job. The sampler oracle is
 ``sample_h2`` as it was before it counted from checkpoints: a dense numpy
 count of each window over every pair of symbols, and h2 as a generator
-over the occupied cells; the tests compare its values with ``==``.
+over the occupied cells; the tests compare its values with ``==``. Its
+starts are drawn one child generator per sample, the path that
+``sampling._starts`` computes in one pass.
 """
 
 from __future__ import annotations
@@ -419,17 +421,20 @@ def window_h2_oracle(table: LongTable, windows) -> list[float]:
     return [h2(start, w) for start, w in windows]
 
 
+def sample_start_oracle(seed: int, size_index: int, sample_index: int,
+                        n: int) -> int:
+    """The start in [0, n) of a sample: the first draw of its own child
+    generator, built from the documented seed schedule."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=seed, spawn_key=(size_index, sample_index)))
+    return int(rng.integers(0, n))
+
+
 def sample_h2_oracle(table: LongTable, cfg) -> list[list[float]]:
     """The values ``sample_h2`` draws, per window size, with the same
     per-sample seed schedule."""
     n_words, h2 = _dense_window_h2(table)
-    values = []
-    for size_index, w in enumerate(cfg.window_sizes):
-        row = []
-        for sample_index in range(cfg.samples_per_size):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=cfg.seed, spawn_key=(size_index, sample_index)))
-            start = int(rng.integers(0, n_words - w + 1))
-            row.append(h2(start, w))
-        values.append(row)
-    return values
+    return [[h2(sample_start_oracle(cfg.seed, size_index, sample_index,
+                                    n_words - w + 1), w)
+             for sample_index in range(cfg.samples_per_size)]
+            for size_index, w in enumerate(cfg.window_sizes)]

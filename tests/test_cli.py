@@ -249,6 +249,20 @@ def test_sample_flags_are_checked_before_the_input_is_read(
     assert sorted(workspace.iterdir()) == before
 
 
+@pytest.mark.parametrize("windows", ["5,,7", ",5", "5,", "", "fifty"])
+def test_sample_windows_with_an_empty_or_bad_item_is_usage_error(
+        workspace, capsys, windows):
+    # No item is dropped: "5,,7" is not windows 5 and 7.
+    run("ingest", "plain.txt", "--out", "p.tsv")
+    capsys.readouterr()
+    assert run("sample", "p.tsv", "--windows", windows,
+               "--out", "s.json") == 1
+    assert capsys.readouterr().err.endswith(
+        "error: argument --windows: windows must be comma-separated "
+        f"integers, got {windows!r}\n")
+    assert not (workspace / "s.json").exists()
+
+
 def test_sample_json_and_csv(workspace):
     run("ingest", "plain.txt", "--out", "p.tsv")
     assert run("sample", "p.tsv", "--windows", "2,5", "--n", "6",

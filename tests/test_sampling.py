@@ -2,6 +2,7 @@ import json
 import math
 import random
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from charentropy import sampling
 from charentropy.errors import ConfigError
 from charentropy.ingest import from_words
 from charentropy.metrics import (TypeCounts, entropy_report, h2_from_counts,
@@ -57,9 +59,8 @@ def test_each_sample_reproducible_in_isolation():
     for size_index, dist in enumerate(dists):
         w = dist.window_size
         for sample_index in (0, 3, 7):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=123, spawn_key=(size_index, sample_index)))
-            start = int(rng.integers(0, len(words) - w + 1))
+            start = oracles.sample_start_oracle(
+                123, size_index, sample_index, len(words) - w + 1)
             window_stream = stream_from_words(words[start:start + w])
             expected = entropy_report(window_stream).h2
             assert dist.values[sample_index] == expected
@@ -106,6 +107,48 @@ def test_sample_h2_equals_the_dense_count_oracle(table, seed, data):
                                             *on_checkpoints[-2:], n - w}]
     assert ([windows.h2(start, w) for start, w in pinned]
             == oracles.window_h2_oracle(table, pinned))
+
+
+# A block of sample indices from 0, and one across 2**32, where a sample
+# index takes a second 32-bit word of entropy.
+_SAMPLE_INDICES = np.concatenate((np.arange(500, dtype=np.uint64),
+                                  np.arange(2 ** 32 - 250, 2 ** 32 + 250,
+                                            dtype=np.uint64)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+def test_starts_equal_the_per_sample_generators(seed):
+    # 105,000 draws over the five seeds. About half the draws from
+    # [0, 2**31 + 12345) are rejected by Lemire's method and drawn again;
+    # [0, 2**32] takes numpy's 64-bit path, as does size index 2**32.
+    for size_index in (0, 2 ** 32 - 1, 2 ** 32):
+        for n in (1, 2, 3, 39_976, 2 ** 31 + 12_345, 2 ** 32, 2 ** 32 + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                starts = sampling._starts(seed, size_index,
+                                          _SAMPLE_INDICES, n)
+            assert starts == [
+                oracles.sample_start_oracle(seed, size_index, j, n)
+                for j in _SAMPLE_INDICES.tolist()], (size_index, n)
+
+
+@pytest.mark.parametrize("block", [1, 3, sampling._PIECE_ROWS])
+def test_blocks_of_sample_indices_do_not_change_values(monkeypatch, block):
+    monkeypatch.setattr(sampling, "_PIECE_ROWS", block)
+    # Two blocks, the second of them short, except for blocks of 1.
+    cfg = SamplingConfig(window_sizes=(1, 7, 60), seed=5,
+                         samples_per_size=block + 2)
+    table = make_corpus(60, seed=4)
+    assert ([list(d.values) for d in sample_h2(table, cfg)]
+            == oracles.sample_h2_oracle(table, cfg))
+
+
+def test_sample_h2_raises_no_warning():
+    cfg = SamplingConfig(window_sizes=(1, 25, 400), samples_per_size=300,
+                         seed=2 ** 64 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample_h2(CORPUS, cfg)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
