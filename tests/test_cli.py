@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import charentropy
 import oracles
+from charentropy import ingest
 from charentropy.cli import BATCH_SYSTEMS, main
 from charentropy.ingest import (CANONICAL_SELECTIONS, TSV_COLUMNS,
                                 FolioMetadataMap, parse_interlinear, read_tsv)
@@ -167,6 +168,32 @@ def test_cleanse_flags(workspace):
                "--out", "cfg.tsv") == 0
     assert (workspace / "cfg.tsv").read_text(encoding="utf-8") == (
         workspace / "u.tsv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("block", [None, 64], ids=["one-block", "blocks"])
+@pytest.mark.parametrize("argv", [
+    ["cleanse", "{name}"],
+    ["translit", "{name}", "--system", "maximal"],
+], ids=["cleanse", "translit"])
+def test_output_over_its_own_input(workspace, monkeypatch, argv, block):
+    # An input read in several blocks is still whole when its output
+    # replaces it.
+    if block is not None:
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+    assert run("ingest", "page.txt", "--meta", "meta.tsv",
+               "--out", "t.tsv") == 0
+    (workspace / "x.tsv").write_bytes((workspace / "t.tsv").read_bytes())
+    assert run(*(a.format(name="t.tsv") for a in argv),
+               "--out", "fresh.tsv") == 0
+    assert run(*(a.format(name="x.tsv") for a in argv),
+               "--out", "x.tsv") == 0
+    assert ((workspace / "x.tsv").read_bytes()
+            == (workspace / "fresh.tsv").read_bytes())
+    fresh = json.loads((workspace / "fresh.tsv.manifest.json").read_bytes())
+    own = json.loads((workspace / "x.tsv.manifest.json").read_bytes())
+    assert own == {**fresh, "input_digests": [
+        {**d, "path": "x.tsv"} if d["path"] == "t.tsv" else d
+        for d in fresh["input_digests"]]}
 
 
 def test_bigrams_artifacts(workspace):
