@@ -11,9 +11,11 @@ Design rules, enforced uniformly across subcommands:
   inputs that produced it. Manifests carry no timestamps: rerunning a
   command with identical inputs yields byte-identical artifacts, manifest
   included;
-* every input file is read once: its digest is taken from the bytes that
-  are parsed, and its text is decoded as the parsers decode theirs (a
-  UTF-8 byte-order mark is stripped, bad UTF-8 is a data error);
+* every input file but package data goes through one block reader, which
+  digests the bytes it decodes as the parsers do (a UTF-8 byte-order mark
+  is stripped, bad UTF-8 is a data error); ``translit`` and ``cleanse``
+  read their TSV twice, and the run fails if the two reads differ;
+* an ``--out`` file is replaced whole or not at all;
 * all floats print with 12 significant digits; JSON layouts carry a
   ``schema_version``.
 
@@ -26,8 +28,8 @@ run of plain-text paragraphs, but parses interlinear text whole, so that
 every missing folio is reported first. ``stats``, ``bigrams``,
 ``sukhotin`` and ``sample`` fold theirs into word types a block at a time
 (``sample`` keeps a type id per word), and ``translit`` and ``cleanse``
-keep their input's bytes and word-type counts and rewrite each row where
-it stands, so none of them holds a table. numpy loads on first use, which
+keep their input's word-type counts and rewrite each row where it stands,
+so none of them holds a table or its input. numpy loads on first use, which
 ``--version``, ``ingest``, ``translit`` and ``cleanse`` never reach.
 """
 
@@ -36,9 +38,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import io
+import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import compress
 from pathlib import Path
 
@@ -83,14 +85,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_input(path, digests: list) -> bytes:
-    """An input file's bytes, read once; the manifest digest of those same
-    bytes is appended to ``digests``."""
-    raw = Path(path).read_bytes()
-    digests.append((str(path), sha256_bytes(raw)))
-    return raw
-
-
 @contextlib.contextmanager
 def _naming(path):
     """Prefix ``PATH: `` to the message of a DataError the block raises, so
@@ -102,13 +96,27 @@ def _naming(path):
         raise
 
 
+def _hashed_blocks(path, sha) -> Iterator[str]:
+    """The :func:`decoded_blocks` of the file at ``path``, each block's bytes
+    added to ``sha``. Every input but package data is read through here."""
+    with open(path, "rb") as f:
+
+        def read(n: int) -> bytes:
+            sha.update(block := f.read(n))
+            return block
+
+        yield from decoded_blocks(read)
+
+
 def _read_text(path, digests: list) -> str:
     """An input file's text, decoded as the parsers decode theirs: a BOM is
     stripped and bad UTF-8 raises DecodeError with the path and the byte
-    offset."""
-    raw = _read_input(path, digests)
+    offset. The manifest digest is taken from the bytes decoded."""
+    sha = hashlib.sha256()
     with _naming(path):
-        return _decode(raw)
+        text = "".join(_hashed_blocks(path, sha))
+    digests.append((str(path), sha.hexdigest()))
+    return text
 
 
 def _read_builtin(name: str, digests: list) -> bytes:
@@ -141,27 +149,25 @@ def _write_manifest(args, command: str, digests, config: dict,
 
 
 def _emit(pieces: Iterable[str], out: str | None) -> None:
-    """Write the output text, each piece as it is made."""
-    if out:
+    """Write the output text, each piece as it is made. A file ``out`` is
+    replaced whole or not at all, but a FIFO or a device is written to."""
+    if not out:
+        sys.stdout.writelines(pieces)
+        return
+    target = os.path.realpath(out)
+    if os.path.exists(target) and not os.path.isfile(target):
         with open(out, "w", encoding="utf-8") as f:
             f.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
-
-
-def _read_types(path: str, digests: list) -> tuple[bytes, TypeCounts]:
-    """A long-table TSV's bytes, read once, and its word types."""
-    raw = _read_input(path, digests)
-    with _naming(path):
-        types = TypeCounts.fold(
-            tsv_slices(decoded_blocks(io.BytesIO(raw).read)))
-    return raw, types
-
-
-def _emit_rewritten(raw: bytes, types: TypeCounts, new_forms, out) -> None:
-    """Write the TSV ``raw`` with each word of ``types`` in its new form."""
-    new = dict(zip(types.forms, new_forms))
-    _emit(rewritten_tsv(decoded_blocks(io.BytesIO(raw).read), new), out)
+        return
+    temporary = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
+        os.replace(temporary, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
 
 
 def _fold_input(path: str, digests: list, *,
@@ -171,18 +177,28 @@ def _fold_input(path: str, digests: list, *,
     the same bytes. The types' own errors are left to their user, so that
     a bad row or byte anywhere in the file is reported first."""
     sha = hashlib.sha256()
-    with open(path, "rb") as f:
-
-        def read(n: int) -> bytes:
-            block = f.read(n)
-            sha.update(block)
-            return block
-
-        with _naming(path):
-            types = TypeCounts.fold(tsv_slices(decoded_blocks(read)),
-                                    tokens=tokens)
+    with _naming(path):
+        types = TypeCounts.fold(tsv_slices(_hashed_blocks(path, sha)),
+                                tokens=tokens)
     digests.append((str(path), sha.hexdigest()))
     return types
+
+
+def _emit_rewritten(path, types: TypeCounts, new_forms, digests, out):
+    """Write the TSV that :func:`_fold_input` read into ``types``, read
+    again, with each word in its new form. A word or a digest the first
+    read did not see means the file changed: a DataError, raised last."""
+    new = dict(zip(types.forms, new_forms))
+    sha = hashlib.sha256()
+
+    def pieces():
+        with contextlib.suppress(KeyError, DataError):
+            yield from rewritten_tsv(_hashed_blocks(path, sha), new)
+            if (str(path), sha.hexdigest()) in digests:
+                return
+        raise DataError(f"{path}: input changed while it was read")
+
+    _emit(pieces(), out)
 
 
 def _read_counts(path: str, digests: list):
@@ -266,9 +282,9 @@ def cmd_ingest(args) -> int:
 def cmd_translit(args) -> int:
     _check_rare_min(args.rare_min)
     digests = []
-    # Two passes over the input's bytes: one counts the word types, which
-    # are rewritten once each, and one rewrites the rows where they stand.
-    raw, types = _read_types(args.input, digests)
+    # Two passes over the input: one counts the word types, which are
+    # rewritten once each, and one rewrites the rows where they stand.
+    types = _fold_input(args.input, digests)
     if args.simplify:
         new_forms = simplified_forms(types.forms, types.freq,
                                      threshold=args.rare_min)
@@ -284,7 +300,7 @@ def cmd_translit(args) -> int:
         with _naming(args.input):
             new_forms = transliterate_words(types.forms, ruleset)
         rules_label = ruleset.name
-    _emit_rewritten(raw, types, new_forms, args.out)
+    _emit_rewritten(args.input, types, new_forms, digests, args.out)
     _write_manifest(
         args, "translit", digests,
         {"rules": rules_label, "rare_min": args.rare_min,
@@ -319,10 +335,10 @@ def cmd_cleanse(args) -> int:
         raise ConfigError(
             f"--threshold must lie in [0, 1), got {args.threshold}")
     digests = []
-    raw, types = _read_types(args.input, digests)
+    types = _fold_input(args.input, digests)
     cfg = _cleanse_config(args, digests)
-    _emit_rewritten(raw, types, cleaned_forms(types.forms, types.freq, cfg),
-                    args.out)
+    new_forms = cleaned_forms(types.forms, types.freq, cfg)
+    _emit_rewritten(args.input, types, new_forms, digests, args.out)
     _write_manifest(
         args, "cleanse", digests,
         {"lowercase": cfg.lowercase,
@@ -483,14 +499,14 @@ def _check_rare_min(rare_min: int) -> None:
 def cmd_batch(args) -> int:
     _check_rare_min(args.rare_min)
     digests = []
-    raw = _read_input(args.input, digests)
+    text = _read_text(args.input, digests)
     meta = _load_meta(args, digests)
     _read_builtin("maximal.rules", digests)
     _read_builtin("minimal.rules", digests)
     jobs_text = _read_text(args.jobs, digests) if args.jobs else None
     with _naming(args.input):
         table = parse_interlinear(
-            raw, meta, args.transcriber,
+            text, meta, args.transcriber,
             comma_breaks=args.comma_breaks,
             source_id=args.source_id or Path(args.input).name)
     if jobs_text is None:

@@ -4,9 +4,11 @@ import importlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import charentropy
 import oracles
-from charentropy import ingest
+from charentropy import cli, ingest
 from charentropy.cli import BATCH_SYSTEMS, main
 from charentropy.ingest import (CANONICAL_SELECTIONS, TSV_COLUMNS,
                                 FolioMetadataMap, parse_interlinear, read_tsv)
@@ -196,6 +198,93 @@ def test_output_over_its_own_input(workspace, monkeypatch, argv, block):
         for d in fresh["input_digests"]]}
 
 
+
+def _append_new_word(path):
+    last = path.read_text(encoding="utf-8").splitlines()[-1]
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("zzz" + last[last.index("\t"):] + "\n")
+
+
+def _repeat_a_row(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text + text.splitlines()[-1] + "\n", encoding="utf-8")
+
+
+def _truncate(path):
+    os.truncate(path, path.stat().st_size // 2)
+
+
+@pytest.mark.parametrize("edit", [_append_new_word, _repeat_a_row, _truncate],
+                         ids=["new-word", "count", "truncate"])
+@pytest.mark.parametrize("argv, between", [
+    (["cleanse", "x.tsv"], "cleaned_forms"),
+    (["translit", "x.tsv", "--system", "maximal"], "transliterate_words"),
+    (["translit", "x.tsv", "--simplify", "--rare-min", "2"],
+     "simplified_forms"),
+], ids=["cleanse", "translit", "simplify"])
+def test_an_input_that_changes_between_the_passes_is_data_error(
+        workspace, capsys, monkeypatch, argv, between, edit):
+    assert run("ingest", "page.txt", "--meta", "meta.tsv",
+               "--out", "x.tsv") == 0
+    (workspace / "o.tsv").write_bytes(b"earlier output\n")
+    real = getattr(cli, between)
+
+    def edit_first(*args, **kwargs):
+        edit(workspace / "x.tsv")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, between, edit_first)
+    names = sorted(workspace.iterdir())
+    capsys.readouterr()
+    assert run(*argv, "--out", "o.tsv") == 2
+    assert capsys.readouterr().err == (
+        "charentropy: error: x.tsv: input changed while it was read\n")
+    assert (workspace / "o.tsv").read_bytes() == b"earlier output\n"
+    assert sorted(workspace.iterdir()) == names  # no temporary, no manifest
+
+    # Standard output keeps the rows written before the change was seen.
+    assert run("ingest", "page.txt", "--meta", "meta.tsv",
+               "--out", "x.tsv") == 0
+    capsys.readouterr()
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("\t".join(TSV_COLUMNS) + "\n")
+    assert err.endswith("x.tsv: input changed while it was read\n")
+
+
+def test_output_to_a_fifo_or_through_a_symlink(workspace):
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    assert run("cleanse", "p.tsv", "--out", "fresh.tsv") == 0
+    want = (workspace / "fresh.tsv").read_bytes()
+
+    # A FIFO is written, not replaced by a file.
+    os.mkfifo(workspace / "fifo")
+    read = []
+    reader = threading.Thread(
+        target=lambda: read.append((workspace / "fifo").read_bytes()),
+        daemon=True)
+    reader.start()
+    assert run("cleanse", "p.tsv", "--out", "fifo") == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert read == [want]
+    assert stat.S_ISFIFO((workspace / "fifo").stat().st_mode)
+
+    # A symlink stays one, and its target is written, whether or not the
+    # target exists yet; a new file's mode follows the umask.
+    (workspace / "link.tsv").symlink_to("real.tsv")
+    umask = os.umask(0o022)
+    try:
+        for _ in range(2):
+            assert run("cleanse", "p.tsv", "--out", "link.tsv") == 0
+            assert (workspace / "link.tsv").is_symlink()
+            assert (workspace / "real.tsv").read_bytes() == want
+            assert stat.S_IMODE((workspace / "real.tsv").stat().st_mode) == (
+                0o644)
+    finally:
+        os.umask(umask)
+    assert not [p for p in workspace.iterdir() if p.name.endswith(".tmp")]
+
 def test_bigrams_artifacts(workspace):
     run("ingest", "plain.txt", "--out", "p.tsv")
     run("cleanse", "p.tsv", "--out", "c.tsv")
@@ -288,6 +377,7 @@ def test_sample_windows_with_an_empty_or_bad_item_is_usage_error(
         "error: argument --windows: windows must be comma-separated "
         f"integers, got {windows!r}\n")
     assert not (workspace / "s.json").exists()
+
 
 
 def test_sample_json_and_csv(workspace):
