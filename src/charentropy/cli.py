@@ -39,6 +39,7 @@ import argparse
 import contextlib
 import hashlib
 import os
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import compress
@@ -579,10 +580,17 @@ def cmd_batch(args) -> int:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
+def _int_arg(text: str) -> int:
+    """``-?[0-9]+`` as an int; int() also takes "1_0", "+1", " 1" and more."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _windows_arg(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
+        return [_int_arg(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"windows must be comma-separated integers, got {text!r}")
 
@@ -644,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--simplify", action="store_true",
                        help="corpus-driven simplification: lower ligature "
                             "capitals, mask characters rarer than --rare-min")
-    p.add_argument("--rare-min", type=int, default=50, metavar="N",
+    p.add_argument("--rare-min", type=_int_arg, default=50, metavar="N",
                    help="occurrence count below which --simplify masks a "
                         "character; at least 1 (default: 50)")
     p.add_argument("--out", metavar="PATH", help="output TSV (default: stdout)")
@@ -689,9 +697,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="long-table TSV")
     p.add_argument("--windows", type=_windows_arg, required=True,
                    metavar="W1,W2,...", help="window sizes in words")
-    p.add_argument("--n", type=int, default=1000, metavar="N",
+    p.add_argument("--n", type=_int_arg, default=1000, metavar="N",
                    help="samples per window size (default: 1000)")
-    p.add_argument("--seed", type=int, default=0, metavar="SEED",
+    p.add_argument("--seed", type=_int_arg, default=0, metavar="SEED",
                    help="master seed (default: 0)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="json summary or long-form csv (default: json)")
@@ -717,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="job list: doc<TAB>selection<TAB>system per line "
                         "(default: all 16 canonical selections under "
                         "maximal, simplified and minimal)")
-    p.add_argument("--rare-min", type=int, default=50, metavar="N",
+    p.add_argument("--rare-min", type=_int_arg, default=50, metavar="N",
                    help="rarity cutoff for the simplified system; at least "
                         "1 (default: 50)")
     p.add_argument("--out", metavar="PATH", help="output TSV (default: stdout)")

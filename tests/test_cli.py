@@ -380,6 +380,30 @@ def test_sample_windows_with_an_empty_or_bad_item_is_usage_error(
 
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0663", " 7", "+4", "7 "])
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "p.tsv", "--windows", "{value}"],
+     "windows must be comma-separated integers, got {value!r}"),
+    (["sample", "p.tsv", "--windows", "2", "--n", "{value}"],
+     "invalid int value: {value!r}"),
+    (["sample", "p.tsv", "--windows", "2", "--seed", "{value}"],
+     "invalid int value: {value!r}"),
+    (["translit", "p.tsv", "--simplify", "--rare-min", "{value}"],
+     "invalid int value: {value!r}"),
+    (["batch", "page.txt", "--meta", "meta.tsv", "--rare-min", "{value}"],
+     "invalid int value: {value!r}"),
+], ids=["windows", "n", "seed", "translit-rare-min", "batch-rare-min"])
+def test_integer_flags_take_only_ascii_digits(workspace, capsys, argv,
+                                              message, value):
+    # int() reads each of these values as a number.
+    run("ingest", "plain.txt", "--out", "p.tsv")
+    capsys.readouterr()
+    before = sorted(workspace.iterdir())
+    assert run(*(a.format(value=value) for a in argv), "--out", "o") == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {argv[-2]}: {message.format(value=value)}\n")
+    assert sorted(workspace.iterdir()) == before
+
 def test_sample_json_and_csv(workspace):
     run("ingest", "plain.txt", "--out", "p.tsv")
     assert run("sample", "p.tsv", "--windows", "2,5", "--n", "6",
