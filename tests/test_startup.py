@@ -114,8 +114,8 @@ def _python_3_10() -> str | None:
     candidates = ["python3.10"]
     try:
         root = subprocess.run(["pyenv", "root"], capture_output=True,
-                              text=True).stdout.strip()
-    except OSError:
+                              text=True, timeout=60).stdout.strip()
+    except (OSError, subprocess.TimeoutExpired):
         root = ""
     if root:
         candidates += sorted(glob.glob(
