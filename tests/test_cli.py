@@ -198,7 +198,6 @@ def test_output_over_its_own_input(workspace, monkeypatch, argv, block):
         for d in fresh["input_digests"]]}
 
 
-
 def _append_new_word(path):
     last = path.read_text(encoding="utf-8").splitlines()[-1]
     with open(path, "a", encoding="utf-8") as f:
