@@ -11,10 +11,9 @@ Design rules, enforced uniformly across subcommands:
   inputs that produced it. Manifests carry no timestamps: rerunning a
   command with identical inputs yields byte-identical artifacts, manifest
   included;
-* every input file but package data goes through one block reader, which
-  digests the bytes it decodes as the parsers do (a UTF-8 byte-order mark
-  is stripped, bad UTF-8 is a data error); ``translit`` and ``cleanse``
-  read their TSV twice, and the run fails if the two reads differ;
+* every input file but package data is read by one block reader, which
+  digests the bytes it decodes (a BOM is stripped, bad UTF-8 is a data
+  error); ``translit`` and ``cleanse`` read twice and fail on a change;
 * an ``--out`` file is replaced whole or not at all;
 * all floats print with 12 significant digits; JSON layouts carry a
   ``schema_version``.
@@ -109,15 +108,14 @@ def _hashed_blocks(path, sha) -> Iterator[str]:
         yield from decoded_blocks(read)
 
 
-def _read_text(path, digests: list) -> str:
-    """An input file's text, decoded as the parsers decode theirs: a BOM is
-    stripped and bad UTF-8 raises DecodeError with the path and the byte
-    offset. The manifest digest is taken from the bytes decoded."""
+def _read_text(path, digests: list, parse=str):
+    """``parse`` of an input file's text, decoded as the parsers decode
+    theirs, and its digest; an error of either step names the path."""
     sha = hashlib.sha256()
     with _naming(path):
         text = "".join(_hashed_blocks(path, sha))
-    digests.append((str(path), sha.hexdigest()))
-    return text
+        digests.append((str(path), sha.hexdigest()))
+        return parse(text)
 
 
 def _read_builtin(name: str, digests: list) -> bytes:
@@ -186,9 +184,8 @@ def _fold_input(path: str, digests: list, *,
 
 
 def _emit_rewritten(path, types: TypeCounts, new_forms, digests, out):
-    """Write the TSV that :func:`_fold_input` read into ``types``, read
-    again, with each word in its new form. A word or a digest the first
-    read did not see means the file changed: a DataError, raised last."""
+    """Write the TSV :func:`_fold_input` read into ``types``, read again,
+    with new forms; a word or digest pass 1 did not see is a DataError."""
     new = dict(zip(types.forms, new_forms))
     sha = hashlib.sha256()
 
@@ -213,9 +210,7 @@ def _read_counts(path: str, digests: list):
 
 def _load_meta(args, digests: list) -> FolioMetadataMap:
     if args.meta:
-        text = _read_text(args.meta, digests)
-        with _naming(args.meta):
-            meta = FolioMetadataMap.from_tsv(text)
+        meta = _read_text(args.meta, digests, FolioMetadataMap.from_tsv)
     else:
         meta = FolioMetadataMap.from_tsv(
             _decode(_read_builtin("folio_metadata.tsv", digests)))
@@ -292,9 +287,9 @@ def cmd_translit(args) -> int:
         rules_label = f"simplify(<{args.rare_min})"
     else:
         if args.rules:
-            text = _read_text(args.rules, digests)
-            with _naming(args.rules):
-                ruleset = load_rules(text, Path(args.rules).stem)
+            name = Path(args.rules).stem
+            ruleset = _read_text(args.rules, digests,
+                                 lambda text: load_rules(text, name))
         else:
             ruleset = builtin_rules(args.system)
             _read_builtin(f"{args.system}.rules", digests)
@@ -312,9 +307,7 @@ def cmd_translit(args) -> int:
 
 def _cleanse_config(args, digests: list) -> CleanseConfig:
     if args.config:
-        text = _read_text(args.config, digests)
-        with _naming(args.config):
-            base = parse_config(text)
+        base = _read_text(args.config, digests, parse_config)
     else:
         base = CleanseConfig()
     ranges = base.script_ranges
