@@ -25,6 +25,7 @@ proportions, so a second pass removes nothing.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -133,6 +134,10 @@ def charset_report(table: LongTable) -> list[tuple[str, int, float]]:
     return charset_from_counts(*pair_counts(to_stream(table)))
 
 
+# int(x, 16) would also take a sign, "0x", "_" and non-ASCII digits.
+_CODEPOINT = re.compile(r"(?:[Uu]\+)?([0-9A-Fa-f]{1,6})")
+
+
 def parse_script_range(text: str) -> tuple[int, int]:
     """Parse ``U+0400..U+04FF`` into an inclusive codepoint interval."""
     parts = text.split("..")
@@ -141,13 +146,11 @@ def parse_script_range(text: str) -> tuple[int, int]:
             f"script range must look like U+0400..U+04FF, got {text!r}")
     bounds = []
     for p in parts:
-        p = p.strip()
-        if p.upper().startswith("U+"):
-            p = p[2:]
-        try:
-            bounds.append(int(p, 16))
-        except ValueError:
-            raise ConfigError(f"bad codepoint {p!r} in script range") from None
+        match = _CODEPOINT.fullmatch(p.strip())
+        if not match or int(match[1], 16) > 0x10FFFF:
+            raise ConfigError(
+                f"bad codepoint {p.strip()!r} in script range {text!r}")
+        bounds.append(int(match[1], 16))
     return bounds[0], bounds[1]
 
 
@@ -183,8 +186,11 @@ def parse_config(text: str) -> CleanseConfig:
                 raise ConfigError(
                     f"line {n}: bad threshold {raw!r}") from None
         elif key == "script_ranges":
-            values[key] = tuple(
-                parse_script_range(part) for part in raw.split(",") if part)
+            try:
+                values[key] = tuple(parse_script_range(part)
+                                    for part in raw.split(",") if part)
+            except ConfigError as exc:
+                raise ConfigError(f"line {n}: {exc}") from None
         elif key == "preserve_chars":
             values[key] = frozenset(raw)
         else:

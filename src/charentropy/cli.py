@@ -14,7 +14,8 @@ Design rules, enforced uniformly across subcommands:
 * every input file but package data is read by one block reader, which
   digests the bytes it decodes (a BOM is stripped, bad UTF-8 is a data
   error); ``translit`` and ``cleanse`` read twice and fail on a change;
-* an ``--out`` file is replaced whole or not at all;
+* outputs are written as they are encoded, never held whole, and an
+  ``--out`` file is replaced whole or not at all;
 * all floats print with 12 significant digits; JSON layouts carry a
   ``schema_version``.
 
@@ -48,7 +49,8 @@ from . import __version__
 from .cleanse import (CleanseConfig, cleaned_forms, parse_config,
                       parse_script_range)
 from .errors import CharentropyError, ConfigError, DataError
-from .formats import SCHEMA_VERSION, fmt_float, json_dumps, sha256_bytes
+from .formats import (SCHEMA_VERSION, fmt_float, json_dumps, json_pieces,
+                      sha256_bytes)
 from .ingest import (CANONICAL_SELECTIONS, FolioMetadataMap, _decode,
                      _table_from_lines, canonical_selection, check_words,
                      content_lines, decoded_blocks, parse_interlinear,
@@ -58,7 +60,7 @@ from .metrics import (BOUNDARY, TypeCounts, bigram_matrix_from_counts,
                       charset_from_counts, coverage_report,
                       entropy_report_from_counts, h2_from_counts,
                       heatmap_export, merge_symbols)
-from .sampling import (SamplingConfig, distributions_to_csv,
+from .sampling import (SamplingConfig, distributions_csv_rows,
                        distributions_to_dict, sample_h2)
 from .sukhotin import detect_from_counts
 from .translit import (builtin_rules, load_rules, rare_characters,
@@ -163,9 +165,11 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
         with open(temporary, "w", encoding="utf-8") as f:
             f.writelines(pieces)
         os.replace(temporary, target)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
             os.remove(temporary)
+        if isinstance(exc, OSError) and exc.filename == temporary:
+            raise OSError(exc.errno, exc.strerror, out) from None
         raise
 
 
@@ -356,7 +360,7 @@ def cmd_stats(args) -> int:
         "charset": [{"char": c, "count": n, "proportion": p}
                     for c, n, p in charset_from_counts(symbols, counts)],
     }
-    _emit([json_dumps(doc)], args.out)
+    _emit(json_pieces(doc), args.out)
     _write_manifest(
         args, "stats", digests, {},
         default_base=args.out)
@@ -402,9 +406,9 @@ def cmd_sample(args) -> int:
     with _naming(args.input):
         distributions = sample_h2(types, cfg)
     if args.format == "csv":
-        text = distributions_to_csv(distributions)
+        pieces = distributions_csv_rows(distributions)
     else:
-        text = json_dumps({
+        pieces = json_pieces({
             "schema_version": SCHEMA_VERSION,
             "source_id": types.source_id,
             "seed": args.seed,
@@ -412,7 +416,7 @@ def cmd_sample(args) -> int:
             "distributions": distributions_to_dict(
                 distributions, include_values=args.values),
         })
-    _emit([text], args.out)
+    _emit(pieces, args.out)
     _write_manifest(
         args, "sample", digests,
         {"windows": list(args.windows), "n": args.n, "format": args.format,
@@ -432,7 +436,7 @@ def cmd_sukhotin(args) -> int:
     doc = {"schema_version": SCHEMA_VERSION,
            "source_id": types.source_id}
     doc.update(result.as_dict(diagnostics=args.diagnostics))
-    _emit([json_dumps(doc)], args.out)
+    _emit(json_pieces(doc), args.out)
     _write_manifest(
         args, "sukhotin", digests,
         {"include_space": args.include_space,
@@ -727,6 +731,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No command calls a BLAS routine, so OpenBLAS's thread pool would only
+    # slow numpy's import. A user's own setting wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 
 SCHEMA_VERSION = 1
+
+_ENCODER = json.JSONEncoder(indent=2, ensure_ascii=False)
 
 
 def fmt_float(x: float) -> str:
@@ -40,8 +43,14 @@ def round_floats(obj):
     return obj
 
 
+def json_pieces(obj) -> Iterator[str]:
+    """:func:`json_dumps`'s text in pieces, made as a writer takes them."""
+    yield from _ENCODER.iterencode(round_floats(obj))
+    yield "\n"
+
+
 def json_dumps(obj) -> str:
-    return json.dumps(round_floats(obj), indent=2, ensure_ascii=False) + "\n"
+    return "".join(json_pieces(obj))
 
 
 def sha256_bytes(data: bytes) -> str:

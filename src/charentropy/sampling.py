@@ -39,8 +39,7 @@ take the per-sample generator itself.
 
 from __future__ import annotations
 
-import csv
-import io
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ._lazy import lazy_import
@@ -115,13 +114,28 @@ class WindowCounts:
         # so pair numbers, fit 32 bits unless the text has 2**31 characters.
         occurring, pair_of_code = np.unique(pairs.codes, return_inverse=True)
         m = len(occurring)
-        # The text's pairs are those of its tokens' types, in token order.
         sizes = np.diff(pairs.offsets)[types.ids]
         ends = np.cumsum(sizes)
         n_pairs = int(ends[-1])
         small = np.int32 if n_pairs < 2 ** 31 else np.int64
-        self._pairs = pair_of_code[np.arange(n_pairs) + np.repeat(
-            pairs.offsets[types.ids] - ends + sizes, sizes)].astype(small)
+        # The window of words [i, i+w) spans pair indices [boundaries[i],
+        # boundaries[i+w]).
+        self._boundaries = np.concatenate(([0], ends))
+        self.n_words = len(sizes)
+        # The text's pairs are those of its tokens' types, in token order,
+        # gathered a block of tokens at a time so that no temporary is as
+        # long as the text.
+        pair_of_code = pair_of_code.astype(small)
+        offsets = pairs.offsets.astype(small)
+        self._pairs = np.empty(n_pairs, dtype=small)
+        for first in range(0, self.n_words, _PIECE_ROWS):
+            ids = types.ids[first:first + _PIECE_ROWS]
+            edges = self._boundaries[first:first + len(ids) + 1]
+            lo, hi = edges[0], edges[-1]
+            self._pairs[lo:hi] = pair_of_code[
+                np.arange(hi - lo, dtype=small) + np.repeat(
+                    offsets[ids] - (edges[:-1] - lo).astype(small),
+                    sizes[first:first + len(ids)])]
         self._m = m
         # The pairs of row i of the count matrix are pairs
         # row_starts[i]:row_starts[i + 1] of the m; _row_of[j] is the row of
@@ -131,10 +145,6 @@ class WindowCounts:
         self._row_starts = row_starts
         self._row_of = np.repeat(np.arange(len(row_starts)),
                                  np.diff(row_starts, append=m))
-        # The window of words [i, i+w) spans pair indices [boundaries[i],
-        # boundaries[i+w]).
-        self._boundaries = np.concatenate(([0], ends))
-        self.n_words = len(sizes)
         # The smallest spacing at which the table, one row of m counts per
         # checkpoint at words 0, spacing, 2 * spacing, ... <= n_words,
         # holds no more numbers than the text has pairs.
@@ -296,10 +306,12 @@ def distributions_to_dict(
 def distributions_to_csv(distributions) -> str:
     """Long-form CSV (window, sample_index, h2), one row per sample —
     the shape density/violin plotting tools want."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["window", "sample_index", "h2"])
+    return "".join(distributions_csv_rows(distributions))
+
+
+def distributions_csv_rows(distributions) -> Iterator[str]:
+    """The lines of :func:`distributions_to_csv`; no field needs quotes."""
+    yield "window,sample_index,h2\n"
     for d in distributions:
         for i, v in enumerate(d.values):
-            writer.writerow([d.window_size, i, f"{v:.12g}"])
-    return out.getvalue()
+            yield f"{d.window_size},{i},{v:.12g}\n"

@@ -17,7 +17,9 @@ simplification and ``entropy_report``, job by job. The sampler oracle is
 count of each window over every pair of symbols, and h2 as a generator
 over the occupied cells; the tests compare its values with ``==``. Its
 starts are drawn one child generator per sample, the path that
-``sampling._starts`` computes in one pass.
+``sampling._starts`` computes in one pass. The window-pairs oracle is
+the one numpy expression ``WindowCounts`` gathered its pairs with before it
+gathered them a block of tokens at a time.
 """
 
 from __future__ import annotations
@@ -419,6 +421,19 @@ def window_h2_oracle(table: LongTable, windows) -> list[float]:
     """h2 of each ``(start, w)`` window of the table's words."""
     _, h2 = _dense_window_h2(table)
     return [h2(start, w) for start, w in windows]
+
+
+def window_pairs_oracle(types) -> np.ndarray:
+    """``WindowCounts._pairs`` as one gather over the whole text, the way it
+    was built before it was built a block of tokens at a time."""
+    pairs = types.pairs()
+    _, pair_of_code = np.unique(pairs.codes, return_inverse=True)
+    sizes = np.diff(pairs.offsets)[types.ids]
+    ends = np.cumsum(sizes)
+    n_pairs = int(ends[-1])
+    small = np.int32 if n_pairs < 2 ** 31 else np.int64
+    return pair_of_code[np.arange(n_pairs) + np.repeat(
+        pairs.offsets[types.ids] - ends + sizes, sizes)].astype(small)
 
 
 def sample_start_oracle(seed: int, size_index: int, sample_index: int,

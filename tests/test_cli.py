@@ -769,6 +769,61 @@ def test_bad_utf8_in_any_input_is_data_error(workspace, capsys, argv, name,
                    f"(byte offset {offset})\n"), err
 
 
+@pytest.mark.parametrize("text", [
+    "U+-1..U+04FF", "0x400..0x4FF", "U+04_00..U+04FF", "U+110000..U+110001",
+    "U+\u0664" "00..U+4FF"], ids=["sign", "0x", "underscore", "past-10FFFF",
+                                "arabic-indic-digit"])
+def test_script_range_takes_only_ascii_hex_up_to_10ffff(workspace, capsys,
+                                                        text):
+    # int(x, 16) reads each of these as a codepoint.
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    (workspace / "bad.cfg").write_text(f"script_ranges = {text}\n",
+                                       encoding="utf-8")
+    capsys.readouterr()
+    before = sorted(workspace.iterdir())
+    bound = text.split("..")[0]
+    message = f"bad codepoint {bound!r} in script range {text!r}\n"
+    assert run("cleanse", "p.tsv", "--script-range", text,
+               "--out", "o.tsv") == 2
+    assert capsys.readouterr().err == f"charentropy: error: {message}"
+    assert run("cleanse", "p.tsv", "--config", "bad.cfg",
+               "--out", "o.tsv") == 2
+    assert capsys.readouterr().err == (
+        f"charentropy: error: bad.cfg: line 1: {message}")
+    assert sorted(workspace.iterdir()) == before
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("nodir/x.json", "[Errno 2] No such file or directory"),
+    ("p.tsv/x.json", "[Errno 20] Not a directory"),
+], ids=["missing-directory", "through-a-file"])
+def test_an_unwritable_out_is_named_as_given(workspace, capsys, out, reason):
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    capsys.readouterr()
+    before = sorted(workspace.iterdir())
+    assert run("stats", "p.tsv", "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"charentropy: error: {reason}: {out!r}\n")
+    assert sorted(workspace.iterdir()) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="root may write in any directory")
+def test_out_in_a_read_only_directory_is_named_as_given(workspace, capsys):
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    (workspace / "locked").mkdir()
+    (workspace / "locked").chmod(0o500)
+    capsys.readouterr()
+    try:
+        assert run("stats", "p.tsv", "--out", "locked/x.json") == 2
+        assert capsys.readouterr().err == (
+            "charentropy: error: [Errno 13] Permission denied: "
+            "'locked/x.json'\n")
+        assert list((workspace / "locked").iterdir()) == []
+    finally:
+        (workspace / "locked").chmod(0o700)
+
+
 _ROW = "\t".join(TSV_COLUMNS) + "\nqo\t1\t1\n"
 _ROW_ERROR = "line 2: expected 15 columns, got 3"
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import random
@@ -143,6 +145,20 @@ def test_blocks_of_sample_indices_do_not_change_values(monkeypatch, block):
             == oracles.sample_h2_oracle(table, cfg))
 
 
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_pairs_are_the_same_gathered_in_any_block_of_tokens(monkeypatch,
+                                                            block):
+    # sampling's _PIECE_ROWS is ingest's, imported by name. 5,000 words
+    # make two blocks of 4,096 tokens, the second of them short.
+    monkeypatch.setattr(sampling, "_PIECE_ROWS", block)
+    for table in (make_corpus(1), CORPUS, make_corpus(5000, seed=3)):
+        types = TypeCounts.of(table)
+        pairs = WindowCounts(types)._pairs
+        expected = oracles.window_pairs_oracle(types)
+        assert pairs.dtype == expected.dtype
+        assert np.array_equal(pairs, expected)
+
+
 def test_sample_h2_raises_no_warning():
     cfg = SamplingConfig(window_sizes=(1, 25, 400), samples_per_size=300,
                          seed=2 ** 64 - 1)
@@ -254,3 +270,10 @@ def test_serialization_shapes():
     window, idx, h2 = lines[1].split(",")
     assert (int(window), int(idx)) == (10, 0)
     assert float(h2) == float(f"{dists[0].values[0]:.12g}")
+    # The rows are those the csv module writes.
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["window", "sample_index", "h2"])
+    writer.writerows([d.window_size, i, f"{v:.12g}"]
+                     for d in dists for i, v in enumerate(d.values))
+    assert distributions_to_csv(dists) == out.getvalue()

@@ -108,6 +108,41 @@ assert lazy_import("numpy") is numpy
 """)
 
 
+# Runs ingest and stats through cli.main and prints OPENBLAS_NUM_THREADS as
+# it was after charentropy.cli was imported, and when numpy began to load
+# (its first submodule import), and the exit codes.
+BLAS_CHILD = """
+import json, os, sys
+at_load = []
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("numpy.") and not at_load:
+            at_load.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Watch())
+from charentropy.cli import main
+imported = os.environ.get("OPENBLAS_NUM_THREADS")
+codes = [main(["ingest", "plain.txt", "--out", "p.tsv"]),
+         main(["stats", "p.tsv", "--out", "s.json"])]
+print(json.dumps([imported, at_load, codes]))
+"""
+
+
+@pytest.mark.parametrize("given, used", [(None, "1"), ("4", "4")],
+                         ids=["unset", "user-set"])
+def test_commands_start_no_blas_thread_pool_unless_asked(tmp_path, given,
+                                                         used,
+                                                         monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if given is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
+    _write_inputs(tmp_path)
+    out = _python("-c", BLAS_CHILD, cwd=tmp_path)
+    # Importing the module as a library leaves the variable as it was.
+    assert json.loads(out) == [given, [used], [0, 0]]
+
+
 def _python_3_10() -> str | None:
     """A Python 3.10 interpreter: ``python3.10``, or else one that pyenv
     installed, whichever first runs and reports 3.10."""

@@ -365,6 +365,22 @@ def test_fold_memory_is_flat_in_the_row_count(tmp_path):
     assert ingest_growth < parse_growth / 4, (ingest_growth, parse_growth)
 
 
+def test_sample_values_are_written_as_they_are_encoded(tmp_path):
+    tsv = _tsv_file(tmp_path, 2_000)
+
+    def sample(n: int) -> None:
+        assert main(["sample", str(tsv), "--windows", "5", "--n", str(n),
+                     "--values", "--out", str(tmp_path / "s.json")]) == 0
+
+    sample(2_000)
+    growth = (_traced_peak(lambda: sample(16_000))
+              - _traced_peak(lambda: sample(2_000)))
+    # The 14,000 more values cost 32 bytes each as floats in a tuple. Held
+    # whole, their JSON text and its encoder's chunks made the run grow by
+    # 1.9 MB, three times this bound.
+    assert growth < 14_000 * 45, growth
+
+
 def _readme_example(marker: str) -> str:
     """The one Python example of the README that holds ``marker``."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
