@@ -154,6 +154,16 @@ def parse_script_range(text: str) -> tuple[int, int]:
     return bounds[0], bounds[1]
 
 
+def parse_decimal(text: str) -> float:
+    """``float(text)`` for ASCII text with no ``_``, surrounding space or
+    leading ``+``, forms float() also takes; ``-0.0`` reads as ``0.0``.
+    A leading ``-``, ``nan`` and ``inf`` are left to the range checks."""
+    if (not text.isascii() or "_" in text or text != text.strip()
+            or text.startswith("+")):
+        raise ValueError(f"invalid decimal value: {text!r}")
+    return float(text) + 0.0  # -0.0 + 0.0 is 0.0
+
+
 _TRUE = {"true", "yes", "1", "on"}
 _FALSE = {"false", "no", "0", "off"}
 
@@ -181,7 +191,7 @@ def parse_config(text: str) -> CleanseConfig:
                 raise ConfigError(f"line {n}: {key} must be true/false")
         elif key == "rare_char_threshold":
             try:
-                values[key] = float(raw)
+                values[key] = parse_decimal(raw)
             except ValueError:
                 raise ConfigError(
                     f"line {n}: bad threshold {raw!r}") from None

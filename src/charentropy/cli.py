@@ -47,15 +47,15 @@ from pathlib import Path
 
 from . import __version__
 from .cleanse import (CleanseConfig, cleaned_forms, parse_config,
-                      parse_script_range)
+                      parse_decimal, parse_script_range)
 from .errors import CharentropyError, ConfigError, DataError
 from .formats import (SCHEMA_VERSION, fmt_float, json_dumps, json_pieces,
                       sha256_bytes)
-from .ingest import (CANONICAL_SELECTIONS, FolioMetadataMap, _decode,
-                     _table_from_lines, canonical_selection, check_words,
-                     content_lines, decoded_blocks, parse_interlinear,
-                     plaintext_runs, rewritten_tsv, selection_mask,
-                     tsv_pieces, tsv_slices)
+from .ingest import (_LINE_BREAKS, CANONICAL_SELECTIONS, FolioMetadataMap,
+                     _decode, _table_from_lines, canonical_selection,
+                     check_words, content_lines, decoded_blocks,
+                     parse_interlinear, plaintext_runs, rewritten_tsv,
+                     selection_mask, tsv_pieces, tsv_slices)
 from .metrics import (BOUNDARY, TypeCounts, bigram_matrix_from_counts,
                       charset_from_counts, coverage_report,
                       entropy_report_from_counts, h2_from_counts,
@@ -253,10 +253,15 @@ def _plaintext_tables(text: str, source_id: str):
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
+    source_id = args.source_id or Path(args.input).name
+    if re.search(f"[\t{_LINE_BREAKS}]", source_id):
+        given = ("--source-id" if args.source_id
+                 else f"{args.input}: the file name, the default source id")
+        raise ConfigError(f"{given} {source_id!r} holds a tab or a line "
+                          f"break, which a TSV field cannot hold")
     digests = []
     text = _read_text(args.input, digests)
     kind = _sniff_kind(text) if args.kind == "auto" else args.kind
-    source_id = args.source_id or Path(args.input).name
     if kind == "interlinear":
         meta = _load_meta(args, digests)
         with _naming(args.input):
@@ -469,11 +474,7 @@ def _batch_jobs(text: str) -> list[tuple[str, str, str]]:
 
 def _default_jobs() -> list[tuple[str, str, str]]:
     """Every canonical selection under maximal, simplified and minimal."""
-    selections = ["full", "full_text", "a", "a_text", "b", "b_text"]
-    for h in "12345":
-        selections += [f"hand{h}", f"hand{h}_text"]
-    return [(sel, sel, system)
-            for sel in selections
+    return [(s, s, system) for s in CANONICAL_SELECTIONS
             for system in ("maximal", "simplified", "minimal")]
 
 
@@ -584,6 +585,13 @@ def _int_arg(text: str) -> int:
     return int(text)
 
 
+def _decimal_arg(text: str) -> float:
+    try:
+        return parse_decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _windows_arg(text: str) -> list[int]:
     try:
         return [_int_arg(part) for part in text.split(",")]
@@ -659,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
             "characters, filter by script range.")
     p.add_argument("input", help="long-table TSV")
     p.add_argument("--config", metavar="FILE", help="key=value config file")
-    p.add_argument("--threshold", type=float, metavar="FRAC",
+    p.add_argument("--threshold", type=_decimal_arg, metavar="FRAC",
                    help="rare-character proportion threshold, in [0, 1) "
                         "(default: 0.0001)")
     p.add_argument("--script-range", action="append", metavar="U+A..U+B",
@@ -680,7 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Bigram matrices as CSV heatmap grids plus the forced-successor "
             "coverage report.")
     p.add_argument("input", help="long-table TSV")
-    p.add_argument("--threshold", type=float, default=0.5, metavar="FRAC",
+    p.add_argument("--threshold", type=_decimal_arg, default=0.5,
+                   metavar="FRAC",
                    help="conditional-probability cutoff for the coverage "
                         "report (default: 0.5)")
     p.add_argument("--out-prefix", default="bigrams", metavar="PREFIX",

@@ -5,7 +5,9 @@ A :class:`RuleSet` is an ordered list of ``pattern -> replacement`` rules.
 the longest matching pattern wins (ties broken by rule order), the
 replacement is emitted, and scanning resumes *after* the replacement, so
 rewrites never cascade. Characters that match no pattern copy through
-unchanged.
+unchanged. The pass is one compiled ``re`` alternation of the rule set's
+literal patterns, longest first: ``re`` tries alternatives in order, so the
+first that matches at a position is the rule that fires there.
 
 This is the engine behind three shipped conversions:
 
@@ -26,8 +28,9 @@ replacements.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -71,17 +74,13 @@ class RuleSet:
             if r.pattern in seen:
                 raise ValueError(f"duplicate rule pattern {r.pattern!r}")
             seen.add(r.pattern)
-        # Index rules by first character; within a bucket, longest pattern
-        # first, file order breaking length ties. Computed once so apply()
-        # stays a tight loop.
-        buckets: dict[str, list[tuple[int, int, Rule]]] = {}
-        for i, r in enumerate(self.rules):
-            buckets.setdefault(r.pattern[0], []).append((len(r.pattern), i, r))
-        index = {
-            first: tuple(r for _, _, r in sorted(group, key=lambda t: (-t[0], t[1])))
-            for first, group in buckets.items()
-        }
-        object.__setattr__(self, "_index", index)
+        # Longest pattern first; the stable sort keeps file order for ties.
+        patterns = sorted((r.pattern for r in self.rules),
+                          key=lambda p: -len(p))
+        object.__setattr__(self, "_pattern", re.compile(
+            "|".join(map(re.escape, patterns)) or "(?!)"))
+        object.__setattr__(self, "_replacements",
+                           {r.pattern: r.replacement for r in self.rules})
 
     @classmethod
     def from_rules(cls, name: str, rules, alphabet=None) -> "RuleSet":
@@ -91,27 +90,10 @@ class RuleSet:
         return cls(name=name, rules=rules, declared_alphabet=frozenset(alphabet))
 
 
-def _scan(word: str, rules: RuleSet) -> Iterator[tuple[Rule | None, str]]:
-    """The single longest-match pass over ``word``: each rule that fires
-    with its replacement, and each character no pattern matches with
-    None."""
-    index = rules._index
-    i = 0
-    n = len(word)
-    while i < n:
-        for rule in index.get(word[i], ()):
-            if word.startswith(rule.pattern, i):
-                yield rule, rule.replacement
-                i += len(rule.pattern)
-                break
-        else:
-            yield None, word[i]
-            i += 1
-
-
 def apply(word: str, rules: RuleSet) -> str:
     """Rewrite ``word`` in a single pass, longest match first."""
-    return "".join([out for _, out in _scan(word, rules)])
+    replacements = rules._replacements
+    return rules._pattern.sub(lambda m: replacements[m[0]], word)
 
 
 def rule_usage(words, rules: RuleSet) -> dict[str, int]:
@@ -120,8 +102,8 @@ def rule_usage(words, rules: RuleSet) -> dict[str, int]:
     Reverse conversion out of a many-to-one system is ambiguous, so this
     firing census is the supported diagnostic instead.
     """
-    counts = Counter(rule.pattern for word in words
-                     for rule, _ in _scan(word, rules) if rule is not None)
+    counts = Counter(m[0] for word in words
+                     for m in rules._pattern.finditer(word))
     return {r.pattern: counts[r.pattern] for r in rules.rules}
 
 

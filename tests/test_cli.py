@@ -128,6 +128,25 @@ def test_ingest_missing_folio_is_data_error(workspace, capsys):
                "--allow-missing-meta", "--out", "ok.tsv") == 0
 
 
+@pytest.mark.parametrize("name, argv, given", [
+    ("plain.txt", ["--source-id", "x\ty"], "--source-id 'x\\ty'"),
+    ("plain.txt", ["--source-id", "x\u2028y"], "--source-id 'x\\u2028y'"),
+    ("we\nird.txt", [],
+     "we\nird.txt: the file name, the default source id 'we\\nird.txt'"),
+], ids=["tab-flag", "line-separator-flag", "newline-file-name"])
+def test_ingest_refuses_a_source_id_its_tsv_cannot_hold(workspace, capsys,
+                                                         name, argv, given):
+    # The source id is the TSV's last field: a tab or a line break in it
+    # would write a row that no reader of the table accepts.
+    (workspace / name).write_text("The cat sat.\n", encoding="utf-8")
+    before = sorted(workspace.iterdir())
+    assert run("ingest", name, *argv, "--out", "o.tsv") == 2
+    assert capsys.readouterr().err == (
+        f"charentropy: error: {given} holds a tab or a line break, which a "
+        f"TSV field cannot hold\n")
+    assert sorted(workspace.iterdir()) == before  # no artifact, no manifest
+
+
 def test_translit_pipeline(workspace):
     run("ingest", "page.txt", "--meta", "meta.tsv", "--transcriber", "H",
         "--out", "t.tsv")
@@ -401,6 +420,54 @@ def test_integer_flags_take_only_ascii_digits(workspace, capsys, argv,
     assert run(*(a.format(value=value) for a in argv), "--out", "o") == 1
     assert capsys.readouterr().err.endswith(
         f"error: argument {argv[-2]}: {message.format(value=value)}\n")
+    assert sorted(workspace.iterdir()) == before
+
+
+@pytest.mark.parametrize("value", [
+    "1_0e-4", "\u0660.\u0660\u0660\u0661", " 0.001 ", "+0.001", " 0.5",
+    "\u0660.\u0665"], ids=["underscore", "arabic-indic-digits", "spaces",
+                            "plus", "leading-space", "arabic-indic-half"])
+@pytest.mark.parametrize("argv", [_CLEANSE, _BIGRAMS],
+                         ids=["cleanse", "bigrams"])
+def test_decimal_flags_take_only_plain_ascii_decimals(workspace, capsys,
+                                                      argv, value):
+    # float() reads each of these values as a number.
+    run("ingest", "plain.txt", "--out", "p.tsv")
+    capsys.readouterr()
+    before = sorted(workspace.iterdir())
+    assert run(*argv, "--threshold", value) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --threshold: invalid decimal value: {value!r}\n")
+    assert sorted(workspace.iterdir()) == before
+
+
+def test_cleanse_threshold_minus_zero_is_recorded_as_zero(workspace):
+    # One behaviour, one manifest: -0.0 and 0 cleanse alike.
+    run("ingest", "plain.txt", "--out", "p.tsv")
+    for value, out in (("-0.0", "neg.tsv"), ("0", "pos.tsv")):
+        assert run("cleanse", "p.tsv", "--threshold", value,
+                   "--out", out) == 0
+    neg, pos = ((workspace / f"{out}.manifest.json").read_text(
+        encoding="utf-8") for out in ("neg.tsv", "pos.tsv"))
+    assert '"rare_char_threshold": 0.0,' in neg
+    assert neg.replace("neg.tsv", "pos.tsv") == pos
+
+
+@pytest.mark.parametrize("value", [
+    "1_0e-5", "+0.001", "\u0660.\u0660\u0660\u0661"],
+    ids=["underscore", "plus", "arabic-indic-digits"])
+def test_config_threshold_takes_only_plain_ascii_decimals(workspace, capsys,
+                                                          value):
+    run("ingest", "plain.txt", "--out", "p.tsv")
+    (workspace / "bad.cfg").write_text(
+        f"lowercase = true\nrare_char_threshold = {value}\n",
+        encoding="utf-8")
+    capsys.readouterr()
+    before = sorted(workspace.iterdir())
+    assert run("cleanse", "p.tsv", "--config", "bad.cfg",
+               "--out", "o.tsv") == 2
+    assert capsys.readouterr().err == (
+        f"charentropy: error: bad.cfg: line 2: bad threshold {value!r}\n")
     assert sorted(workspace.iterdir()) == before
 
 def test_sample_json_and_csv(workspace):

@@ -1,6 +1,6 @@
 """numpy is loaded only by the commands that count, loading it lazily is
 safe whichever of numpy and charentropy is imported first, and the commands
-that never load it run on Python 3.10 with no numpy at all.
+that never load it run on Python 3.10, 3.12 and 3.13 with no numpy at all.
 
 Each check runs in a fresh interpreter, since this one has numpy loaded.
 """
@@ -143,18 +143,18 @@ def test_commands_start_no_blas_thread_pool_unless_asked(tmp_path, given,
     assert json.loads(out) == [given, [used], [0, 0]]
 
 
-def _python_3_10() -> str | None:
-    """A Python 3.10 interpreter: ``python3.10``, or else one that pyenv
-    installed, whichever first runs and reports 3.10."""
-    candidates = ["python3.10"]
+def _python_version(version: str) -> str | None:
+    """A Python ``version`` interpreter, such as "3.12": ``python3.12``, or
+    else one that pyenv installed, whichever first runs and reports it."""
+    candidates = [f"python{version}"]
     try:
         root = subprocess.run(["pyenv", "root"], capture_output=True,
                               text=True, timeout=60).stdout.strip()
     except (OSError, subprocess.TimeoutExpired):
         root = ""
     if root:
-        candidates += sorted(glob.glob(
-            os.path.join(root, "versions", "3.10*", "bin", "python3.10")))
+        candidates += sorted(glob.glob(os.path.join(
+            root, "versions", f"{version}*", "bin", f"python{version}")))
     for python in candidates:
         try:
             out = subprocess.run(
@@ -162,16 +162,17 @@ def _python_3_10() -> str | None:
                 capture_output=True, text=True, timeout=60)
         except (OSError, subprocess.TimeoutExpired):
             continue
-        if out.stdout.strip() == "(3, 10)":
+        if out.stdout.strip() == str(tuple(map(int, version.split(".")))):
             return python
     return None
 
 
-# Run before CHILD on 3.10: numpy cannot be imported, and no input holds a
-# character this interpreter's Unicode leaves unassigned.
-CHECK_3_10 = """
+# Run before CHILD on the other interpreter, after a line that sets
+# VERSION: numpy cannot be imported, and no input holds a character this
+# interpreter's Unicode leaves unassigned.
+CHECK = """
 import sys, unicodedata
-assert sys.version_info[:2] == (3, 10), sys.version
+assert sys.version_info[:2] == VERSION, sys.version
 try:
     import numpy
 except ImportError:
@@ -181,27 +182,30 @@ else:
 for name in sys.argv[2:]:
     with open(name, encoding="utf-8") as f:
         unassigned = {c for c in f.read() if unicodedata.category(c) == "Cn"}
-    assert not unassigned, (name, sorted(unassigned))
+    assert not unassigned, (name, unicodedata.unidata_version,
+                            sorted(unassigned))
 """
 
 
-def test_the_numpy_free_commands_run_on_python_3_10(tmp_path):
-    python = _python_3_10()
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_the_numpy_free_commands_run_on_python(tmp_path, version):
+    python = _python_version(version)
     if python is None:
-        pytest.skip("no Python 3.10 interpreter found")
+        pytest.skip(f"no Python {version} interpreter found")
     stub = tmp_path / "stub" / "numpy"
     stub.mkdir(parents=True)
     (stub / "__init__.py").write_text(
         "raise ImportError('numpy is not installed here')\n",
         encoding="utf-8")
+    check = f"VERSION = {tuple(map(int, version.split('.')))}\n" + CHECK
     runs = {}
     for side, args in (("host", {}),
-                       ("3.10", {"python": python,
-                                 "path": [str(stub.parent), SRC]})):
+                       (version, {"python": python,
+                                  "path": [str(stub.parent), SRC]})):
         work = tmp_path / side
         work.mkdir()
         inputs = _write_inputs(work)
-        child = CHECK_3_10 + CHILD if side == "3.10" else CHILD
+        child = check + CHILD if side == version else CHILD
         out = _python("-c", child, json.dumps(NUMPY_FREE), *inputs,
                       cwd=work, **args)
         files = {p.name: p.read_bytes() for p in work.iterdir()}
@@ -210,4 +214,4 @@ def test_the_numpy_free_commands_run_on_python_3_10(tmp_path):
     report = json.loads(out.splitlines()[-1])
     assert [code for _, code, _ in report] == [0] * len(NUMPY_FREE)
     assert "self.tsv.manifest.json" in files and "simp.tsv" in files
-    assert runs["3.10"] == runs["host"]
+    assert runs[version] == runs["host"]

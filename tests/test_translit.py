@@ -150,12 +150,21 @@ def test_rule_usage_counts_firings():
     assert usage["cth"] == 0
 
 
-_RULES = st.dictionaries(st.text("abc", min_size=1, max_size=3),
-                         st.text("abxy", max_size=2), max_size=8)
+# Regex metacharacters and a combining mark: patterns are literal text.
+# Half the characters drawn are letters, so that patterns often overlap.
+_SPECIAL = st.sampled_from(".*+?()[]{}|\\^$\u0301")
+
+
+def _text(letters, **size):
+    return st.text(st.sampled_from(letters) | _SPECIAL, **size)
+
+
+_RULES = st.dictionaries(_text("abc", min_size=1, max_size=3),
+                         _text("abxy", max_size=2), max_size=8)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(rules=_RULES, words=st.lists(st.text("abcd", max_size=8), max_size=6))
+@given(rules=_RULES, words=st.lists(_text("abcd", max_size=8), max_size=6))
 def test_scanner_matches_a_plain_longest_match_pass(rules, words):
     pairs = [(p, r) for p, r in rules.items() if p != r]
     rs = ruleset(*pairs, alphabet="abcxy")
