@@ -30,7 +30,7 @@ every missing folio is reported first. ``stats``, ``bigrams``,
 (``sample`` keeps a type id per word), and ``translit`` and ``cleanse``
 keep their input's word-type counts and rewrite each row where it stands,
 so none of them holds a table or its input. numpy loads on first use, which
-``--version``, ``ingest``, ``translit`` and ``cleanse`` never reach.
+only ``sample`` and ``batch`` reach: the other commands count in Python.
 """
 
 from __future__ import annotations
@@ -56,13 +56,11 @@ from .ingest import (_LINE_BREAKS, CANONICAL_SELECTIONS, FolioMetadataMap,
                      check_words, content_lines, decoded_blocks,
                      parse_interlinear, plaintext_runs, rewritten_tsv,
                      selection_mask, tsv_pieces, tsv_slices)
-from .metrics import (BOUNDARY, TypeCounts, bigram_matrix_from_counts,
-                      charset_from_counts, coverage_report,
-                      entropy_report_from_counts, h2_from_counts,
-                      heatmap_export, merge_symbols)
+from .metrics import (BOUNDARY, PairCells, TypeCounts, h2_from_counts,
+                      merge_symbols)
 from .sampling import (SamplingConfig, distributions_csv_rows,
                        distributions_to_dict, sample_h2)
-from .sukhotin import detect_from_counts
+from .sukhotin import detect_from_cells
 from .translit import (builtin_rules, load_rules, rare_characters,
                        simplified_forms, simplify_maximal,
                        transliterate_words)
@@ -72,7 +70,8 @@ from .translit import (builtin_rules, load_rules, rare_characters,
 from .cleanse import charset_report, cleanse  # noqa: F401,E402
 from .formats import sha256_file  # noqa: F401,E402
 from .ingest import parse_plaintext, read_tsv, write_tsv  # noqa: F401,E402
-from .metrics import bigram_matrix, entropy_report, to_stream  # noqa: F401,E402
+from .metrics import (bigram_matrix, coverage_report,  # noqa: F401,E402
+                      entropy_report, heatmap_export, to_stream)
 from .translit import (simplify_document,  # noqa: F401,E402
                        transliterate_document)
 
@@ -203,13 +202,11 @@ def _emit_rewritten(path, types: TypeCounts, new_forms, digests, out):
     _emit(pieces(), out)
 
 
-def _read_counts(path: str, digests: list):
-    """``(types, symbols, counts)``: a TSV's word types and the pair-count
-    matrix of its words over ``symbols``."""
+def _read_cells(path: str, digests: list) -> tuple[TypeCounts, PairCells]:
+    """A TSV's word types and the pair counts of its words."""
     types = _fold_input(path, digests)
     with _naming(path):
-        pairs = types.pairs()
-    return types, pairs.symbols, pairs.counts(types.freq)
+        return types, types.cells()
 
 
 def _load_meta(args, digests: list) -> FolioMetadataMap:
@@ -356,14 +353,13 @@ def cmd_cleanse(args) -> int:
 
 def cmd_stats(args) -> int:
     digests = []
-    types, symbols, counts = _read_counts(args.input, digests)
-    report = entropy_report_from_counts(symbols, counts, len(types.forms))
+    types, cells = _read_cells(args.input, digests)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "source_id": types.source_id,
-        "entropy": report.as_dict(),
+        "entropy": cells.entropy_report(len(types.forms)).as_dict(),
         "charset": [{"char": c, "count": n, "proportion": p}
-                    for c, n, p in charset_from_counts(symbols, counts)],
+                    for c, n, p in cells.charset()],
     }
     _emit(json_pieces(doc), args.out)
     _write_manifest(
@@ -377,15 +373,14 @@ def cmd_bigrams(args) -> int:
         raise ConfigError(
             f"--threshold must lie in [0, 1], got {args.threshold}")
     digests = []
-    types, symbols, counts = _read_counts(args.input, digests)
-    matrix = bigram_matrix_from_counts(symbols, counts)
+    types, cells = _read_cells(args.input, digests)
     prefix = args.out_prefix
     for mode, suffix in (("conditional", "conditional"),
                          ("weighted", "weighted"),
                          ("entropy_contribution", "entropy")):
         Path(f"{prefix}_{suffix}.csv").write_text(
-            heatmap_export(matrix, mode), encoding="utf-8")
-    coverage = coverage_report(matrix, args.threshold)
+            cells.heatmap(mode), encoding="utf-8")
+    coverage = cells.coverage(args.threshold)
     doc = {"schema_version": SCHEMA_VERSION,
            "source_id": types.source_id}
     doc.update(coverage.as_dict())
@@ -432,12 +427,11 @@ def cmd_sample(args) -> int:
 
 def cmd_sukhotin(args) -> int:
     digests = []
-    types, symbols, counts = _read_counts(args.input, digests)
+    types, cells = _read_cells(args.input, digests)
     # The boundary starts the stream, and each character first occurs in
     # the first occurrence of some type.
-    result = detect_from_counts(symbols, counts,
-                                BOUNDARY + "".join(types.forms),
-                                args.include_space)
+    result = detect_from_cells(cells, BOUNDARY + "".join(types.forms),
+                               args.include_space)
     doc = {"schema_version": SCHEMA_VERSION,
            "source_id": types.source_id}
     doc.update(result.as_dict(diagnostics=args.diagnostics))

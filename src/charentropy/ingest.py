@@ -78,7 +78,7 @@ _INTERLINEAR_FORBIDDEN = frozenset(".,#")
 _LOCUS_RE = re.compile(
     r"^<\s*(?P<folio>[A-Za-z0-9]+)"
     r"\.(?P<locus>[A-Za-z][A-Za-z0-9]*)"
-    r"\.(?P<line>\d+)"
+    r"\.(?P<line>[0-9]+)"
     r"\s*;\s*(?P<transcriber>[A-Za-z0-9]+)\s*>"
     r"(?P<payload>.*)$"
 )

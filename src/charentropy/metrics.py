@@ -27,14 +27,12 @@ be counted from word types instead of tokens. :class:`TypeCounts` holds
 a document's distinct words in first-occurrence order and their
 frequencies, folded from a long table's rows slice by slice, and on
 request each token's type id, so that a selection of the tokens is a
-frequency vector over the types, ``np.bincount(ids[mask])``.
-:meth:`TypeCounts.pairs` lays out the pair codes of each type's ``#form#``
-as CSR arrays (one offset per type into one code array), for the types'
-forms or a rewrite of them, and :meth:`TypePairs.counts` turns a
-frequency vector into the count matrix with one weighted
-``np.bincount``. Each statistic is computed from a count matrix
-(``*_from_counts``); :func:`to_stream` and :func:`pair_counts` count token
-by token, stay as the reference, and feed the stream functions.
+frequency vector over the types, ``np.bincount(ids[mask])``. Every
+statistic takes the matrix's occupied cells, a :class:`PairCells`, counted
+in Python (:meth:`TypeCounts.cells`) or read from a numpy matrix. Many
+frequency vectors are counted with one weighted ``np.bincount`` each
+(:meth:`TypeCounts.pairs`), and their h2 divides in numpy. ``to_stream``
+and :func:`pair_counts` count token by token, as the reference.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from ._lazy import lazy_import
 from .errors import DataError, EmptyStreamError
@@ -258,9 +256,31 @@ class TypeCounts:
 
     def pairs(self, forms: Sequence[str] | None = None) -> TypePairs:
         """Pair codes of the types' forms or of ``forms``, a rewrite of them
-        one for one (which needs :meth:`of`'s lines). Raises what
-        :func:`to_stream` raises on the (rewritten) table: EmptyStreamError,
-        or DataError naming the first word that holds the boundary."""
+        one for one (which needs :meth:`of`'s lines)."""
+        forms = self._checked(forms)
+        symbols, codes = _pair_codes(stream_from_words(forms))
+        offsets = np.zeros(len(forms) + 1, dtype=np.intp)
+        np.cumsum([len(form) + 1 for form in forms], out=offsets[1:])
+        return TypePairs(forms=forms, symbols=symbols, offsets=offsets,
+                         codes=codes)
+
+    def cells(self) -> PairCells:
+        """The pair counts of the types' forms, counted in Python: the forms
+        of one frequency, joined, are a stream whose pairs are theirs."""
+        by_freq: dict[int, list[str]] = {}
+        for form, n in zip(self._checked(None), self.freq):
+            by_freq.setdefault(n, []).append(form)
+        cells: Counter = Counter()
+        for n, forms in by_freq.items():
+            s = BOUNDARY + BOUNDARY.join(forms) + BOUNDARY
+            for pair, c in Counter(zip(s, s[1:])).items():
+                cells[pair] += n * c
+        # Every symbol, the boundary too, is followed by another.
+        return PairCells(tuple(sorted({a for a, _ in cells})), dict(cells))
+
+    def _checked(self, forms: Sequence[str] | None) -> tuple[str, ...]:
+        """``forms``, else the types' own. Raises what :func:`to_stream` does
+        on them: EmptyStreamError, or DataError naming a boundary's word."""
         if forms is not None and self.lines is None:
             raise ValueError("pairs(forms) needs TypeCounts.of's lines")
         if not self.forms:
@@ -275,11 +295,101 @@ class TypeCounts:
         elif any(BOUNDARY in form for form in forms):
             t = next(t for t, form in enumerate(forms) if BOUNDARY in form)
             raise _boundary_error(self.lines[t], forms[t])
-        symbols, codes = _pair_codes(stream_from_words(forms))
-        offsets = np.zeros(len(forms) + 1, dtype=np.intp)
-        np.cumsum([len(form) + 1 for form in forms], out=offsets[1:])
-        return TypePairs(forms=forms, symbols=symbols, offsets=offsets,
-                         codes=codes)
+        return forms
+
+
+@dataclass(frozen=True, slots=True)
+class PairCells:
+    """A pair-count matrix over ``symbols`` (in :func:`pair_counts`' order)
+    by its occupied cells: symbol b follows symbol a ``cells[a, b]`` times,
+    never 0. Python divides its counts, exactly as numpy below 2**53."""
+
+    symbols: tuple[str, ...]
+    cells: dict[tuple[str, str], int]
+
+    @classmethod
+    def of(cls, symbols: Sequence[str], counts: np.ndarray) -> "PairCells":
+        rows, cols = np.nonzero(counts)
+        cells = zip(rows.tolist(), cols.tolist(), counts[rows, cols].tolist())
+        return cls(tuple(symbols),
+                   {(symbols[i], symbols[j]): n for i, j, n in cells})
+
+    def sums(self, side: int) -> dict[str, int]:
+        """The sum of each occupied row (``side`` 0) or column (1)."""
+        out: dict[str, int] = {}
+        for pair, n in self.cells.items():
+            out[pair[side]] = out.get(pair[side], 0) + n
+        return out
+
+    def h2(self) -> float:
+        """Conditional entropy of the successor given the current symbol:
+        each cell adds ``(c/T) * log2(rowsum/c)``."""
+        total, rows = sum(self.cells.values()), self.sums(0)
+        if total <= 0:
+            raise ValueError("empty count matrix")
+        return entropy_from_terms(
+            [n / total for n in self.cells.values()],
+            [rows[a] / n for (a, _), n in self.cells.items()])
+
+    def entropy_report(self, word_type_count: int) -> "EntropyReport":
+        """h1 is h2 of the column sums as one row, and the boundary's column
+        sum is the number of words, as every word ends with it."""
+        columns = self.sums(1)
+        one_row = {(BOUNDARY, b): n for b, n in columns.items()}
+        return EntropyReport(
+            charset_size=len(self.symbols) - 1,
+            h0=math.log2(len(self.symbols)),
+            h1=replace(self, cells=one_row).h2(), h2=self.h2(),
+            token_count=sum(columns.values()), word_type_count=word_type_count,
+            word_token_count=columns.get(BOUNDARY, 0))
+
+    def charset(self) -> list[tuple[str, int, float]]:
+        """``(symbol, count, proportion)`` of the successor positions (the
+        column sums), by descending count, ties by codepoint."""
+        columns = self.sums(1)
+        total = sum(columns.values())
+        ranked = sorted(columns.items(), key=lambda kv: (-kv[1], kv[0]))
+        return [(c, n, n / total) for c, n in ranked]
+
+    def grid(self, view: str) -> list[list[float]]:
+        """The rows of a view, empty cells 0.0: "joint" p(xy), "conditional"
+        p(y|x), "weighted" p(xy) p(y|x), or "entropy_contribution"
+        p(xy) * -log2 p(y|x), the cell's share of h2."""
+        of, total, rows = _VIEWS[view], sum(self.cells.values()), self.sums(0)
+        return [[of(n / total, n / rows[a]) if (n := self.cells.get((a, b)))
+                 else 0.0 for b in self.symbols] for a in self.symbols]
+
+    def heatmap(self, mode: str) -> str:
+        """One view as CSV with symbol headers on both axes."""
+        if mode not in HEATMAP_MODES:
+            raise ValueError(f"unknown heatmap mode {mode!r}; expected one "
+                             f"of {HEATMAP_MODES}")
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["", *self.symbols])
+        for sym, row in zip(self.symbols, self.grid(mode)):
+            writer.writerow([sym] + [f"{v:.12g}" for v in row])
+        return out.getvalue()
+
+    def coverage(self, threshold: float = 0.5) -> "CoverageReport":
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(
+                f"threshold must be within [0, 1], got {threshold}")
+        total, rows = sum(self.cells.values()), self.sums(0)
+        found = sorted(((a, b, n / rows[a], n / total)
+                        for (a, b), n in self.cells.items()
+                        if n / rows[a] > threshold),
+                       key=lambda t: (-t[2], t[0], t[1]))
+        return CoverageReport(
+            threshold=threshold, qualifying_bigrams=tuple(found),
+            total_share=math.fsum(s for _, _, _, s in found),
+            word_final_share=math.fsum(
+                s for _, y, _, s in found if y == BOUNDARY))
+
+
+_VIEWS = {"joint": lambda p, c: p, "conditional": lambda p, c: c,
+          "weighted": operator.mul,
+          "entropy_contribution": lambda p, c: p * -math.log2(c)}
 
 
 def merge_symbols(
@@ -303,28 +413,19 @@ def bigram_matrix(stream: CharStream) -> BigramMatrix:
 def bigram_matrix_from_counts(symbols: tuple[str, ...],
                               counts: np.ndarray) -> BigramMatrix:
     """The bigram matrix over ``symbols`` of the pair-count matrix
-    ``counts``."""
-    total = counts.sum()
-    joint = counts / total
-    row_sums = counts.sum(axis=1, keepdims=True)
-    conditional = np.divide(
-        counts, row_sums, out=np.zeros_like(joint), where=row_sums > 0)
-    for arr in (counts, joint, conditional):
+    ``counts``, its views those of :meth:`PairCells.grid`."""
+    cells = PairCells.of(symbols, counts)
+    joint, conditional, weighted = (
+        np.array(cells.grid(view), dtype=float).reshape(counts.shape)
+        for view in ("joint", "conditional", "weighted"))
+    for arr in (counts, joint, conditional, weighted):
         arr.setflags(write=False)
-    weighted = joint * conditional
-    weighted.setflags(write=False)
     return BigramMatrix(symbols=symbols, counts=counts, joint=joint,
                         conditional=conditional, weighted=weighted)
 
 
 def h2_from_counts(counts: np.ndarray) -> float:
-    """Conditional entropy of the successor given the current symbol.
-
-    Each occupied cell contributes ``(c/T) * log2(rowsum/c)``; the terms
-    depend only on the count values, never on which symbol owns them, and
-    fsum is order-independent, so any bijective relabeling reproduces the
-    result exactly.
-    """
+    """:meth:`PairCells.h2` of ``counts``, dividing in numpy."""
     total = counts.sum()
     if total <= 0:
         raise ValueError("empty count matrix")
@@ -337,25 +438,21 @@ def h2_from_cells(cells: np.ndarray, row_sums: np.ndarray, total) -> float:
     ``cells`` are the nonzero counts, ``row_sums[i]`` is the sum of the row
     holding ``cells[i]``, and ``total`` is the sum of all counts.
 
-    The two divisions run in numpy and are the same IEEE operations as on
-    Python numbers; the logarithm stays ``math.log2``, which can differ
-    from ``np.log2`` in the last bit.
-    """
-    joint = (cells / float(total)).tolist()
-    ratios = (row_sums / cells).tolist()
+    The divisions run in numpy, faster than Python's on a few hundred
+    cells, and are the same IEEE operations as on Python numbers."""
+    return entropy_from_terms((cells / float(total)).tolist(),
+                              (row_sums / cells).tolist())
+
+
+def entropy_from_terms(joint: list[float], ratios: list[float]) -> float:
+    """``fsum(joint[i] * log2(ratios[i]))`` by ``math.log2``, which can
+    differ from ``np.log2`` in the last bit: every entropy ends here."""
     return math.fsum(map(operator.mul, joint, map(math.log2, ratios)))
 
 
 def h1_from_counts(counts: np.ndarray) -> float:
     """Entropy of the successor marginal (column sums / total)."""
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("empty count matrix")
-    t = float(total)
-    col_sums = counts.sum(axis=0)
-    return math.fsum(
-        (c / t) * math.log2(t / c)
-        for c in col_sums[col_sums > 0].tolist())
+    return h2_from_counts(counts.sum(axis=0, keepdims=True))
 
 
 @dataclass(frozen=True, slots=True)
@@ -371,15 +468,7 @@ class EntropyReport:
     word_type_count: int
 
     def as_dict(self) -> dict:
-        return {
-            "charset_size": self.charset_size,
-            "h0": self.h0,
-            "h1": self.h1,
-            "h2": self.h2,
-            "token_count": self.token_count,
-            "word_token_count": self.word_token_count,
-            "word_type_count": self.word_type_count,
-        }
+        return asdict(self)
 
 
 def entropy_report(stream: CharStream) -> EntropyReport:
@@ -390,35 +479,15 @@ def entropy_report(stream: CharStream) -> EntropyReport:
 
 def entropy_report_from_counts(symbols: Sequence[str], counts: np.ndarray,
                                word_type_count: int) -> EntropyReport:
-    """The report of a text whose pair-count matrix over ``symbols`` (the
-    boundary and the alphabet) is ``counts`` and which holds
-    ``word_type_count`` distinct words. Every word ends with the boundary,
-    so the boundary's column sum is the number of words."""
-    charset = len(symbols) - 1
-    return EntropyReport(
-        charset_size=charset,
-        h0=math.log2(charset + 1),
-        h1=h1_from_counts(counts),
-        h2=h2_from_counts(counts),
-        token_count=int(counts.sum()),
-        word_token_count=int(counts[:, symbols.index(BOUNDARY)].sum()),
-        word_type_count=word_type_count,
-    )
+    """The report of the count matrix ``counts`` over ``symbols``."""
+    return PairCells.of(symbols, counts).entropy_report(word_type_count)
 
 
 def charset_from_counts(
     symbols: Sequence[str], counts: np.ndarray,
 ) -> list[tuple[str, int, float]]:
-    """Ranked census of the successor positions, ``(symbol, count,
-    proportion)``: the column sums of ``counts``, which count each
-    character of each word once and the boundary once per word. Symbols
-    that occur nowhere are left out; sorted by descending count, ties by
-    codepoint."""
-    column_sums = counts.sum(axis=0).tolist()
-    total = sum(column_sums)
-    ranked = sorted(((s, n) for s, n in zip(symbols, column_sums) if n),
-                    key=lambda kv: (-kv[1], kv[0]))
-    return [(c, n, n / total) for c, n in ranked]
+    """The census of the count matrix ``counts`` over ``symbols``."""
+    return PairCells.of(symbols, counts).charset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -439,60 +508,22 @@ class CoverageReport:
     word_final_share: float
 
     def as_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "qualifying_bigrams": [
-                {"x": x, "y": y, "conditional": c, "token_share": s}
-                for x, y, c, s in self.qualifying_bigrams
-            ],
-            "total_share": self.total_share,
-            "word_final_share": self.word_final_share,
-        }
+        return {**asdict(self), "qualifying_bigrams": [
+            {"x": x, "y": y, "conditional": c, "token_share": s}
+            for x, y, c, s in self.qualifying_bigrams]}
 
 
 def coverage_report(matrix: BigramMatrix, threshold: float = 0.5) -> CoverageReport:
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be within [0, 1], got {threshold}")
-    found = []
-    rows, cols = np.nonzero(matrix.conditional > threshold)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        found.append((
-            matrix.symbols[i], matrix.symbols[j],
-            float(matrix.conditional[i, j]), float(matrix.joint[i, j]),
-        ))
-    found.sort(key=lambda t: (-t[2], t[0], t[1]))
-    return CoverageReport(
-        threshold=threshold,
-        qualifying_bigrams=tuple(found),
-        total_share=math.fsum(s for _, _, _, s in found),
-        word_final_share=math.fsum(
-            s for _, y, _, s in found if y == BOUNDARY),
-    )
+    return PairCells.of(matrix.symbols, matrix.counts).coverage(threshold)
 
 
 def entropy_contribution(matrix: BigramMatrix) -> np.ndarray:
     """Per-cell share of h2: ``p(xy) * -log2 p(y|x)``; the cells sum to h2."""
-    out = np.zeros_like(matrix.joint)
-    rows, cols = np.nonzero(matrix.counts)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        out[i, j] = matrix.joint[i, j] * -math.log2(matrix.conditional[i, j])
-    return out
+    cells = PairCells.of(matrix.symbols, matrix.counts)
+    grid = cells.grid("entropy_contribution")
+    return np.array(grid, dtype=float).reshape(matrix.counts.shape)
 
 
 def heatmap_export(matrix: BigramMatrix, mode: str) -> str:
     """Render one matrix view as CSV with symbol headers on both axes."""
-    if mode == "conditional":
-        grid = matrix.conditional
-    elif mode == "weighted":
-        grid = matrix.weighted
-    elif mode == "entropy_contribution":
-        grid = entropy_contribution(matrix)
-    else:
-        raise ValueError(
-            f"unknown heatmap mode {mode!r}; expected one of {HEATMAP_MODES}")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + list(matrix.symbols))
-    for i, sym in enumerate(matrix.symbols):
-        writer.writerow([sym] + [f"{v:.12g}" for v in grid[i]])
-    return out.getvalue()
+    return PairCells.of(matrix.symbols, matrix.counts).heatmap(mode)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from ._lazy import lazy_import
 from .ingest import LongTable
-from .metrics import BOUNDARY, CharStream, pair_counts, to_stream
+from .metrics import BOUNDARY, CharStream, PairCells, pair_counts, to_stream
 
 np = lazy_import("numpy")
 
@@ -82,27 +82,47 @@ def adjacency_from_counts(
     include_space: bool,
 ) -> AdjacencyMatrix:
     """:func:`adjacency_matrix` of a stream whose pair-count matrix over
-    ``sorted_symbols`` is ``counts``. The symbols are ordered by their
-    first occurrence in ``text``: the stream, or any text in which the
-    stream's symbols first occur in the same order, such as the boundary
-    followed by the word types in order of first occurrence."""
-    adjacency = counts + counts.T
-    np.fill_diagonal(adjacency, 0)
+    ``sorted_symbols`` is ``counts``, ordered as in :func:`_adjacency`."""
+    symbols, rows = _adjacency(PairCells.of(sorted_symbols, counts), text,
+                               include_space)
+    k = len(symbols)
+    return AdjacencyMatrix(symbols, np.array(rows, counts.dtype).reshape(k, k))
+
+
+def _adjacency(cells: PairCells, text: Iterable[str], include_space: bool,
+               ) -> tuple[tuple[str, ...], list[list[int]]]:
+    """The symbols and rows of the adjacency of ``cells``. The symbols are
+    in order of first occurrence in ``text``: the stream, or a text where
+    its symbols first occur in the same order, such as the boundary and
+    then the word types in order of first occurrence."""
     symbols = tuple(s for s in dict.fromkeys(text)
                     if include_space or s != BOUNDARY)
-    index = {s: i for i, s in enumerate(sorted_symbols)}
-    order = [index[s] for s in symbols]
-    return AdjacencyMatrix(symbols=symbols,
-                           counts=adjacency[np.ix_(order, order)])
+    index = {s: i for i, s in enumerate(symbols)}
+    rows = [[0] * len(symbols) for _ in symbols]
+    for (a, b), n in cells.cells.items():
+        if a != b and a in index and b in index:
+            rows[index[a]][index[b]] += n
+            rows[index[b]][index[a]] += n
+    return symbols, rows
 
 
 def detect_from_adjacency(
     matrix: AdjacencyMatrix, include_space: bool) -> SukhotinResult:
-    n = len(matrix.symbols)
-    sums = matrix.counts.sum(axis=1).tolist()
+    return _detect(matrix.symbols, matrix.counts.tolist(), include_space)
+
+
+def detect_from_cells(cells: PairCells, text: Iterable[str],
+                      include_space: bool = False) -> SukhotinResult:
+    """:func:`detect_vowels` from pair counts; see :func:`_adjacency`."""
+    return _detect(*_adjacency(cells, text, include_space), include_space)
+
+
+def _detect(symbols: tuple[str, ...], adjacency: list[list[int]],
+            include_space: bool) -> SukhotinResult:
+    n = len(symbols)
+    sums = [sum(row) for row in adjacency]
     remaining = list(range(n))
     vowels: list[int] = []
-    final: dict[int, int] = {}
     iterations = 0
     while remaining:
         iterations += 1
@@ -111,16 +131,14 @@ def detect_from_adjacency(
             break
         vowels.append(best)
         remaining.remove(best)
-        final[best] = sums[best]
+        # A vowel's sum is final: only the remaining symbols' sums change.
         for i in remaining:
-            sums[i] -= 2 * int(matrix.counts[best, i])
-    for i in remaining:
-        final[i] = sums[i]
+            sums[i] -= 2 * adjacency[best][i]
     return SukhotinResult(
-        vowels=tuple(matrix.symbols[i] for i in vowels),
+        vowels=tuple(symbols[i] for i in vowels),
         include_space=include_space,
         iterations=iterations,
-        final_sums={matrix.symbols[i]: final[i] for i in range(n)},
+        final_sums=dict(zip(symbols, sums)),
     )
 
 
@@ -133,11 +151,9 @@ def detect_from_counts(
     sorted_symbols: Sequence[str], counts: np.ndarray, text: Iterable[str],
     include_space: bool = False,
 ) -> SukhotinResult:
-    """:func:`detect_vowels` from pair counts, as in
-    :func:`adjacency_from_counts`."""
-    return detect_from_adjacency(
-        adjacency_from_counts(sorted_symbols, counts, text, include_space),
-        include_space)
+    """:func:`detect_from_cells` of the count matrix ``counts``."""
+    return detect_from_cells(PairCells.of(sorted_symbols, counts), text,
+                             include_space)
 
 
 def detect_on_document(

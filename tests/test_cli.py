@@ -1011,6 +1011,22 @@ def test_exit_codes(workspace, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("digit", ["\u0661", "\uff11", "\u07c1"],
+                         ids=["arabic-indic", "fullwidth", "nko"])
+def test_a_locus_line_number_of_unicode_digits_is_a_parse_error(
+        workspace, capsys, digit):
+    # int() reads these digits, and an unflagged \d matches them.
+    (workspace / "digits.txt").write_text(
+        f"<f1r.P1.1;H> daiin\n<f1r.P1.{digit};H> shedy.qokeedy\n",
+        encoding="utf-8")
+    assert run("ingest", "digits.txt", "--meta", "meta.tsv",
+               "--out", "d.tsv") == 2
+    assert capsys.readouterr().err == (
+        "charentropy: error: digits.txt: line 2: expected "
+        "'<folio.locus.line;transcriber>' locus header\n")
+    assert not (workspace / "d.tsv").exists()
+
+
 def test_malformed_table_is_data_error(workspace, capsys):
     (workspace / "junk.tsv").write_text("not\ta\ttable\n", encoding="utf-8")
     assert run("stats", "junk.tsv") == 2

@@ -1,5 +1,9 @@
+import ast
 import contextlib
+import importlib
+import pkgutil
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -107,6 +111,48 @@ def test_malformed_header_reports_line_number():
         parse("<f1r.P1.1;H> daiin\nnot a header\n")
     assert "line 2" in str(exc.value)
     assert exc.value.line_number == 2
+
+
+def _unicode_classes(pattern: str) -> list[str]:
+    """The ``\\d``, ``\\D``, ``\\w`` and ``\\W`` escapes of a regex."""
+    found, i = [], pattern.find("\\")
+    while i >= 0:
+        if pattern[i + 1:i + 2] in ("d", "D", "w", "W"):
+            found.append(pattern[i:i + 2])
+        i = pattern.find("\\", i + 2)
+    return found
+
+
+def test_no_pattern_in_the_package_reads_unicode_digits_or_letters():
+    # Without re.ASCII, \d and \w match every Unicode digit and letter, so
+    # "1" and "\u0661" would parse alike. Both the module-level compiled
+    # patterns and the pattern literals of re calls are checked.
+    assert _unicode_classes(r"a\d[\w]\\d\\\D") == ["\\d", "\\w", "\\D"]
+    package = Path(ingest.__file__).parent
+    found = []
+    for info in pkgutil.iter_modules([str(package)]):
+        module = importlib.import_module(f"charentropy.{info.name}")
+        found += [f"{info.name}.{name}: {value.pattern!r}"
+                  for name, value in vars(module).items()
+                  if isinstance(value, re.Pattern)
+                  and not value.flags & re.ASCII
+                  and _unicode_classes(value.pattern)]
+        tree = ast.parse((package / f"{info.name}.py").read_text("utf-8"))
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and call.args
+                    and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "re"):
+                continue
+            text = "".join(n.value for n in ast.walk(call.args[0])
+                           if isinstance(n, ast.Constant)
+                           and isinstance(n.value, str))
+            ascii_flag = "(?a" in text or any(
+                isinstance(n, ast.Attribute) and n.attr in ("A", "ASCII")
+                for n in ast.walk(call))
+            if _unicode_classes(text) and not ascii_flag:
+                found.append(f"{info.name}.py line {call.lineno}: {text!r}")
+    assert found == []
 
 
 def test_missing_folio_metadata_names_folio():

@@ -5,17 +5,20 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from charentropy.errors import DataError, EmptyStreamError
 from charentropy.ingest import from_words, tsv_slices, write_tsv
-from charentropy.metrics import (BOUNDARY, CharStream, TypeCounts,
-                                 bigram_matrix, coverage_report,
-                                 entropy_contribution, entropy_report,
+from charentropy.formats import json_dumps
+from charentropy.metrics import (BOUNDARY, HEATMAP_MODES, CharStream,
+                                 PairCells, TypeCounts, bigram_matrix,
+                                 coverage_report, entropy_contribution,
+                                 entropy_report, h2_from_counts,
                                  heatmap_export, merge_symbols, pair_counts,
                                  stream_from_words, to_stream)
+from charentropy.sukhotin import detect_from_cells, detect_vowels
 
 words_strategy = st.lists(
     st.text(alphabet="abcde", min_size=1, max_size=8),
@@ -42,8 +45,13 @@ def test_to_stream_length_formula():
 
 
 def test_to_stream_empty_table_errors():
-    with pytest.raises(EmptyStreamError):
-        to_stream(from_words([]))
+    with pytest.raises(EmptyStreamError) as caught:
+        to_stream(from_words([], source_id="s"))
+    types = TypeCounts.of(from_words([], source_id="s"))
+    for count in (types.pairs, types.cells):
+        with pytest.raises(EmptyStreamError) as again:
+            count()
+        assert str(again.value) == str(caught.value)
 
 
 def test_charstream_validation():
@@ -173,7 +181,10 @@ def test_boundary_inside_a_form_names_the_first_such_word():
         types.pairs(types.forms)
     with pytest.raises(DataError) as own:
         types.pairs()
-    assert str(again.value) == str(own.value) == str(caught.value) == (
+    with pytest.raises(DataError) as cells:
+        types.cells()
+    assert str(again.value) == str(own.value) == str(caught.value) == str(
+        cells.value) == (
         "line 2: word 'c#' contains the word boundary symbol '#'")
     with pytest.raises(DataError, match="line 3: word 'd#e'"):
         TypeCounts.of(from_words(["ab", "ab", "de"])).pairs(["ab", "d#e"])
@@ -187,6 +198,65 @@ def test_pairs_of_a_rewrite_needs_the_lines_of_a_table():
         with pytest.raises(ValueError, match=r"needs TypeCounts\.of.s lines"):
             types.pairs(forms)
     assert types.pairs().forms == ("ab", "cd")
+
+
+# Letters from three planes, a combining accent (U+0301) alone and after a
+# letter, and a precomposed one.
+CELL_ALPHABET = ["a", "b", "\u0301", "\u00e9", "\U00010400", "\U0001f600"]
+
+cell_texts = st.one_of(
+    st.lists(st.text(st.sampled_from(CELL_ALPHABET), min_size=1, max_size=6),
+             min_size=1, max_size=30),
+    # texts of one symbol
+    st.builds(lambda c, sizes: [c * n for n in sizes],
+              st.sampled_from(CELL_ALPHABET),
+              st.lists(st.integers(1, 4), min_size=1, max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell_texts)
+@example(["\U0001f600"])
+@example(["ab"] * 44 + ["a\u0301"] * 5)  # log2(49 / 44), and 49 / 5
+def test_the_cells_of_the_types_give_the_stream_routes_statistics(words):
+    # What stats, bigrams and sukhotin compute from a fold of the TSV, and
+    # the token-by-token numpy reference, compared exactly and as bytes.
+    table = from_words(words)
+    types = TypeCounts.fold(tsv_slices([write_tsv(table)]))
+    cells = types.cells()
+    stream = to_stream(table)
+    symbols, counts = pair_counts(stream)
+    matrix = bigram_matrix(stream)
+    assert cells == PairCells.of(symbols, counts)
+    assert cells.h2() == h2_from_counts(counts) == (
+        oracles.h2_generator_oracle(counts))
+
+    report, want = cells.entropy_report(len(types.forms)), entropy_report(
+        stream)
+    assert report == want
+    charset = cells.charset()
+    assert charset == oracles.charset_oracle(words)
+    assert json_dumps([report.as_dict(), charset]) == json_dumps(
+        [want.as_dict(), oracles.charset_oracle(words)])
+    for mode in HEATMAP_MODES:
+        assert cells.heatmap(mode) == heatmap_export(matrix, mode)
+    assert cells.grid("entropy_contribution") == (
+        entropy_contribution(matrix).tolist())
+    assert [cells.grid(v) for v in ("conditional", "weighted")] == [
+        matrix.conditional.tolist(), matrix.weighted.tolist()]
+    for threshold in (0.0, 0.5, 1.0):
+        coverage = cells.coverage(threshold)
+        assert coverage == coverage_report(matrix, threshold)
+        assert json_dumps(coverage.as_dict()) == json_dumps(
+            coverage_report(matrix, threshold).as_dict())
+    for include_space in (False, True):
+        got = detect_from_cells(cells, BOUNDARY + "".join(types.forms),
+                                include_space)
+        want = detect_vowels(stream, include_space)
+        assert got == want
+        assert json_dumps(got.as_dict(diagnostics=True)) == json_dumps(
+            want.as_dict(diagnostics=True))
+        assert list(got.vowels) == oracles.sukhotin_oracle(stream.symbols,
+                                                           include_space)
 
 
 @given(words_strategy, st.data())

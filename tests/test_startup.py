@@ -1,5 +1,5 @@
-"""numpy is loaded only by the commands that count, loading it lazily is
-safe whichever of numpy and charentropy is imported first, and the commands
+"""numpy is loaded only by the commands that count many frequency vectors
+(``sample`` and ``batch``), loading it lazily is safe whichever of numpy and charentropy is imported first, and the commands
 that never load it run on Python 3.10, 3.12 and 3.13 with no numpy at all.
 
 Each check runs in a fresh interpreter, since this one has numpy loaded.
@@ -42,6 +42,12 @@ NUMPY_FREE = [
     ["cleanse", "p.tsv", "--out", "c.tsv"],
     ["ingest", "plain.txt", "--out", "self.tsv"],
     ["cleanse", "self.tsv", "--out", "self.tsv"],
+    ["stats", "c.tsv", "--out", "s.json"],
+    ["bigrams", "c.tsv", "--out-prefix", "bg"],
+    ["bigrams", "mx.tsv", "--threshold", "0", "--out-prefix", "bgmx"],
+    ["sukhotin", "c.tsv", "--out", "vowels.json"],
+    ["sukhotin", "mx.tsv", "--include-space", "--diagnostics",
+     "--out", "vowels_space.json"],
 ]
 
 SRC = str(Path(charentropy.__file__).resolve().parent.parent)
@@ -78,14 +84,15 @@ def _python(*args, cwd=None, python=sys.executable, path=None):
 
 def test_only_the_counting_commands_load_numpy(tmp_path):
     _write_inputs(tmp_path)
-    argvs = [*NUMPY_FREE, ["stats", "c.tsv", "--out", "s.json"]]
+    argvs = [*NUMPY_FREE, ["sample", "c.tsv", "--windows", "2", "--n", "3",
+                           "--out", "sample.json"]]
     out = _python("-c", CHILD, json.dumps(argvs), cwd=tmp_path)
     report = json.loads(out.splitlines()[-1])  # after --version's line
     assert [argv for argv, _, _ in report] == argvs
     assert all(code == 0 for _, code, _ in report), report
     for argv, _, loaded in report[:-1]:
         assert loaded == [], argv
-    # the positive control: stats counts, so it loads numpy
+    # the positive control: sample counts many windows, so it loads numpy
     assert report[-1][2], report[-1]
 
 
@@ -108,7 +115,7 @@ assert lazy_import("numpy") is numpy
 """)
 
 
-# Runs ingest and stats through cli.main and prints OPENBLAS_NUM_THREADS as
+# Runs ingest and sample through cli.main and prints OPENBLAS_NUM_THREADS as
 # it was after charentropy.cli was imported, and when numpy began to load
 # (its first submodule import), and the exit codes.
 BLAS_CHILD = """
@@ -124,7 +131,8 @@ sys.meta_path.insert(0, Watch())
 from charentropy.cli import main
 imported = os.environ.get("OPENBLAS_NUM_THREADS")
 codes = [main(["ingest", "plain.txt", "--out", "p.tsv"]),
-         main(["stats", "p.tsv", "--out", "s.json"])]
+         main(["sample", "p.tsv", "--windows", "2", "--n", "3",
+               "--out", "s.json"])]
 print(json.dumps([imported, at_load, codes]))
 """
 
@@ -214,4 +222,6 @@ def test_the_numpy_free_commands_run_on_python(tmp_path, version):
     report = json.loads(out.splitlines()[-1])
     assert [code for _, code, _ in report] == [0] * len(NUMPY_FREE)
     assert "self.tsv.manifest.json" in files and "simp.tsv" in files
+    assert {"s.json", "bg_entropy.csv", "bgmx_coverage.json",
+            "vowels_space.json"} <= set(files)
     assert runs[version] == runs["host"]
