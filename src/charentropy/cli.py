@@ -29,8 +29,10 @@ every missing folio is reported first. ``stats``, ``bigrams``,
 ``sukhotin`` and ``sample`` fold theirs into word types a block at a time
 (``sample`` keeps a type id per word), and ``translit`` and ``cleanse``
 keep their input's word-type counts and rewrite each row where it stands,
-so none of them holds a table or its input. numpy loads on first use, which
-only ``sample`` and ``batch`` reach: the other commands count in Python.
+so none of them holds a table or its input. ``batch`` counts each stratum
+of its table, the rows that agree on every column a selection tests, once
+per system. numpy loads on first use, which only ``sample`` reaches: the
+other commands count in Python.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ import hashlib
 import os
 import re
 import sys
+from collections import Counter
 from collections.abc import Iterable, Iterator
-from itertools import compress
 from pathlib import Path
 
 from . import __version__
@@ -53,11 +55,10 @@ from .formats import (SCHEMA_VERSION, fmt_float, json_dumps, json_pieces,
                       sha256_bytes)
 from .ingest import (_LINE_BREAKS, CANONICAL_SELECTIONS, FolioMetadataMap,
                      _decode, _table_from_lines, canonical_selection,
-                     check_words, content_lines, decoded_blocks,
-                     parse_interlinear, plaintext_runs, rewritten_tsv,
-                     selection_mask, tsv_pieces, tsv_slices)
-from .metrics import (BOUNDARY, PairCells, TypeCounts, h2_from_counts,
-                      merge_symbols)
+                     character_counts, check_words, content_lines,
+                     decoded_blocks, parse_interlinear, plaintext_runs,
+                     rewritten_tsv, tsv_pieces, tsv_slices)
+from .metrics import BOUNDARY, PairCells, TypeCounts
 from .sampling import (SamplingConfig, distributions_csv_rows,
                        distributions_to_dict, sample_h2)
 from .sukhotin import detect_from_cells
@@ -128,12 +129,14 @@ def _read_builtin(name: str, digests: list) -> bytes:
 
 
 def _write_manifest(args, command: str, digests, config: dict,
-                    seed: int | None = None,
-                    default_base: str | None = None) -> None:
+                    seed: int | None = None, *, out: str | None = None,
+                    prefix: str | None = None) -> None:
+    """Write the manifest to ``--manifest``, else next to the outputs'
+    ``prefix`` or a file ``out``, else (stdout too) ``run_manifest.json``."""
     if args.manifest:
         path = args.manifest
-    elif default_base:
-        path = f"{default_base}.manifest.json"
+    elif prefix or out and not _in_place(out):
+        path = f"{prefix or out}.manifest.json"
     else:
         path = "run_manifest.json"
     manifest = {
@@ -148,17 +151,22 @@ def _write_manifest(args, command: str, digests, config: dict,
     Path(path).write_text(json_dumps(manifest), encoding="utf-8")
 
 
+def _in_place(out: str) -> bool:
+    """Whether ``out`` is written to, not replaced: a FIFO or a device."""
+    return not os.path.isfile(t := os.path.realpath(out)) and os.path.exists(t)
+
+
 def _emit(pieces: Iterable[str], out: str | None) -> None:
     """Write the output text, each piece as it is made. A file ``out`` is
     replaced whole or not at all, but a FIFO or a device is written to."""
     if not out:
         sys.stdout.writelines(pieces)
         return
-    target = os.path.realpath(out)
-    if os.path.exists(target) and not os.path.isfile(target):
+    if _in_place(out):
         with open(out, "w", encoding="utf-8") as f:
             f.writelines(pieces)
         return
+    target = os.path.realpath(out)
     temporary = f"{target}.{os.getpid()}.tmp"
     try:
         with open(temporary, "w", encoding="utf-8") as f:
@@ -277,7 +285,7 @@ def cmd_ingest(args) -> int:
          "comma_breaks": args.comma_breaks, "source_id": source_id,
          "allow_missing_meta": args.allow_missing_meta,
          "select": args.select},
-        default_base=args.out)
+        out=args.out)
     return 0
 
 
@@ -307,7 +315,7 @@ def cmd_translit(args) -> int:
         args, "translit", digests,
         {"rules": rules_label, "rare_min": args.rare_min,
          "simplify": args.simplify},
-        default_base=args.out)
+        out=args.out)
     return 0
 
 
@@ -347,7 +355,7 @@ def cmd_cleanse(args) -> int:
          "script_ranges": [f"U+{lo:04X}..U+{hi:04X}"
                            for lo, hi in (cfg.script_ranges or ())],
          "preserve_chars": "".join(sorted(cfg.preserve_chars))},
-        default_base=args.out)
+        out=args.out)
     return 0
 
 
@@ -364,7 +372,7 @@ def cmd_stats(args) -> int:
     _emit(json_pieces(doc), args.out)
     _write_manifest(
         args, "stats", digests, {},
-        default_base=args.out)
+        out=args.out)
     return 0
 
 
@@ -389,7 +397,7 @@ def cmd_bigrams(args) -> int:
     _write_manifest(
         args, "bigrams", digests,
         {"threshold": args.threshold, "out_prefix": prefix},
-        default_base=prefix)
+        prefix=prefix)
     return 0
 
 
@@ -421,7 +429,7 @@ def cmd_sample(args) -> int:
         args, "sample", digests,
         {"windows": list(args.windows), "n": args.n, "format": args.format,
          "values": args.values},
-        seed=args.seed, default_base=args.out)
+        seed=args.seed, out=args.out)
     return 0
 
 
@@ -440,7 +448,7 @@ def cmd_sukhotin(args) -> int:
         args, "sukhotin", digests,
         {"include_space": args.include_space,
          "diagnostics": args.diagnostics},
-        default_base=args.out)
+        out=args.out)
     return 0
 
 
@@ -466,24 +474,6 @@ def _batch_jobs(text: str) -> list[tuple[str, str, str]]:
     return jobs
 
 
-def _default_jobs() -> list[tuple[str, str, str]]:
-    """Every canonical selection under maximal, simplified and minimal."""
-    return [(s, s, system) for s in CANONICAL_SELECTIONS
-            for system in ("maximal", "simplified", "minimal")]
-
-
-def _rare_in_selection(symbols, counts, rare_min: int) -> frozenset[str]:
-    """The characters ``simplify_document`` would mask in the selection
-    whose maximal pair counts are ``counts``: rarity is judged on the
-    letters' successor counts after ligature capitals are lowered."""
-    lowered: dict[str, int] = {}
-    for s, n in zip(symbols, counts.sum(axis=0).tolist()):
-        if n and s != BOUNDARY:
-            low = simplify_maximal(s, frozenset())
-            lowered[low] = lowered.get(low, 0) + n
-    return rare_characters(lowered, threshold=rare_min)
-
-
 def _check_rare_min(rare_min: int) -> None:
     if rare_min < 1:
         raise ConfigError(f"--rare-min must be at least 1, got {rare_min}")
@@ -499,72 +489,74 @@ def cmd_batch(args) -> int:
     jobs_text = _read_text(args.jobs, digests) if args.jobs else None
     with _naming(args.input):
         table = parse_interlinear(
-            text, meta, args.transcriber,
-            comma_breaks=args.comma_breaks,
+            text, meta, args.transcriber, comma_breaks=args.comma_breaks,
             source_id=args.source_id or Path(args.input).name)
-    if jobs_text is None:
-        jobs = _default_jobs()
-    else:
+    jobs = [(s, s, system) for s in CANONICAL_SELECTIONS  # the default grid
+            for system in ("maximal", "simplified", "minimal")]
+    if jobs_text is not None:
         with _naming(args.jobs):
             jobs = _batch_jobs(jobs_text)
-    # Every row is a function of the selection's pair-count matrix, which
-    # is the sum over word types of frequency times the type's pair counts.
-    # So each word type is rewritten once per system, a selection is a
-    # frequency vector over the types, and a job's counts are one weighted
-    # bincount over its system's per-type pair codes. Rarity belongs to a
-    # selection: a simplified job merges the symbols of its own maximal
-    # counts.
-    types = TypeCounts.of(table)
+    # Every row is a function of the selection's pair cells. A selection is
+    # a union of strata, the rows that agree on every column a selection
+    # tests, so each stratum's cells are counted once per system and a job
+    # sums its strata's. A simplified job renames its own maximal cells.
+    tested = tuple(dict.fromkeys(
+        c for criteria in CANONICAL_SELECTIONS.values() for c in criteria))
+    strata: dict[frozenset, dict[str, int]] = {}  # stratum -> word -> tokens
+    for (*values, word), n in Counter(
+            zip(*map(table.column, tested), table.columns[0])).items():
+        strata.setdefault(frozenset(zip(tested, values)), {})[word] = n
+    types = TypeCounts.of(table, tokens=False)
     maximal = transliterate_words(types.forms, builtin_rules("maximal"))
-    forms = {"none": types.forms, "maximal": maximal,
-             "minimal": transliterate_words(maximal,
-                                            builtin_rules("minimal"))}
-    pairs = {}
-    frequencies = {}
-
-    header = "doc\ttranscription\tcharset\th2\twords\tword_types\n"
-    rows = []
+    forms = {"none": types.forms, "maximal": maximal, "minimal":
+             transliterate_words(maximal, builtin_rules("minimal"))}
+    symbols = sorted({BOUNDARY, *"".join(maximal)})  # maximal's, every one
+    counted = {}  # system -> stratum -> (its cells, its types' forms)
+    rows = ["doc\ttranscription\tcharset\th2\twords\tword_types\n"]
     for doc, selection, system in jobs:
-        if selection not in frequencies:
-            frequencies[selection] = types.frequencies(
-                selection_mask(table, selection))
-        freq = frequencies[selection]
-        if not freq.any():
+        criteria = CANONICAL_SELECTIONS[selection].items()
+        if not (chosen := [key for key in strata if criteria <= key]):
             print(f"charentropy: batch: skipping {doc}/{system}: "
                   f"selection {selection!r} is empty", file=sys.stderr)
             continue
         base = "maximal" if system == "simplified" else system
-        if base not in pairs:
-            pairs[base] = types.pairs(forms[base])
-        per_type = pairs[base]
-        symbols, counts = per_type.symbols, per_type.counts(freq)
-        present = list(compress(per_type.forms, freq.tolist()))
+        if base not in counted:
+            new = dict(zip(types.forms, types.checked(forms[base])))
+            counted[base] = {}
+            for key, tokens in strata.items():
+                part = TypeCounts(types.source_id, tuple(map(new.get, tokens)),
+                                  tuple(tokens.values()), None)
+                counted[base][key] = part.cells(), part.forms
+        parts = [counted[base][key] for key in chosen]
+        cells = PairCells.summed(c for p, _ in parts for c in p.cells.items())
+        present = set().union(*(own for _, own in parts))
         if system == "simplified":
-            rare = _rare_in_selection(symbols, counts, args.rare_min)
-            targets = [simplify_maximal(s, rare) for s in symbols]
-            # A simplified form is its maximal form with each character
-            # replaced by its target, so it is valid when every target is.
-            check_words(targets)
-            rewrite = dict(zip(map(ord, symbols), targets))
-            present = [form.translate(rewrite) for form in present]
-            symbols, counts = merge_symbols(symbols, counts, targets)
-        column_sums = counts.sum(axis=0)
+            successors = cells.sums(1)
+            rare = rare_characters(character_counts(
+                [simplify_maximal(s, frozenset()) for s in successors],
+                successors.values()), threshold=args.rare_min) - {BOUNDARY}
+            names = {s: simplify_maximal(s, rare) for s in symbols}
+            # A simplified form is valid when each character's name is.
+            check_words(list(names.values()))
+            cells = PairCells.summed(((names[a], names[b]), n)
+                                     for (a, b), n in cells.cells.items())
+            rename = str.maketrans(names)
+            # No form holds the boundary, and every name keeps it.
+            present = set(BOUNDARY.join(present).translate(rename).split(
+                BOUNDARY))
+        successors = cells.sums(1)
         rows.append("\t".join([
-            doc, system,
-            # every letter of the selection follows some symbol
-            str(column_sums.nonzero()[0].size - 1),
-            fmt_float(h2_from_counts(counts)),
-            # and every word ends with the boundary
-            str(column_sums[symbols.index(BOUNDARY)]),
-            str(len(set(present)))]))
-    _emit([header, *(r + "\n" for r in rows)], args.out)
+            # Every letter follows a symbol; every word ends with "#".
+            doc, system, str(len(successors) - 1), fmt_float(cells.h2()),
+            str(successors[BOUNDARY]), str(len(present))]) + "\n")
+    _emit(rows, args.out)
     _write_manifest(
         args, "batch", digests,
         {"transcriber": args.transcriber, "comma_breaks": args.comma_breaks,
          "rare_min": args.rare_min,
          "allow_missing_meta": args.allow_missing_meta,
          "jobs": str(args.jobs) if args.jobs else "default"},
-        default_base=args.out)
+        out=args.out)
     return 0
 
 

@@ -26,13 +26,13 @@ matrix is ``sum over types t of freq(t) * pairs("#" + t + "#")``, so it can
 be counted from word types instead of tokens. :class:`TypeCounts` holds
 a document's distinct words in first-occurrence order and their
 frequencies, folded from a long table's rows slice by slice, and on
-request each token's type id, so that a selection of the tokens is a
-frequency vector over the types, ``np.bincount(ids[mask])``. Every
-statistic takes the matrix's occupied cells, a :class:`PairCells`, counted
-in Python (:meth:`TypeCounts.cells`) or read from a numpy matrix. Many
-frequency vectors are counted with one weighted ``np.bincount`` each
-(:meth:`TypeCounts.pairs`), and their h2 divides in numpy. ``to_stream``
-and :func:`pair_counts` count token by token, as the reference.
+request each token's type id. Every statistic takes the matrix's occupied
+cells, a :class:`PairCells`, counted in Python (:meth:`TypeCounts.cells`)
+or read from a numpy matrix; the cells of a text's disjoint parts sum to
+the text's (:meth:`PairCells.summed`). Only ``sample``'s windows, counted
+from the types' pair codes (:meth:`TypeCounts.pairs`), use numpy, and
+their h2 divides in numpy. ``to_stream`` and :func:`pair_counts` count
+token by token, as the reference.
 """
 
 from __future__ import annotations
@@ -240,14 +240,14 @@ class TypeCounts:
                    ids=token_ids)
 
     @classmethod
-    def of(cls, table: LongTable) -> "TypeCounts":
-        """The table's word types and tokens, folded as one slice, and each
-        type's first line."""
-        lines = table.column("line_number")
-        types = cls.fold([(table.source_id, table.columns[0],
-                           lines.__getitem__)], tokens=True)
-        first = np.unique(types.ids, return_index=True)[1].tolist()
-        return replace(types, lines=tuple(lines[i] for i in first))
+    def of(cls, table: LongTable, *, tokens: bool = True) -> "TypeCounts":
+        """The table's word types and, if ``tokens``, its tokens, folded as
+        one slice, and each type's first line."""
+        words, lines = table.columns[0], table.column("line_number")
+        types = cls.fold([(table.source_id, words, lines.__getitem__)],
+                         tokens=tokens)
+        first = dict(zip(reversed(words), reversed(lines)))
+        return replace(types, lines=tuple(map(first.get, types.forms)))
 
     def frequencies(self, mask: bytes | np.ndarray) -> np.ndarray:
         """Tokens of each type that ``mask`` (bools or 0/1 bytes) keeps."""
@@ -257,7 +257,7 @@ class TypeCounts:
     def pairs(self, forms: Sequence[str] | None = None) -> TypePairs:
         """Pair codes of the types' forms or of ``forms``, a rewrite of them
         one for one (which needs :meth:`of`'s lines)."""
-        forms = self._checked(forms)
+        forms = self.checked(forms)
         symbols, codes = _pair_codes(stream_from_words(forms))
         offsets = np.zeros(len(forms) + 1, dtype=np.intp)
         np.cumsum([len(form) + 1 for form in forms], out=offsets[1:])
@@ -268,21 +268,18 @@ class TypeCounts:
         """The pair counts of the types' forms, counted in Python: the forms
         of one frequency, joined, are a stream whose pairs are theirs."""
         by_freq: dict[int, list[str]] = {}
-        for form, n in zip(self._checked(None), self.freq):
+        for form, n in zip(self.checked(None), self.freq):
             by_freq.setdefault(n, []).append(form)
-        cells: Counter = Counter()
-        for n, forms in by_freq.items():
-            s = BOUNDARY + BOUNDARY.join(forms) + BOUNDARY
-            for pair, c in Counter(zip(s, s[1:])).items():
-                cells[pair] += n * c
-        # Every symbol, the boundary too, is followed by another.
-        return PairCells(tuple(sorted({a for a, _ in cells})), dict(cells))
+        streams = ((n, BOUNDARY + BOUNDARY.join(forms) + BOUNDARY)
+                   for n, forms in by_freq.items())
+        return PairCells.summed((pair, n * c) for n, s in streams
+                                for pair, c in Counter(zip(s, s[1:])).items())
 
-    def _checked(self, forms: Sequence[str] | None) -> tuple[str, ...]:
-        """``forms``, else the types' own. Raises what :func:`to_stream` does
-        on them: EmptyStreamError, or DataError naming a boundary's word."""
+    def checked(self, forms: Sequence[str] | None) -> tuple[str, ...]:
+        """``forms``, a rewrite of the types' own, else theirs. Raises what
+        :func:`to_stream` does on them: EmptyStreamError, or DataError."""
         if forms is not None and self.lines is None:
-            raise ValueError("pairs(forms) needs TypeCounts.of's lines")
+            raise ValueError("a rewrite needs TypeCounts.of's lines")
         if not self.forms:
             raise EmptyStreamError(
                 f"document {self.source_id!r} has no words")
@@ -306,6 +303,15 @@ class PairCells:
 
     symbols: tuple[str, ...]
     cells: dict[tuple[str, str], int]
+
+    @classmethod
+    def summed(cls, cells: Iterable[tuple[tuple, int]]) -> "PairCells":
+        """The matrix of ``(pair, count)`` items, each pair's counts summed."""
+        total: dict[tuple[str, str], int] = {}
+        for pair, n in cells:
+            total[pair] = total.get(pair, 0) + n
+        # Every symbol, the boundary too, is followed by another.
+        return cls(tuple(sorted({a for a, _ in total})), total)
 
     @classmethod
     def of(cls, symbols: Sequence[str], counts: np.ndarray) -> "PairCells":

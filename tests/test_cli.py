@@ -287,6 +287,11 @@ def test_output_to_a_fifo_or_through_a_symlink(workspace):
     assert not reader.is_alive()
     assert read == [want]
     assert stat.S_ISFIFO((workspace / "fifo").stat().st_mode)
+    # A FIFO or a device has no "next to it": its manifest goes where
+    # standard output's does, not into a new file beside it.
+    assert not (workspace / "fifo.manifest.json").exists()
+    doc = json.loads((workspace / "run_manifest.json").read_bytes())
+    assert doc["command"] == "cleanse"
 
     # A symlink stays one, and its target is written, whether or not the
     # target exists yet; a new file's mode follows the umask.
@@ -641,6 +646,19 @@ def batch_inputs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(batch_inputs())
+# No line is transcriber H's, so every job is skipped.
+@example(("<f1r.P1.1;C> shedy.qokeedy\n<f1v.L1.1;C> gar\n",
+          "f1r\therbal\tA\t1\tA\nf1v\therbal\tB\t2\tB\n",
+          [(f"doc{i}", selection, system) for i, (selection, system) in
+           enumerate([("full", "none"), ("a", "simplified"),
+                      ("b_text", "maximal"), ("hand1", "minimal")])], 3))
+# At --rare-min 3, ``g`` and ``o`` are rare within a_text, where they merge
+# into the mask, and neither is rare within full.
+@example(("<f1r.P1.1;H> dar.dar.gar.dag.dor\n<f1r.L1.1;H> ga\n"
+          "<f2r.P1.1;H> gag.dog.god\n",
+          "f1r\therbal\tA\t1\tA\nf2r\therbal\tB\t2\tB\n",
+          [("doc0", "a_text", "simplified"), ("doc1", "full", "simplified"),
+           ("doc2", "a_text", "maximal")], 3))
 def test_batch_equals_the_per_job_oracle(inputs):
     page, meta, jobs, rare_min = inputs
     with tempfile.TemporaryDirectory() as tmp:

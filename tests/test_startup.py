@@ -1,6 +1,7 @@
-"""numpy is loaded only by the commands that count many frequency vectors
-(``sample`` and ``batch``), loading it lazily is safe whichever of numpy and charentropy is imported first, and the commands
-that never load it run on Python 3.10, 3.12 and 3.13 with no numpy at all.
+"""numpy is loaded only by ``sample``, which counts thousands of windows;
+loading it lazily is safe whichever of numpy and charentropy is imported
+first; and every other command, ``batch`` under each transcription system
+included, runs on Python 3.10, 3.12 and 3.13 with no numpy at all.
 
 Each check runs in a fresh interpreter, since this one has numpy loaded.
 """
@@ -48,7 +49,15 @@ NUMPY_FREE = [
     ["sukhotin", "c.tsv", "--out", "vowels.json"],
     ["sukhotin", "mx.tsv", "--include-space", "--diagnostics",
      "--out", "vowels_space.json"],
+    ["batch", "page.txt", "--meta", "meta.tsv", "--transcriber", "H",
+     "--out", "grid.tsv"],
+    ["batch", "page.txt", "--meta", "meta.tsv", "--jobs", "jobs.tsv",
+     "--rare-min", "2", "--out", "jobs_grid.tsv"],
 ]
+
+# Every transcription system, an empty selection among them.
+JOBS = ("raw\tfull\tnone\nmx\ta_text\tmaximal\nsimp\tfull\tsimplified\n"
+        "min\thand1\tminimal\nnone\tb\tmaximal\n")
 
 SRC = str(Path(charentropy.__file__).resolve().parent.parent)
 
@@ -62,7 +71,7 @@ PLAIN = ("The cat sat on the mat.\n\nThe dog sat too.\n\n"
 def _write_inputs(directory: Path) -> list[str]:
     """Write the commands' input files; their names."""
     inputs = {"page.txt": INTERLINEAR, "meta.tsv": META, "plain.txt": PLAIN,
-              "own.rules": "d\tD\n"}
+              "own.rules": "d\tD\n", "jobs.tsv": JOBS}
     for name, text in inputs.items():
         (directory / name).write_text(text, encoding="utf-8")
     return list(inputs)
@@ -224,4 +233,8 @@ def test_the_numpy_free_commands_run_on_python(tmp_path, version):
     assert "self.tsv.manifest.json" in files and "simp.tsv" in files
     assert {"s.json", "bg_entropy.csv", "bgmx_coverage.json",
             "vowels_space.json"} <= set(files)
+    assert [line.split("\t")[:2] for line in files["jobs_grid.tsv"].decode(
+        "utf-8").splitlines()[1:]] == [["raw", "none"], ["mx", "maximal"],
+                                       ["simp", "simplified"],
+                                       ["min", "minimal"]]
     assert runs[version] == runs["host"]
