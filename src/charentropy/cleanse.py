@@ -85,7 +85,8 @@ def cleaned_forms(forms: Sequence[str], freq: Sequence[int],
     characters times its frequency, so it counts every token.
 
     Every stage decides per character, so each pass is one translation
-    table over the characters present.
+    table over the characters present. A form the pipeline leaves as it
+    was is returned as the very string it was given.
     """
     keep = cfg.preserve_chars
 
@@ -97,7 +98,7 @@ def cleaned_forms(forms: Sequence[str], freq: Sequence[int],
         return c.lower() if cfg.lowercase else c
 
     first = {ord(c): strip_and_lower(c) for c in set("".join(forms))}
-    cleaned = [w.translate(first) for w in forms]
+    cleaned = [w if (t := w.translate(first)) == w else t for w in forms]
 
     drop: set[str] = set()
     if cfg.rare_char_threshold > 0.0:
@@ -109,8 +110,10 @@ def cleaned_forms(forms: Sequence[str], freq: Sequence[int],
         drop |= {c for c in set("".join(cleaned))
                  if c not in keep and not _in_ranges(c, cfg.script_ranges)}
     if drop:
+        # Only the forms that hold a dropped character change.
         second = dict.fromkeys(map(ord, drop))
-        cleaned = [w.translate(second) for w in cleaned]
+        holds = re.compile(f"[{''.join(map(re.escape, sorted(drop)))}]").search
+        cleaned = [w.translate(second) if holds(w) else w for w in cleaned]
     return cleaned
 
 

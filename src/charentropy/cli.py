@@ -13,7 +13,8 @@ Design rules, enforced uniformly across subcommands:
   included;
 * every input file but package data is read by one block reader, which
   digests the bytes it decodes (a BOM is stripped, bad UTF-8 is a data
-  error); ``translit`` and ``cleanse`` read twice and fail on a change;
+  error); ``translit``, ``cleanse`` and plain-text ``ingest`` read twice
+  and fail on a change;
 * outputs are written as they are encoded, never held whole, and an
   ``--out`` file is replaced whole or not at all;
 * all floats print with 12 significant digits; JSON layouts carry a
@@ -23,16 +24,18 @@ The long-table TSV (see the ingest module) is the interchange format:
 ``ingest`` produces it, ``translit`` and ``cleanse`` transform it, and the
 measurement commands (``stats``, ``bigrams``, ``sample``, ``sukhotin``,
 ``batch``) consume it or, for ``batch``, the raw interlinear file. Tables
-are written a few thousand rows at a time. ``ingest`` makes one table per
-run of plain-text paragraphs, but parses interlinear text whole, so that
-every missing folio is reported first. ``stats``, ``bigrams``,
-``sukhotin`` and ``sample`` fold theirs into word types a block at a time
-(``sample`` keeps a type id per word), and ``translit`` and ``cleanse``
-keep their input's word-type counts and rewrite each row where it stands,
-so none of them holds a table or its input. ``batch`` counts each stratum
-of its table, the rows that agree on every column a selection tests, once
-per system. numpy loads on first use, which only ``sample`` reaches: the
-other commands count in Python.
+are written a few thousand rows at a time. ``ingest`` reads plain text
+twice: once to count each paragraph's words, and once to make one table
+per run of a few thousand words, cut at a line end wherever it falls. It
+parses interlinear text whole, so that every missing folio is reported
+first. ``stats``, ``bigrams``, ``sukhotin`` and ``sample`` fold theirs
+into word types a block at a time (``sample`` keeps a type id per word),
+and ``translit`` and ``cleanse`` keep their input's word-type counts and
+rewrite each row where it stands, mapping only the words whose form
+changes, so none of them holds a table or its input. ``batch`` counts
+each stratum of its table, the rows that agree on every column a
+selection tests, once per system. numpy loads on first use, which only
+``sample`` reaches: the other commands count in Python.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import re
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -56,8 +60,8 @@ from .formats import (SCHEMA_VERSION, fmt_float, json_dumps, json_pieces,
 from .ingest import (_LINE_BREAKS, CANONICAL_SELECTIONS, FolioMetadataMap,
                      _decode, _table_from_lines, canonical_selection,
                      character_counts, check_words, content_lines,
-                     decoded_blocks, parse_interlinear, plaintext_runs,
-                     rewritten_tsv, tsv_pieces, tsv_slices)
+                     decoded_blocks, paragraph_sizes, parse_interlinear,
+                     plaintext_runs, rewritten_tsv, tsv_pieces, tsv_slices)
 from .metrics import BOUNDARY, PairCells, TypeCounts
 from .sampling import (SamplingConfig, distributions_csv_rows,
                        distributions_to_dict, sample_h2)
@@ -194,20 +198,25 @@ def _fold_input(path: str, digests: list, *,
     return types
 
 
+def _reread(path, digests: list, pieces_of) -> Iterator[str]:
+    """``pieces_of(blocks)`` over the blocks of the file at ``path``, read
+    a second time. A DataError on the way, or bytes whose digest is not
+    the first read's in ``digests``, mean the file changed in between."""
+    sha = hashlib.sha256()
+    with contextlib.suppress(DataError):
+        yield from pieces_of(_hashed_blocks(path, sha))
+        if (str(path), sha.hexdigest()) in digests:
+            return
+    raise DataError(f"{path}: input changed while it was read")
+
+
 def _emit_rewritten(path, types: TypeCounts, new_forms, digests, out):
     """Write the TSV :func:`_fold_input` read into ``types``, read again,
-    with new forms; a word or digest pass 1 did not see is a DataError."""
-    new = dict(zip(types.forms, new_forms))
-    sha = hashlib.sha256()
-
-    def pieces():
-        with contextlib.suppress(KeyError, DataError):
-            yield from rewritten_tsv(_hashed_blocks(path, sha), new)
-            if (str(path), sha.hexdigest()) in digests:
-                return
-        raise DataError(f"{path}: input changed while it was read")
-
-    _emit(pieces(), out)
+    with new forms. Only the words whose form changes are mapped, so a
+    word pass 1 did not see is kept, and the digest reports the change."""
+    new = {w: f for w, f in zip(types.forms, new_forms) if f != w}
+    _emit(_reread(path, digests, lambda blocks: rewritten_tsv(blocks, new)),
+          out)
 
 
 def _read_cells(path: str, digests: list) -> tuple[TypeCounts, PairCells]:
@@ -226,9 +235,40 @@ def _load_meta(args, digests: list) -> FolioMetadataMap:
     return meta.permissive() if args.allow_missing_meta else meta
 
 
-def _sniff_kind(text: str) -> str:
-    first = next(content_lines(text), (0, ""))[1]
-    return "interlinear" if first.lstrip().startswith("<") else "plaintext"
+def _sniff_kind(text: str) -> str | None:
+    """The kind of input whose first content line is in ``text``, or None
+    when ``text`` holds none."""
+    first = next(content_lines(text), None)
+    if first is None:
+        return None
+    return "interlinear" if first[1].lstrip().startswith("<") else "plaintext"
+
+
+def _first_pass(blocks: Iterator[str], kind: str):
+    """Pass 1 of ``ingest`` over its input's blocks: ``(kind, text,
+    sizes)``. The kind is sniffed from the first content line when it is
+    ``auto``. Interlinear input is held whole as ``text``; of plain text
+    only each paragraph's word count is kept, as ``sizes``. The blank and
+    comment lines before the kind is known are kept as empty lines."""
+    held: list[str] = []
+
+    def lines():
+        nonlocal kind
+        for block in blocks:
+            if kind == "auto":
+                kind = _sniff_kind(block) or kind
+                if kind == "auto":
+                    held.append("\n" * len(block.splitlines()))
+            if kind == "interlinear":
+                held.append(block)
+                held.extend(blocks)
+                return
+            yield from block.splitlines()
+
+    sizes = paragraph_sizes(lines())
+    if kind == "interlinear":
+        return kind, "".join(held), None
+    return "plaintext", None, sizes
 
 
 def _check_plaintext_flags(args) -> None:
@@ -244,13 +284,23 @@ def _check_plaintext_flags(args) -> None:
             f"input, and this input is read as plain text")
 
 
-def _plaintext_tables(text: str, source_id: str):
-    """The tables of plain text, one per run of whole paragraphs, each run
-    released before its table is written."""
-    for run in plaintext_runs(text):
-        table = _table_from_lines(run, source_id)
+def _plaintext_tables(blocks: Iterable[str], sizes, source_id: str):
+    """The tables of plain text, one per run of lines, each run released
+    before its table is written; ``sizes`` are pass 1's paragraph sizes."""
+    for start, run in plaintext_runs(
+            chain.from_iterable(map(str.splitlines, blocks))):
+        if run[-1][3] > len(sizes):  # the last line's paragraph number
+            raise DataError("a paragraph pass 1 did not see")  # see _reread
+        table = _table_from_lines(run, source_id, sizes, start)
         run.clear()
         yield table
+
+
+def _selected(tables, select: str | None):
+    """The tables, or with ``select`` the rows of its canonical selection."""
+    if not select:
+        return tables
+    return (canonical_selection(t, select) for t in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +315,24 @@ def cmd_ingest(args) -> int:
         raise ConfigError(f"{given} {source_id!r} holds a tab or a line "
                           f"break, which a TSV field cannot hold")
     digests = []
-    text = _read_text(args.input, digests)
-    kind = _sniff_kind(text) if args.kind == "auto" else args.kind
+    sha = hashlib.sha256()
+    with _naming(args.input):
+        kind, text, sizes = _first_pass(_hashed_blocks(args.input, sha),
+                                        args.kind)
+    digests.append((str(args.input), sha.hexdigest()))
     if kind == "interlinear":
         meta = _load_meta(args, digests)
         with _naming(args.input):
             tables = [parse_interlinear(
                 text, meta, args.transcriber,
                 comma_breaks=args.comma_breaks, source_id=source_id)]
+        pieces = tsv_pieces(_selected(tables, args.select))
     else:
         _check_plaintext_flags(args)
-        tables = _plaintext_tables(text, source_id)
-    if args.select:
-        tables = (canonical_selection(t, args.select) for t in tables)
-    _emit(tsv_pieces(tables), args.out)
+        pieces = _reread(args.input, digests, lambda blocks: tsv_pieces(
+            _selected(_plaintext_tables(blocks, sizes, source_id),
+                      args.select)))
+    _emit(pieces, args.out)
     _write_manifest(
         args, "ingest", digests,
         {"kind": kind, "transcriber": args.transcriber,
@@ -424,6 +478,7 @@ def cmd_sample(args) -> int:
             "distributions": distributions_to_dict(
                 distributions, include_values=args.values),
         })
+        del distributions  # its values are in the dict
     _emit(pieces, args.out)
     _write_manifest(
         args, "sample", digests,

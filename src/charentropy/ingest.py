@@ -10,10 +10,12 @@ one row of the table, built on demand.
 Columns are validated once, where tables are built: the two parsers,
 :func:`read_tsv`, :func:`from_words` and :func:`with_words`. One function
 assigns the positions of the parsers' and from_words' tables from their
-lines; plain text also comes in runs of whole paragraphs
-(:func:`plaintext_runs`). A TSV is read a block at a time: one pattern per
-file accepts a block of good rows in a single match, and a block it rejects
-is checked row by row, which alone decides which line is in error and why.
+lines; plain text also comes in runs of lines (:func:`plaintext_runs`),
+cut between any two lines, whose paragraph positions follow from each
+paragraph's word count (:func:`paragraph_sizes`). A TSV is read a block at
+a time: one pattern per file accepts a block of good rows in a single
+match, and a block it rejects is checked row by row, which alone decides
+which line is in error and why.
 Every other table derives from those through the only two transforms,
 :func:`with_words` (replace every word) and :func:`take` (keep the rows a
 boolean mask selects). Every word rewrite in the package (transliteration,
@@ -264,8 +266,12 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 # decoded_blocks reads a file this many bytes at a time, so the text it
-# holds at once stays bounded whatever the size of the file.
-_BLOCK_BYTES = 1 << 18
+# holds at once stays bounded whatever the size of the file. A block stays
+# under glibc's initial 128 KiB mmap threshold, and the next reuses its
+# space. Read 256 KiB at a time, the freed blocks went unreused: ingest's
+# peak RSS grew by 3 MB from 400k to 2M words of plain text, and cleanse's
+# stood 3 MB higher at 400k.
+_BLOCK_BYTES = 1 << 16
 
 
 def _decode(raw: bytes, offset: int = 0) -> str:
@@ -308,7 +314,9 @@ def decoded_blocks(read: Callable[[int], bytes]) -> Iterator[str]:
         yield _decode(piece, offset)
 
 
-def _table_from_lines(lines: Iterable[tuple], source_id: str) -> LongTable:
+def _table_from_lines(lines: Iterable[tuple], source_id: str,
+                      sizes: Sequence[int] | None = None,
+                      start: int = 1) -> LongTable:
     """Expand per-line words and attributes into a table's columns.
 
     Each entry of ``lines`` is ``(words, locus_kind, line_number,
@@ -317,15 +325,27 @@ def _table_from_lines(lines: Iterable[tuple], source_id: str) -> LongTable:
     next to each other. Every attribute repeats for each word of its line,
     and the four position columns follow from the per-line word counts and
     paragraph numbers. This is the one place positions are assigned.
+
+    Without ``sizes`` each paragraph lies whole in ``lines``. With them,
+    paragraph p holds ``sizes[p - 1]`` words, and ``lines`` may be a run cut
+    out of the text anywhere between lines: its first word is word
+    ``start`` of its paragraph.
     """
     per_line = list(zip(*lines)) or [()] * 10
     counts = list(map(len, per_line[0]))
-    para_sizes = [sum(n for _, n in paragraph) for _, paragraph in groupby(
-        zip(per_line[3], counts), key=itemgetter(0))]
-    positions = []  # line_pos_fwd, line_pos_rev, para_pos_fwd, para_pos_rev
-    for sizes in (counts, para_sizes):
-        positions.append(chain.from_iterable(range(1, n + 1) for n in sizes))
-        positions.append(chain.from_iterable(range(n, 0, -1) for n in sizes))
+    paragraphs = [(p, sum(n for _, n in group)) for p, group
+                  in groupby(zip(per_line[3], counts), key=itemgetter(0))]
+    # (first position, words here, size) of each paragraph of the lines
+    spans = [(1, n, n if sizes is None else sizes[p - 1])
+             for p, n in paragraphs]
+    if spans:
+        spans[0] = (start, *spans[0][1:])
+    positions = [  # line_pos_fwd, line_pos_rev, para_pos_fwd, para_pos_rev
+        chain.from_iterable(range(1, n + 1) for n in counts),
+        chain.from_iterable(range(n, 0, -1) for n in counts),
+        chain.from_iterable(range(a, a + n) for a, n, _ in spans),
+        chain.from_iterable(range(size + 1 - a, size + 1 - a - n, -1)
+                            for a, n, size in spans)]
     words = chain.from_iterable(per_line[0])
     attributes = (chain.from_iterable(map(repeat, values, counts))
                   for values in per_line[1:])
@@ -415,40 +435,54 @@ def parse_interlinear(
     return _table_from_lines(lines, source_id)
 
 
-def plaintext_runs(text: str) -> Iterator[list[tuple]]:
-    """The lines of plain text ``text`` as :func:`_table_from_lines` takes
-    them, in runs of whole paragraphs: a run ends at the first blank line
-    after it holds :data:`_PIECE_ROWS` words, or at the end of the text.
+def paragraph_sizes(lines: Iterable[str]) -> list[int]:
+    """The number of words of each paragraph of plain text, whose lines
+    are ``lines``, in the order :func:`plaintext_runs` numbers them."""
+    return [sum(counts) for has_words, counts in groupby(
+        map(len, map(str.split, lines)), bool) if has_words]
+
+
+def plaintext_runs(lines: Iterable[str]) -> Iterator[tuple[int, list[tuple]]]:
+    """The lines of plain text, whose lines are ``lines``, as
+    :func:`_table_from_lines` takes them, in runs: a run ends at the first
+    line end after it holds :data:`_PIECE_ROWS` words, whether or not a
+    paragraph ends there, or at the end of the text. Yields ``(start,
+    run)``, where ``start`` is the position of the run's first word in its
+    paragraph (1 unless the run begins inside one); with the sizes of
+    :func:`paragraph_sizes`, that places every word of the run.
 
     Line numbers are physical file lines; paragraphs are blocks separated by
     blank lines. All classification fields are unclassified (folio, quire,
     section and transcriber are empty strings).
     """
     run: list[tuple] = []
-    size = paragraph = 0
-    in_block = False
-    for n, line in enumerate(text.splitlines(), start=1):
+    size = paragraph = placed = 0  # placed: the paragraph's words so far
+    start = 1
+    for n, line in enumerate(lines, start=1):
         words = line.split()
         if not words:
-            if size >= _PIECE_ROWS:
-                yield run
-                run, size = [], 0
-            in_block = False
+            placed = 0
             continue
-        if not in_block:
+        if not placed:
             paragraph += 1
-            in_block = True
+        if not run:
+            start = placed + 1
         run.append((words, PARAGRAPH, n, paragraph, *_UNCLASSIFIED_PAGE))
+        placed += len(words)
         size += len(words)
+        if size >= _PIECE_ROWS:
+            yield start, run
+            run, size = [], 0
     if run:
-        yield run
+        yield start, run
 
 
 def parse_plaintext(raw: bytes, source_id: str) -> LongTable:
     """Parse whitespace-separated plain text into a LongTable: the lines of
     every run of :func:`plaintext_runs`, in one table."""
+    runs = plaintext_runs(_decode(raw).splitlines())
     return _table_from_lines(
-        chain.from_iterable(plaintext_runs(_decode(raw))), source_id)
+        chain.from_iterable(run for _, run in runs), source_id)
 
 
 def take(table: LongTable, mask: Sequence[bool]) -> LongTable:
@@ -569,7 +603,8 @@ def rewritten_tsv(blocks: Iterable[str],
                   new: Mapping[str, str]) -> Iterator[str]:
     """``write_tsv(rewrite_types(read_tsv(text), rewrite))`` in pieces, one
     per block of a valid long-table TSV's text (see :func:`tsv_slices`),
-    where ``new`` maps each word of the table to its rewritten form.
+    where ``new`` maps each word whose form the rewrite changes to its new
+    form; every other word is kept as it is.
 
     Each row is rewritten where it stands: its first field is replaced and
     the rest is kept, which is how ``write_tsv`` writes a row that
@@ -578,6 +613,7 @@ def rewritten_tsv(blocks: Iterable[str],
     """
     yield TSV_HEADER
     header = True
+    get = new.get
     for block in blocks:
         lines = block.splitlines()
         if header and lines:
@@ -586,7 +622,7 @@ def rewritten_tsv(blocks: Iterable[str],
         rows = []
         for line in lines:
             word, _, rest = line.partition("\t")
-            if line and (form := new[word]):
+            if line and (form := get(word, word)):
                 rows.append(f"{form}\t{rest}\n")
         yield "".join(rows)
 
@@ -764,11 +800,15 @@ def rewrite_types(
 
 
 def character_counts(forms: Iterable[str], freq: Iterable[int]) -> Counter:
-    """Each character's count in ``freq[t]`` tokens of each ``forms[t]``."""
-    counts: Counter = Counter()
+    """Each character's count in ``freq[t]`` tokens of each ``forms[t]``.
+    The forms of one frequency are joined and counted once."""
+    by_freq: dict[int, list[str]] = {}
     for form, n in zip(forms, freq):
-        for c in form:
-            counts[c] += n
+        by_freq.setdefault(n, []).append(form)
+    counts: Counter = Counter()
+    for n, group in by_freq.items():
+        for c, k in Counter("".join(group)).items():
+            counts[c] += n * k
     return counts
 
 

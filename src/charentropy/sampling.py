@@ -231,8 +231,11 @@ def _hash(values, init: int, mult: int, skip: int, count: int):
          for k in range(count + 1)]
     xor = np.array(h[:-1], dtype=np.uint64)[:, None]
     factor = np.array(h[1:], dtype=np.uint64)[:, None]
-    values = ((values ^ xor) * factor) & _M32
-    return values ^ (values >> 16)
+    values = values ^ xor  # a new array, then worked on in place
+    values *= factor
+    values &= _M32
+    values ^= values >> 16
+    return values
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo):
@@ -264,9 +267,13 @@ def _starts(seed: int, size_index: int, sample_indices, n: int) -> list:
     pool = (_MIX_L * pool
             - _MIX_R * _hash(js & _M32, _INIT_A, _MULT_A, 20, 4)) & _M32
     pool ^= pool >> 16
-    # generate_state(4, uint64): 8 hashed pool words, paired little-endian.
-    words = _hash(np.concatenate((pool, pool)), _INIT_B, _MULT_B, 0, 8)
-    w0, w1, w2, w3 = words[0::2] | words[1::2] << 32
+    # generate_state(4, uint64): 8 hashed pool words, paired little-endian,
+    # hashed four at a time, and the pool let go before the steps below.
+    low, high = (_hash(pool, _INIT_B, _MULT_B, skip, 4) for skip in (0, 4))
+    del pool
+    w0, w1 = low[0::2] | low[1::2] << 32
+    w2, w3 = high[0::2] | high[1::2] << 32
+    del low, high
     # PCG64's seeding: state 0 and increment 2 * (w2, w3) + 1, a step, the
     # state plus (w0, w1), a step; then the first draw's step.
     inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1

@@ -84,6 +84,36 @@ def test_ingest_sniffs_plaintext(workspace):
     assert table.records[0].language == "unclassified"
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_ingest_sniffs_the_kind_after_blocks_of_comments(
+        workspace, monkeypatch, capsys, block):
+    # Blank and comment lines fill the first blocks. The kind is still the
+    # first content line's, and a line of interlinear text keeps its number.
+    prefix = "# note\n\n \t\n" * 20
+    inputs = {"i.txt": (prefix + INTERLINEAR, ["--meta", "meta.tsv"]),
+              "p.txt": (prefix + "The cat\nsat\n\non it\n", []),
+              "bad.txt": (prefix + INTERLINEAR + "<f1r.P1 oops\n",
+                          ["--meta", "meta.tsv"])}
+    for name, (text, _) in inputs.items():
+        (workspace / name).write_text(text, encoding="utf-8")
+
+    def outcomes():
+        results = []
+        for name, (_, argv) in inputs.items():
+            code = run("ingest", name, *argv, "--out", f"{name}.tsv")
+            tsv = workspace / f"{name}.tsv"
+            results.append((code, capsys.readouterr().err,
+                            tsv.read_bytes() if tsv.exists() else None))
+        return results
+
+    whole = outcomes()
+    assert [code for code, _, _ in whole] == [0, 0, 2]
+    assert whole[2][1] == ("charentropy: error: bad.txt: line 67: expected "
+                           "'<folio.locus.line;transcriber>' locus header\n")
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+    assert outcomes() == whole
+
+
 def test_ingest_strips_utf8_byte_order_mark(workspace):
     (workspace / "bom.txt").write_bytes(
         b"\xef\xbb\xbf" + INTERLINEAR.encode("utf-8"))
@@ -232,14 +262,33 @@ def _truncate(path):
     os.truncate(path, path.stat().st_size // 2)
 
 
-@pytest.mark.parametrize("edit", [_append_new_word, _repeat_a_row, _truncate],
-                         ids=["new-word", "count", "truncate"])
+def _replace_a_word(path):
+    """Give the first row a word of the same length that no row holds, so
+    that the file keeps its size and every line its place."""
+    text = path.read_text(encoding="utf-8")
+    header, first, rest = text.split("\n", 2)
+    word, tab, fields = first.partition("\t")
+    path.write_text(f"{header}\n{'q' * len(word)}{tab}{fields}\n{rest}",
+                    encoding="utf-8")
+
+
+def _append_a_paragraph(path):
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("\nzzz\n")
+
+
+@pytest.mark.parametrize("edit", [_append_new_word, _repeat_a_row, _truncate,
+                                  _replace_a_word, _append_a_paragraph],
+                         ids=["new-word", "count", "truncate", "same-size",
+                              "paragraph"])
 @pytest.mark.parametrize("argv, between", [
     (["cleanse", "x.tsv"], "cleaned_forms"),
     (["translit", "x.tsv", "--system", "maximal"], "transliterate_words"),
     (["translit", "x.tsv", "--simplify", "--rare-min", "2"],
      "simplified_forms"),
-], ids=["cleanse", "translit", "simplify"])
+    # A TSV read as plain text: a paragraph of words, tabs as spaces.
+    (["ingest", "x.tsv", "--kind", "plaintext"], "plaintext_runs"),
+], ids=["cleanse", "translit", "simplify", "ingest"])
 def test_an_input_that_changes_between_the_passes_is_data_error(
         workspace, capsys, monkeypatch, argv, between, edit):
     assert run("ingest", "page.txt", "--meta", "meta.tsv",

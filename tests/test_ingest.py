@@ -3,6 +3,7 @@ import contextlib
 import importlib
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -16,9 +17,9 @@ from charentropy.errors import DecodeError, MetadataError, ParseError
 from charentropy.ingest import (CANONICAL_SELECTIONS, HANDS, LANGUAGES,
                                 LOCUS_KINDS, TSV_COLUMNS, FolioMetadataMap,
                                 LongTable, WordRecord, canonical_selection,
-                                from_words, parse_interlinear,
-                                parse_plaintext, read_tsv, select, with_words,
-                                write_tsv)
+                                character_counts, from_words,
+                                parse_interlinear, parse_plaintext, read_tsv,
+                                select, with_words, write_tsv)
 
 META = FolioMetadataMap.from_tsv(
     "f1r\therbal\tA\t1\tA\n"
@@ -534,3 +535,17 @@ def test_a_pattern_match_implies_the_row_check_accepts(drawn):
     # The source_id a file's pattern is made for is its first row's.
     if rows:
         assert rows[0].split("\t")[-1] == source_id
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.text(st.sampled_from("abé#\U00010330"),
+                                  max_size=5),
+                          st.integers(1, 4)), max_size=30))
+def test_character_counts_equals_the_per_character_loop(types):
+    want: Counter = Counter()
+    for form, n in types:
+        for c in form:
+            want[c] += n
+    got = character_counts([form for form, _ in types],
+                           [n for _, n in types])
+    assert dict(got) == dict(want)

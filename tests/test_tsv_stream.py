@@ -1,5 +1,5 @@
 """The commands that read a long-table TSV in slices, against the whole-file
-path; plain-text ``ingest``, which writes a run of paragraphs at a time,
+path; plain-text ``ingest``, which writes a run of lines at a time,
 against a word-by-word oracle; and the memory that both hold."""
 
 import contextlib
@@ -7,8 +7,11 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
 import statistics
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from importlib import resources
@@ -19,6 +22,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import charentropy
 import oracles
 from charentropy import ingest
 from charentropy.cli import main
@@ -30,6 +34,8 @@ from charentropy.metrics import TypeCounts, entropy_report, to_stream
 from charentropy.sampling import SamplingConfig
 from test_ingest import _NO_PATTERN, parse
 from test_ingest import _tsv_texts as tsv_texts
+
+SRC = str(Path(charentropy.__file__).resolve().parent.parent)
 
 _WORDS = st.text(st.sampled_from("aabcdeéZ'-.,1\U00010330я"),
                  min_size=1, max_size=6)
@@ -247,8 +253,10 @@ _PLAIN_LINES = st.one_of(
 def plain_texts(draw):
     """Plain text as bytes: lines of words, blank and whitespace-only lines,
     each ended by a drawn line break, with a BOM and no final break drawn
-    in."""
+    in. One text in two has no blank line, so it is one paragraph."""
     lines = draw(st.lists(_PLAIN_LINES, max_size=30))
+    if draw(st.booleans()):
+        lines = [line for line in lines if line.split()]
     ends = draw(st.lists(st.sampled_from(_LINE_ENDS), min_size=len(lines),
                          max_size=len(lines)))
     text = "".join(map(str.__add__, lines, ends))
@@ -262,6 +270,12 @@ def plain_texts(draw):
 @example(raw=b"a b c\nd e f g\nh\n\ni j\n", bad_at=None)
 # A bad byte after the first run.
 @example(raw=b"a b\n\nc", bad_at=4)
+# No blank line: one paragraph, longer than every patched run, with CRLF
+# line ends and no final line break.
+@example(raw=b"a b c\r\nd e\r\nf g h\r\ni", bad_at=None)
+# Paragraphs longer than two runs, between whitespace-only lines.
+@example(raw=b"a b c\r\n \t\r\nd e f g h i\r\n\xe3\x80\x80\r\nj\n",
+         bad_at=None)
 @given(raw=plain_texts(), bad_at=st.one_of(st.none(), st.integers(0)))
 def test_streamed_ingest_equals_the_plaintext_oracle(raw, bad_at):
     if bad_at is not None:
@@ -345,8 +359,8 @@ def test_fold_memory_is_flat_in_the_row_count(tmp_path):
     read_small = _traced_peak(lambda: read_tsv(small_text))
     read_large = _traced_peak(lambda: read_tsv(large_text))
     assert read_large > 3 * read_small, (read_small, read_large)
-    # Plain-text ingest holds its input's text and one run of paragraphs,
-    # where parse_plaintext holds the whole table.
+    # Plain-text ingest holds a block of its input, one run of lines and
+    # one count a paragraph, where parse_plaintext holds the whole table.
     small, large = (_plaintext_file(tmp_path, 20_000),
                     _plaintext_file(tmp_path, 80_000))
 
@@ -363,6 +377,48 @@ def test_fold_memory_is_flat_in_the_row_count(tmp_path):
     parse_growth = (_traced_peak(lambda: parse(large))
                     - _traced_peak(lambda: parse(small)))
     assert ingest_growth < parse_growth / 4, (ingest_growth, parse_growth)
+
+
+# Runs argv and prints its exit status and peak RSS in kilobytes. Linux
+# carries the resident size of the image a child replaces into its
+# ru_maxrss, so a child measured straight from this large test process
+# would read at least this process's size.
+_PEAK = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+print(status, usage.ru_maxrss)
+"""
+
+
+def _ingest_peak_mb(path: Path) -> float:
+    """The peak RSS, in MB, of ``ingest`` run on ``path`` in a child
+    interpreter, as ``os.wait4`` reports it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC, *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK, sys.executable, "-m", "charentropy",
+         "ingest", str(path), "--out", str(path.with_suffix(".tsv"))],
+        env=env, capture_output=True, text=True, check=True).stdout
+    status, kilobytes = map(int, out.split())
+    assert status == 0
+    return kilobytes / 1024
+
+
+def test_ingest_memory_is_flat_in_a_text_with_no_blank_line(tmp_path):
+    # One paragraph, twenty words to a line: ingest reads it twice, and
+    # holds one block of text, one run of lines and one count a paragraph.
+    peaks = []
+    for n_words in (20_000, 200_000):
+        words = _words(n_words)
+        path = tmp_path / f"{n_words}.txt"
+        path.write_text("".join(" ".join(words[i:i + 20]) + "\n"
+                                for i in range(0, n_words, 20)),
+                        encoding="utf-8")
+        peaks.append(_ingest_peak_mb(path))
+    # Held as one table, the 200k words took 76 MB more than the 20k.
+    assert peaks[1] - peaks[0] < 5, peaks
 
 
 def test_sample_values_are_written_as_they_are_encoded(tmp_path):
