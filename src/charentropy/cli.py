@@ -8,15 +8,20 @@ Design rules, enforced uniformly across subcommands:
 * every run writes a manifest JSON next to its output — the subcommand,
   tool version, seed, flattened configuration, and a SHA-256 digest of
   every input file — so an artifact can always be traced to the exact
-  inputs that produced it. Manifests carry no timestamps: rerunning a
-  command with identical inputs yields byte-identical artifacts, manifest
-  included;
+  inputs that produced it. It is renamed into place last, after the old
+  one is removed, so it never vouches for another run's outputs, and a
+  ``--manifest`` that names an output is refused. Manifests carry no
+  timestamps: rerunning a command with identical inputs yields
+  byte-identical artifacts, manifest included;
 * every input file but package data is read by one block reader, which
   digests the bytes it decodes (a BOM is stripped, bad UTF-8 is a data
   error); ``translit``, ``cleanse`` and plain-text ``ingest`` read twice
   and fail on a change;
-* outputs are written as they are encoded, never held whole, and an
-  ``--out`` file is replaced whole or not at all;
+* outputs are written as they are encoded, never held whole, each file
+  to a temporary beside it. The files are renamed into place together
+  after the last byte, so a failed run changes no file. Standard output
+  is UTF-8 whatever the locale, and a FIFO or a device is written as it
+  stands;
 * all floats print with 12 significant digits; JSON layouts carry a
   ``schema_version``.
 
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import os
 import re
@@ -102,57 +108,143 @@ def _naming(path):
         raise
 
 
-def _hashed_blocks(path, sha) -> Iterator[str]:
-    """The :func:`decoded_blocks` of the file at ``path``, each block's bytes
-    added to ``sha``. Every input but package data is read through here."""
-    with open(path, "rb") as f:
+class _Run(contextlib.AbstractContextManager):
+    """A command's run, a context manager around the command. It reads the
+    inputs and keeps their digests, stages each output file as a temporary
+    beside it and holds the manifest's ``config`` and ``seed``. On a clean
+    exit it writes the manifest's temporary, checks that every target can
+    be replaced, removes the old manifest, and renames the outputs and then
+    the manifest into place. On an exception it removes every temporary,
+    so a failed run leaves every file as it was."""
 
-        def read(n: int) -> bytes:
-            sha.update(block := f.read(n))
-            return block
+    def __init__(self, args):
+        self.args = args
+        self.config: dict = {}
+        self.seed: int | None = None
+        self.inputs: dict[str, str] = {}  # path -> sha256
+        self.staged: list[tuple[str, str, str]] = []  # temporary, target, out
 
-        yield from decoded_blocks(read)
+    def __exit__(self, kind, exc, tb) -> None:
+        try:
+            if kind is None:
+                self._commit()
+        finally:
+            for temporary, _, _ in self.staged:  # those not renamed
+                with contextlib.suppress(OSError):
+                    os.remove(temporary)
+
+    def blocks(self, path) -> Iterator[str]:
+        """The :func:`decoded_blocks` of the file at ``path``, whose digest
+        is kept once it has been read. Every input but package data is read
+        here; a second read of bytes that have changed is a DataError."""
+        sha = hashlib.sha256()
+        with open(path, "rb") as f:
+
+            def read(n: int) -> bytes:
+                sha.update(block := f.read(n))
+                return block
+
+            yield from decoded_blocks(read)
+        digest = sha.hexdigest()
+        if self.inputs.setdefault(str(path), digest) != digest:
+            raise DataError(f"{path}: input changed while it was read")
+
+    def text(self, path, parse=str):
+        """``parse`` of an input file's text, decoded as the parsers decode
+        theirs; an error of either step names the path."""
+        with _naming(path):
+            return parse("".join(self.blocks(path)))
+
+    def builtin(self, name: str) -> str:
+        """The text of a file shipped in ``charentropy.data``, digested as
+        ``builtin:NAME``."""
+        from importlib import resources
+        raw = (resources.files("charentropy.data") / name).read_bytes()
+        self.inputs[f"builtin:{name}"] = sha256_bytes(raw)
+        return _decode(raw)
+
+    def types(self, path, *, tokens: bool = False) -> TypeCounts:
+        """The word types of a long-table TSV (and its tokens, if asked).
+        The types' own errors are left to their user, so that a bad row or
+        byte anywhere in the file is reported first."""
+        with _naming(path):
+            return TypeCounts.fold(tsv_slices(self.blocks(path)),
+                                   tokens=tokens)
+
+    @contextlib.contextmanager
+    def reread(self, path):
+        """The blocks of the file at ``path``, read a second time. A
+        DataError in the block means the file changed in between."""
+        try:
+            yield self.blocks(path)
+        except DataError:
+            raise DataError(
+                f"{path}: input changed while it was read") from None
+
+    def output(self, out: str | None, pieces: Iterable[str]) -> None:
+        """Write the output text, each piece as it is made: to standard
+        output as UTF-8, to a FIFO or a device as it stands, and for a file
+        ``out`` to a temporary beside it, which the commit renames."""
+        if not out:
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(p.encode("utf-8") for p in pieces)
+            return
+        if _in_place(out):
+            with open(out, "w", encoding="utf-8") as f:
+                f.writelines(pieces)
+            return
+        target = os.path.realpath(out)
+        temporary = f"{target}.{os.getpid()}.tmp"
+        with _as_given(out, temporary), \
+                open(temporary, "w", encoding="utf-8") as f:
+            self.staged.append((temporary, target, out))
+            f.writelines(pieces)
+
+    def _commit(self) -> None:
+        args = self.args
+        prefix = getattr(args, "out_prefix", None)  # bigrams'
+        out = getattr(args, "out", None)  # every other command's
+        if args.manifest:
+            path = args.manifest
+        elif prefix or out and not _in_place(out):
+            path = f"{prefix or out}.manifest.json"
+        else:
+            path = "run_manifest.json"
+        if os.path.realpath(path) in (t for _, t, _ in self.staged):
+            raise ConfigError(f"--manifest {path!r} is an output of this run")
+        outputs = len(self.staged)
+        self.output(path, [json_dumps({
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "tool_version": __version__,
+            "seed": self.seed,
+            "input_digests": [{"path": p, "sha256": h}
+                              for p, h in sorted(self.inputs.items())],
+            "config": {k: self.config[k] for k in sorted(self.config)},
+        })])
+        for _, target, given in self.staged:
+            if os.path.isdir(target):
+                raise IsADirectoryError(
+                    errno.EISDIR, os.strerror(errno.EISDIR), given)
+        for _, target, given in self.staged[outputs:]:  # a manifest file's
+            with _as_given(given, target), \
+                    contextlib.suppress(FileNotFoundError):
+                os.remove(target)
+        for temporary, target, given in self.staged:
+            with _as_given(given, temporary):
+                os.replace(temporary, target)
 
 
-def _read_text(path, digests: list, parse=str):
-    """``parse`` of an input file's text, decoded as the parsers decode
-    theirs, and its digest; an error of either step names the path."""
-    sha = hashlib.sha256()
-    with _naming(path):
-        text = "".join(_hashed_blocks(path, sha))
-        digests.append((str(path), sha.hexdigest()))
-        return parse(text)
-
-
-def _read_builtin(name: str, digests: list) -> bytes:
-    """A file shipped in ``charentropy.data``, digested as ``builtin:NAME``."""
-    from importlib import resources
-    raw = (resources.files("charentropy.data") / name).read_bytes()
-    digests.append((f"builtin:{name}", sha256_bytes(raw)))
-    return raw
-
-
-def _write_manifest(args, command: str, digests, config: dict,
-                    seed: int | None = None, *, out: str | None = None,
-                    prefix: str | None = None) -> None:
-    """Write the manifest to ``--manifest``, else next to the outputs'
-    ``prefix`` or a file ``out``, else (stdout too) ``run_manifest.json``."""
-    if args.manifest:
-        path = args.manifest
-    elif prefix or out and not _in_place(out):
-        path = f"{prefix or out}.manifest.json"
-    else:
-        path = "run_manifest.json"
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "tool_version": __version__,
-        "seed": seed,
-        "input_digests": [{"path": p, "sha256": h}
-                          for p, h in sorted(digests)],
-        "config": {k: config[k] for k in sorted(config)},
-    }
-    Path(path).write_text(json_dumps(manifest), encoding="utf-8")
+@contextlib.contextmanager
+def _as_given(given: str, path: str):
+    """Name ``given`` in place of ``path`` in an OSError the block raises
+    on ``path``: a temporary or a resolved target is the user's file."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename != path:
+            raise
+        raise OSError(exc.errno, exc.strerror, given) from None
 
 
 def _in_place(out: str) -> bool:
@@ -160,78 +252,27 @@ def _in_place(out: str) -> bool:
     return not os.path.isfile(t := os.path.realpath(out)) and os.path.exists(t)
 
 
-def _emit(pieces: Iterable[str], out: str | None) -> None:
-    """Write the output text, each piece as it is made. A file ``out`` is
-    replaced whole or not at all, but a FIFO or a device is written to."""
-    if not out:
-        sys.stdout.writelines(pieces)
-        return
-    if _in_place(out):
-        with open(out, "w", encoding="utf-8") as f:
-            f.writelines(pieces)
-        return
-    target = os.path.realpath(out)
-    temporary = f"{target}.{os.getpid()}.tmp"
-    try:
-        with open(temporary, "w", encoding="utf-8") as f:
-            f.writelines(pieces)
-        os.replace(temporary, target)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(temporary)
-        if isinstance(exc, OSError) and exc.filename == temporary:
-            raise OSError(exc.errno, exc.strerror, out) from None
-        raise
-
-
-def _fold_input(path: str, digests: list, *,
-                tokens: bool = False) -> TypeCounts:
-    """The word types of a long-table TSV (and its tokens, if asked), read
-    from the file a block at a time, with the manifest digest taken from
-    the same bytes. The types' own errors are left to their user, so that
-    a bad row or byte anywhere in the file is reported first."""
-    sha = hashlib.sha256()
-    with _naming(path):
-        types = TypeCounts.fold(tsv_slices(_hashed_blocks(path, sha)),
-                                tokens=tokens)
-    digests.append((str(path), sha.hexdigest()))
-    return types
-
-
-def _reread(path, digests: list, pieces_of) -> Iterator[str]:
-    """``pieces_of(blocks)`` over the blocks of the file at ``path``, read
-    a second time. A DataError on the way, or bytes whose digest is not
-    the first read's in ``digests``, mean the file changed in between."""
-    sha = hashlib.sha256()
-    with contextlib.suppress(DataError):
-        yield from pieces_of(_hashed_blocks(path, sha))
-        if (str(path), sha.hexdigest()) in digests:
-            return
-    raise DataError(f"{path}: input changed while it was read")
-
-
-def _emit_rewritten(path, types: TypeCounts, new_forms, digests, out):
-    """Write the TSV :func:`_fold_input` read into ``types``, read again,
+def _emit_rewritten(run: _Run, path, types: TypeCounts, new_forms, out):
+    """Write the TSV :meth:`_Run.types` read into ``types``, read again,
     with new forms. Only the words whose form changes are mapped, so a
     word pass 1 did not see is kept, and the digest reports the change."""
     new = {w: f for w, f in zip(types.forms, new_forms) if f != w}
-    _emit(_reread(path, digests, lambda blocks: rewritten_tsv(blocks, new)),
-          out)
+    with run.reread(path) as blocks:
+        run.output(out, rewritten_tsv(blocks, new))
 
 
-def _read_cells(path: str, digests: list) -> tuple[TypeCounts, PairCells]:
+def _read_cells(run: _Run, path) -> tuple[TypeCounts, PairCells]:
     """A TSV's word types and the pair counts of its words."""
-    types = _fold_input(path, digests)
+    types = run.types(path)
     with _naming(path):
         return types, types.cells()
 
 
-def _load_meta(args, digests: list) -> FolioMetadataMap:
+def _load_meta(args, run: _Run) -> FolioMetadataMap:
     if args.meta:
-        meta = _read_text(args.meta, digests, FolioMetadataMap.from_tsv)
+        meta = run.text(args.meta, FolioMetadataMap.from_tsv)
     else:
-        meta = FolioMetadataMap.from_tsv(
-            _decode(_read_builtin("folio_metadata.tsv", digests)))
+        meta = FolioMetadataMap.from_tsv(run.builtin("folio_metadata.tsv"))
     return meta.permissive() if args.allow_missing_meta else meta
 
 
@@ -290,7 +331,7 @@ def _plaintext_tables(blocks: Iterable[str], sizes, source_id: str):
     for start, run in plaintext_runs(
             chain.from_iterable(map(str.splitlines, blocks))):
         if run[-1][3] > len(sizes):  # the last line's paragraph number
-            raise DataError("a paragraph pass 1 did not see")  # see _reread
+            raise DataError("a paragraph pass 1 did not see")  # see reread
         table = _table_from_lines(run, source_id, sizes, start)
         run.clear()
         yield table
@@ -307,48 +348,39 @@ def _selected(tables, select: str | None):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args, run: _Run) -> None:
     source_id = args.source_id or Path(args.input).name
     if re.search(f"[\t{_LINE_BREAKS}]", source_id):
         given = ("--source-id" if args.source_id
                  else f"{args.input}: the file name, the default source id")
         raise ConfigError(f"{given} {source_id!r} holds a tab or a line "
                           f"break, which a TSV field cannot hold")
-    digests = []
-    sha = hashlib.sha256()
     with _naming(args.input):
-        kind, text, sizes = _first_pass(_hashed_blocks(args.input, sha),
-                                        args.kind)
-    digests.append((str(args.input), sha.hexdigest()))
+        kind, text, sizes = _first_pass(run.blocks(args.input), args.kind)
     if kind == "interlinear":
-        meta = _load_meta(args, digests)
+        meta = _load_meta(args, run)
         with _naming(args.input):
             tables = [parse_interlinear(
                 text, meta, args.transcriber,
                 comma_breaks=args.comma_breaks, source_id=source_id)]
-        pieces = tsv_pieces(_selected(tables, args.select))
+        run.output(args.out, tsv_pieces(_selected(tables, args.select)))
     else:
         _check_plaintext_flags(args)
-        pieces = _reread(args.input, digests, lambda blocks: tsv_pieces(
-            _selected(_plaintext_tables(blocks, sizes, source_id),
-                      args.select)))
-    _emit(pieces, args.out)
-    _write_manifest(
-        args, "ingest", digests,
-        {"kind": kind, "transcriber": args.transcriber,
-         "comma_breaks": args.comma_breaks, "source_id": source_id,
-         "allow_missing_meta": args.allow_missing_meta,
-         "select": args.select},
-        out=args.out)
-    return 0
+        with run.reread(args.input) as blocks:
+            run.output(args.out, tsv_pieces(_selected(
+                _plaintext_tables(blocks, sizes, source_id), args.select)))
+    run.config = {
+        "kind": kind, "transcriber": args.transcriber,
+        "comma_breaks": args.comma_breaks, "source_id": source_id,
+        "allow_missing_meta": args.allow_missing_meta,
+        "select": args.select}
 
 
-def cmd_translit(args) -> int:
+def cmd_translit(args, run: _Run) -> None:
     _check_rare_min(args.rare_min)
-    digests = []
     # Two passes over the input: one counts the word types, which are
     # rewritten once each, and one rewrites the rows where they stand.
-    types = _fold_input(args.input, digests)
+    types = run.types(args.input)
     if args.simplify:
         new_forms = simplified_forms(types.forms, types.freq,
                                      threshold=args.rare_min)
@@ -356,26 +388,21 @@ def cmd_translit(args) -> int:
     else:
         if args.rules:
             name = Path(args.rules).stem
-            ruleset = _read_text(args.rules, digests,
-                                 lambda text: load_rules(text, name))
+            ruleset = run.text(args.rules, lambda t: load_rules(t, name))
         else:
             ruleset = builtin_rules(args.system)
-            _read_builtin(f"{args.system}.rules", digests)
+            run.builtin(f"{args.system}.rules")
         with _naming(args.input):
             new_forms = transliterate_words(types.forms, ruleset)
         rules_label = ruleset.name
-    _emit_rewritten(args.input, types, new_forms, digests, args.out)
-    _write_manifest(
-        args, "translit", digests,
-        {"rules": rules_label, "rare_min": args.rare_min,
-         "simplify": args.simplify},
-        out=args.out)
-    return 0
+    _emit_rewritten(run, args.input, types, new_forms, args.out)
+    run.config = {"rules": rules_label, "rare_min": args.rare_min,
+                  "simplify": args.simplify}
 
 
-def _cleanse_config(args, digests: list) -> CleanseConfig:
+def _cleanse_config(args, run: _Run) -> CleanseConfig:
     if args.config:
-        base = _read_text(args.config, digests, parse_config)
+        base = run.text(args.config, parse_config)
     else:
         base = CleanseConfig()
     ranges = base.script_ranges
@@ -392,70 +419,52 @@ def _cleanse_config(args, digests: list) -> CleanseConfig:
     )
 
 
-def cmd_cleanse(args) -> int:
+def cmd_cleanse(args, run: _Run) -> None:
     if args.threshold is not None and not 0.0 <= args.threshold < 1.0:
         raise ConfigError(
             f"--threshold must lie in [0, 1), got {args.threshold}")
-    digests = []
-    types = _fold_input(args.input, digests)
-    cfg = _cleanse_config(args, digests)
+    types = run.types(args.input)
+    cfg = _cleanse_config(args, run)
     new_forms = cleaned_forms(types.forms, types.freq, cfg)
-    _emit_rewritten(args.input, types, new_forms, digests, args.out)
-    _write_manifest(
-        args, "cleanse", digests,
-        {"lowercase": cfg.lowercase,
-         "strip_punctuation": cfg.strip_punctuation,
-         "rare_char_threshold": cfg.rare_char_threshold,
-         "script_ranges": [f"U+{lo:04X}..U+{hi:04X}"
-                           for lo, hi in (cfg.script_ranges or ())],
-         "preserve_chars": "".join(sorted(cfg.preserve_chars))},
-        out=args.out)
-    return 0
+    _emit_rewritten(run, args.input, types, new_forms, args.out)
+    run.config = {
+        "lowercase": cfg.lowercase,
+        "strip_punctuation": cfg.strip_punctuation,
+        "rare_char_threshold": cfg.rare_char_threshold,
+        "script_ranges": [f"U+{lo:04X}..U+{hi:04X}"
+                          for lo, hi in (cfg.script_ranges or ())],
+        "preserve_chars": "".join(sorted(cfg.preserve_chars))}
 
 
-def cmd_stats(args) -> int:
-    digests = []
-    types, cells = _read_cells(args.input, digests)
-    doc = {
+def cmd_stats(args, run: _Run) -> None:
+    types, cells = _read_cells(run, args.input)
+    run.output(args.out, json_pieces({
         "schema_version": SCHEMA_VERSION,
         "source_id": types.source_id,
         "entropy": cells.entropy_report(len(types.forms)).as_dict(),
         "charset": [{"char": c, "count": n, "proportion": p}
                     for c, n, p in cells.charset()],
-    }
-    _emit(json_pieces(doc), args.out)
-    _write_manifest(
-        args, "stats", digests, {},
-        out=args.out)
-    return 0
+    }))
 
 
-def cmd_bigrams(args) -> int:
+def cmd_bigrams(args, run: _Run) -> None:
     if not 0.0 <= args.threshold <= 1.0:
         raise ConfigError(
             f"--threshold must lie in [0, 1], got {args.threshold}")
-    digests = []
-    types, cells = _read_cells(args.input, digests)
+    types, cells = _read_cells(run, args.input)
     prefix = args.out_prefix
     for mode, suffix in (("conditional", "conditional"),
                          ("weighted", "weighted"),
                          ("entropy_contribution", "entropy")):
-        Path(f"{prefix}_{suffix}.csv").write_text(
-            cells.heatmap(mode), encoding="utf-8")
-    coverage = cells.coverage(args.threshold)
+        run.output(f"{prefix}_{suffix}.csv", [cells.heatmap(mode)])
     doc = {"schema_version": SCHEMA_VERSION,
            "source_id": types.source_id}
-    doc.update(coverage.as_dict())
-    Path(f"{prefix}_coverage.json").write_text(
-        json_dumps(doc), encoding="utf-8")
-    _write_manifest(
-        args, "bigrams", digests,
-        {"threshold": args.threshold, "out_prefix": prefix},
-        prefix=prefix)
-    return 0
+    doc.update(cells.coverage(args.threshold).as_dict())
+    run.output(f"{prefix}_coverage.json", [json_dumps(doc)])
+    run.config = {"threshold": args.threshold, "out_prefix": prefix}
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args, run: _Run) -> None:
     if (w := min(args.windows)) < 1:
         raise ConfigError(f"--windows must be at least 1, got {w}")
     if args.n < 1:
@@ -463,8 +472,7 @@ def cmd_sample(args) -> int:
     if not 0 <= args.seed < 2 ** 64:
         raise ConfigError(f"--seed must lie in [0, 2**64), got {args.seed}")
     cfg = SamplingConfig(tuple(args.windows), args.n, args.seed)
-    digests = []
-    types = _fold_input(args.input, digests, tokens=True)
+    types = run.types(args.input, tokens=True)
     with _naming(args.input):
         distributions = sample_h2(types, cfg)
     if args.format == "csv":
@@ -479,18 +487,14 @@ def cmd_sample(args) -> int:
                 distributions, include_values=args.values),
         })
         del distributions  # its values are in the dict
-    _emit(pieces, args.out)
-    _write_manifest(
-        args, "sample", digests,
-        {"windows": list(args.windows), "n": args.n, "format": args.format,
-         "values": args.values},
-        seed=args.seed, out=args.out)
-    return 0
+    run.output(args.out, pieces)
+    run.config = {"windows": list(args.windows), "n": args.n,
+                  "format": args.format, "values": args.values}
+    run.seed = args.seed
 
 
-def cmd_sukhotin(args) -> int:
-    digests = []
-    types, cells = _read_cells(args.input, digests)
+def cmd_sukhotin(args, run: _Run) -> None:
+    types, cells = _read_cells(run, args.input)
     # The boundary starts the stream, and each character first occurs in
     # the first occurrence of some type.
     result = detect_from_cells(cells, BOUNDARY + "".join(types.forms),
@@ -498,13 +502,9 @@ def cmd_sukhotin(args) -> int:
     doc = {"schema_version": SCHEMA_VERSION,
            "source_id": types.source_id}
     doc.update(result.as_dict(diagnostics=args.diagnostics))
-    _emit(json_pieces(doc), args.out)
-    _write_manifest(
-        args, "sukhotin", digests,
-        {"include_space": args.include_space,
-         "diagnostics": args.diagnostics},
-        out=args.out)
-    return 0
+    run.output(args.out, json_pieces(doc))
+    run.config = {"include_space": args.include_space,
+                  "diagnostics": args.diagnostics}
 
 
 def _batch_jobs(text: str) -> list[tuple[str, str, str]]:
@@ -534,14 +534,13 @@ def _check_rare_min(rare_min: int) -> None:
         raise ConfigError(f"--rare-min must be at least 1, got {rare_min}")
 
 
-def cmd_batch(args) -> int:
+def cmd_batch(args, run: _Run) -> None:
     _check_rare_min(args.rare_min)
-    digests = []
-    text = _read_text(args.input, digests)
-    meta = _load_meta(args, digests)
-    _read_builtin("maximal.rules", digests)
-    _read_builtin("minimal.rules", digests)
-    jobs_text = _read_text(args.jobs, digests) if args.jobs else None
+    text = run.text(args.input)
+    meta = _load_meta(args, run)
+    run.builtin("maximal.rules")
+    run.builtin("minimal.rules")
+    jobs_text = run.text(args.jobs) if args.jobs else None
     with _naming(args.input):
         table = parse_interlinear(
             text, meta, args.transcriber, comma_breaks=args.comma_breaks,
@@ -604,15 +603,12 @@ def cmd_batch(args) -> int:
             # Every letter follows a symbol; every word ends with "#".
             doc, system, str(len(successors) - 1), fmt_float(cells.h2()),
             str(successors[BOUNDARY]), str(len(present))]) + "\n")
-    _emit(rows, args.out)
-    _write_manifest(
-        args, "batch", digests,
-        {"transcriber": args.transcriber, "comma_breaks": args.comma_breaks,
-         "rare_min": args.rare_min,
-         "allow_missing_meta": args.allow_missing_meta,
-         "jobs": str(args.jobs) if args.jobs else "default"},
-        out=args.out)
-    return 0
+    run.output(args.out, rows)
+    run.config = {
+        "transcriber": args.transcriber, "comma_breaks": args.comma_breaks,
+        "rare_min": args.rare_min,
+        "allow_missing_meta": args.allow_missing_meta,
+        "jobs": str(args.jobs) if args.jobs else "default"}
 
 
 # ---------------------------------------------------------------------------
@@ -789,11 +785,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except CharentropyError as exc:
-        print(f"charentropy: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        with _Run(args) as run:
+            args.func(args, run)
+        return 0
+    except (CharentropyError, OSError) as exc:
         print(f"charentropy: error: {exc}", file=sys.stderr)
         return 2
 

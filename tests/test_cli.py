@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import errno
 import importlib
 import io
 import json
@@ -939,6 +940,142 @@ def test_an_unwritable_out_is_named_as_given(workspace, capsys, out, reason):
     assert capsys.readouterr().err == (
         f"charentropy: error: {reason}: {out!r}\n")
     assert sorted(workspace.iterdir()) == before
+
+
+def _files(workspace):
+    """Every name in ``workspace``, with a file's bytes."""
+    return {p.name: p.read_bytes() if p.is_file() else None
+            for p in workspace.iterdir()}
+
+
+_BIGRAM_FILES = ("bg_conditional.csv", "bg_weighted.csv", "bg_entropy.csv",
+                 "bg_coverage.json")
+
+# Each command, reading the ingested ``t.tsv`` or the page itself.
+_EVERY_COMMAND = {
+    "ingest": ["ingest", "page.txt", "--meta", "meta.tsv", "--out", "o.tsv"],
+    "translit": ["translit", "t.tsv", "--system", "maximal", "--out", "o.tsv"],
+    "cleanse": ["cleanse", "t.tsv", "--out", "o.tsv"],
+    "stats": ["stats", "t.tsv", "--out", "o.json"],
+    "bigrams": ["bigrams", "t.tsv", "--out-prefix", "bg"],
+    "sample": ["sample", "t.tsv", "--windows", "2", "--n", "3",
+               "--out", "o.json"],
+    "sukhotin": ["sukhotin", "t.tsv", "--out", "o.json"],
+    "batch": ["batch", "page.txt", "--meta", "meta.tsv", "--out", "o.tsv"],
+}
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND.values(), ids=_EVERY_COMMAND)
+def test_a_manifest_that_cannot_be_written_changes_no_file(workspace, capsys,
+                                                           argv):
+    # The outputs of an earlier run stay, not this run's beside no manifest.
+    assert run("ingest", "page.txt", "--meta", "meta.tsv",
+               "--out", "t.tsv") == 0
+    for name in ("o.tsv", "o.json", *_BIGRAM_FILES):
+        (workspace / name).write_bytes(b"earlier output\n")
+    (workspace / "mdir").mkdir()
+    before = _files(workspace)
+    capsys.readouterr()
+    assert run(*argv, "--manifest", "mdir") == 2
+    # batch warns of the default grid's empty selections first.
+    assert capsys.readouterr().err.endswith(
+        "charentropy: error: [Errno 21] Is a directory: 'mdir'\n")
+    assert _files(workspace) == before  # no temporary either
+
+
+@pytest.mark.parametrize("name", _BIGRAM_FILES)
+def test_bigrams_with_a_target_that_is_a_directory_changes_no_file(
+        workspace, capsys, name):
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    assert run("ingest", "page.txt", "--meta", "meta.tsv",
+               "--out", "t.tsv") == 0
+    assert run("bigrams", "p.tsv", "--out-prefix", "bg") == 0
+    (workspace / name).unlink()
+    (workspace / name).mkdir()
+    before = _files(workspace)
+    capsys.readouterr()
+    assert run("bigrams", "t.tsv", "--out-prefix", "bg",
+               "--threshold", "0.9") == 2
+    assert capsys.readouterr().err == (
+        f"charentropy: error: [Errno 21] Is a directory: '{name}'\n")
+    assert _files(workspace) == before
+
+
+def test_a_failed_rename_leaves_no_manifest_and_no_temporary(
+        workspace, capsys, monkeypatch):
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    assert run("bigrams", "p.tsv", "--out-prefix", "bg") == 0
+    real, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(errno.EIO, os.strerror(errno.EIO), src)
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    capsys.readouterr()
+    assert run("bigrams", "p.tsv", "--out-prefix", "bg",
+               "--threshold", "0.9") == 2
+    assert capsys.readouterr().err == (
+        "charentropy: error: [Errno 5] Input/output error: "
+        "'bg_weighted.csv'\n")
+    # New outputs may stand without a manifest, never beside a stale one.
+    assert not (workspace / "bg.manifest.json").exists()
+    assert not [p for p in workspace.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_a_target_that_turns_into_a_directory_keeps_the_old_manifest(
+        workspace, capsys, monkeypatch):
+    # Every target is checked before the old manifest is removed.
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    assert run("stats", "p.tsv", "--out", "o.json") == 0
+    real = cli.json_dumps
+
+    def dumps(obj):  # the manifest's, after the output is staged
+        (workspace / "o.json").unlink()
+        (workspace / "o.json").mkdir()
+        return real(obj)
+
+    monkeypatch.setattr(cli, "json_dumps", dumps)
+    before = {**_files(workspace), "o.json": None}
+    capsys.readouterr()
+    assert run("stats", "p.tsv", "--out", "o.json") == 2
+    assert capsys.readouterr().err == (
+        "charentropy: error: [Errno 21] Is a directory: 'o.json'\n")
+    assert _files(workspace) == before
+
+
+@pytest.mark.parametrize("argv, manifest", [
+    (["stats", "p.tsv", "--out", "x.json"], "x.json"),
+    (["bigrams", "p.tsv", "--out-prefix", "q"], "q_coverage.json"),
+    (["bigrams", "p.tsv", "--out-prefix", "q"], "./q_weighted.csv"),
+], ids=["stats", "bigrams", "bigrams-by-realpath"])
+def test_a_manifest_that_names_an_output_is_config_error(
+        workspace, capsys, argv, manifest):
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    (workspace / "x.json").write_bytes(b"earlier output\n")
+    (workspace / "q_coverage.json").write_bytes(b"earlier output\n")
+    before = _files(workspace)
+    capsys.readouterr()
+    assert run(*argv, "--manifest", manifest) == 2
+    assert capsys.readouterr().err == (
+        f"charentropy: error: --manifest {manifest!r} is an output of this "
+        f"run\n")
+    assert _files(workspace) == before
+
+
+def test_standard_output_is_utf8_whatever_the_locale(workspace):
+    (workspace / "u.txt").write_text("naïve café\n\nüber\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONIOENCODING="ascii")
+    src = str(Path(charentropy.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    assert run("ingest", "u.txt", "--out", "u.tsv") == 0
+    out = subprocess.run([sys.executable, "-m", "charentropy", "ingest",
+                          "u.txt"], capture_output=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (workspace / "u.tsv").read_bytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
