@@ -10,7 +10,7 @@ Design rules, enforced uniformly across subcommands:
   every input file — so an artifact can always be traced to the exact
   inputs that produced it. It is renamed into place last, after the old
   one is removed, so it never vouches for another run's outputs, and a
-  ``--manifest`` that names an output is refused. Manifests carry no
+  manifest that names an input or an output is refused. Manifests carry no
   timestamps: rerunning a command with identical inputs yields
   byte-identical artifacts, manifest included;
 * every input file but package data is read by one block reader, which
@@ -28,19 +28,20 @@ Design rules, enforced uniformly across subcommands:
 The long-table TSV (see the ingest module) is the interchange format:
 ``ingest`` produces it, ``translit`` and ``cleanse`` transform it, and the
 measurement commands (``stats``, ``bigrams``, ``sample``, ``sukhotin``,
-``batch``) consume it or, for ``batch``, the raw interlinear file. Tables
-are written a few thousand rows at a time. ``ingest`` reads plain text
-twice: once to count each paragraph's words, and once to make one table
-per run of a few thousand words, cut at a line end wherever it falls. It
-parses interlinear text whole, so that every missing folio is reported
-first. ``stats``, ``bigrams``, ``sukhotin`` and ``sample`` fold theirs
-into word types a block at a time (``sample`` keeps a type id per word),
-and ``translit`` and ``cleanse`` keep their input's word-type counts and
-rewrite each row where it stands, mapping only the words whose form
-changes, so none of them holds a table or its input. ``batch`` counts
-each stratum of its table, the rows that agree on every column a
-selection tests, once per system. numpy loads on first use, which only
-``sample`` reaches: the other commands count in Python.
+``batch``) consume it or, for ``batch``, the raw interlinear file. No
+command builds a table. ``ingest`` writes rows straight from the parsed
+lines (dropping those a ``--select`` misses, once placed). It reads plain
+text twice: once to count each paragraph's words, and once to write each
+run of a few thousand words, cut at any line end. It parses interlinear
+text whole, so that every missing folio is reported first. ``stats``,
+``bigrams``, ``sukhotin`` and ``sample`` fold theirs into word types a
+block at a time (``sample`` keeps a type id per word), and ``translit``
+and ``cleanse`` keep their input's word-type counts and rewrite each row
+where it stands, mapping only the words whose form changes. ``batch``
+counts the words of each stratum of its parsed lines, the lines that
+agree on every column a selection tests, once per system. numpy loads on
+first use, which only ``sample`` reaches: the other commands count in
+Python.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ from .errors import CharentropyError, ConfigError, DataError
 from .formats import (SCHEMA_VERSION, fmt_float, json_dumps, json_pieces,
                       sha256_bytes)
 from .ingest import (_LINE_BREAKS, CANONICAL_SELECTIONS, FolioMetadataMap,
-                     _decode, _table_from_lines, canonical_selection,
-                     character_counts, check_words, content_lines,
-                     decoded_blocks, paragraph_sizes, parse_interlinear,
-                     plaintext_runs, rewritten_tsv, tsv_pieces, tsv_slices)
+                     _decode, character_counts, check_words, content_lines,
+                     decoded_blocks, interlinear_lines, line_values,
+                     paragraph_sizes, plaintext_runs, rewritten_tsv,
+                     tsv_pieces, tsv_slices)
 from .metrics import BOUNDARY, PairCells, TypeCounts
 from .sampling import (SamplingConfig, distributions_csv_rows,
                        distributions_to_dict, sample_h2)
@@ -80,7 +81,8 @@ from .translit import (builtin_rules, load_rules, rare_characters,
 # as a trace point.
 from .cleanse import charset_report, cleanse  # noqa: F401,E402
 from .formats import sha256_file  # noqa: F401,E402
-from .ingest import parse_plaintext, read_tsv, write_tsv  # noqa: F401,E402
+from .ingest import (canonical_selection, parse_interlinear,  # noqa: F401,E402
+                     parse_plaintext, read_tsv, write_tsv)
 from .metrics import (bigram_matrix, coverage_report,  # noqa: F401,E402
                       entropy_report, heatmap_export, to_stream)
 from .translit import (simplify_document,  # noqa: F401,E402
@@ -183,11 +185,13 @@ class _Run(contextlib.AbstractContextManager):
 
     def output(self, out: str | None, pieces: Iterable[str]) -> None:
         """Write the output text, each piece as it is made: to standard
-        output as UTF-8, to a FIFO or a device as it stands, and for a file
-        ``out`` to a temporary beside it, which the commit renames."""
+        output, as UTF-8 if it takes bytes, to a FIFO or a device as it
+        stands, and for a file ``out`` to a temporary the commit renames."""
         if not out:
             sys.stdout.flush()
-            sys.stdout.buffer.writelines(p.encode("utf-8") for p in pieces)
+            if hasattr(sys.stdout, "buffer"):  # io.StringIO has none
+                pieces = (p.encode("utf-8") for p in pieces)
+            getattr(sys.stdout, "buffer", sys.stdout).writelines(pieces)
             return
         if _in_place(out):
             with open(out, "w", encoding="utf-8") as f:
@@ -210,8 +214,13 @@ class _Run(contextlib.AbstractContextManager):
             path = f"{prefix or out}.manifest.json"
         else:
             path = "run_manifest.json"
-        if os.path.realpath(path) in (t for _, t, _ in self.staged):
+        target = os.path.realpath(path)
+        if target in (t for _, t, _ in self.staged):
             raise ConfigError(f"--manifest {path!r} is an output of this run")
+        if target in (os.path.realpath(p) for p in self.inputs
+                      if not p.startswith("builtin:")):
+            given = "--manifest" if args.manifest else "manifest"
+            raise ConfigError(f"{given} {path!r} is an input of this run")
         outputs = len(self.staged)
         self.output(path, [json_dumps({
             "schema_version": SCHEMA_VERSION,
@@ -325,25 +334,6 @@ def _check_plaintext_flags(args) -> None:
             f"input, and this input is read as plain text")
 
 
-def _plaintext_tables(blocks: Iterable[str], sizes, source_id: str):
-    """The tables of plain text, one per run of lines, each run released
-    before its table is written; ``sizes`` are pass 1's paragraph sizes."""
-    for start, run in plaintext_runs(
-            chain.from_iterable(map(str.splitlines, blocks))):
-        if run[-1][3] > len(sizes):  # the last line's paragraph number
-            raise DataError("a paragraph pass 1 did not see")  # see reread
-        table = _table_from_lines(run, source_id, sizes, start)
-        run.clear()
-        yield table
-
-
-def _selected(tables, select: str | None):
-    """The tables, or with ``select`` the rows of its canonical selection."""
-    if not select:
-        return tables
-    return (canonical_selection(t, select) for t in tables)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -357,18 +347,20 @@ def cmd_ingest(args, run: _Run) -> None:
                           f"break, which a TSV field cannot hold")
     with _naming(args.input):
         kind, text, sizes = _first_pass(run.blocks(args.input), args.kind)
+    criteria = CANONICAL_SELECTIONS.get(args.select)
     if kind == "interlinear":
         meta = _load_meta(args, run)
         with _naming(args.input):
-            tables = [parse_interlinear(
-                text, meta, args.transcriber,
-                comma_breaks=args.comma_breaks, source_id=source_id)]
-        run.output(args.out, tsv_pieces(_selected(tables, args.select)))
+            lines = interlinear_lines(text, meta, args.transcriber,
+                                      comma_breaks=args.comma_breaks)
+        run.output(args.out, tsv_pieces([(1, lines)], source_id,
+                                        criteria=criteria))
     else:
         _check_plaintext_flags(args)
         with run.reread(args.input) as blocks:
-            run.output(args.out, tsv_pieces(_selected(
-                _plaintext_tables(blocks, sizes, source_id), args.select)))
+            runs = plaintext_runs(chain.from_iterable(map(str.splitlines,
+                                                          blocks)))
+            run.output(args.out, tsv_pieces(runs, source_id, sizes, criteria))
     run.config = {
         "kind": kind, "transcriber": args.transcriber,
         "comma_breaks": args.comma_breaks, "source_id": source_id,
@@ -542,27 +534,28 @@ def cmd_batch(args, run: _Run) -> None:
     run.builtin("minimal.rules")
     jobs_text = run.text(args.jobs) if args.jobs else None
     with _naming(args.input):
-        table = parse_interlinear(
-            text, meta, args.transcriber, comma_breaks=args.comma_breaks,
-            source_id=args.source_id or Path(args.input).name)
+        lines = interlinear_lines(text, meta, args.transcriber,
+                                  comma_breaks=args.comma_breaks)
     jobs = [(s, s, system) for s in CANONICAL_SELECTIONS  # the default grid
             for system in ("maximal", "simplified", "minimal")]
     if jobs_text is not None:
         with _naming(args.jobs):
             jobs = _batch_jobs(jobs_text)
     # Every row is a function of the selection's pair cells. A selection is
-    # a union of strata, the rows that agree on every column a selection
+    # a union of strata, the lines that agree on every column a selection
     # tests, so each stratum's cells are counted once per system and a job
     # sums its strata's. A simplified job renames its own maximal cells.
     tested = tuple(dict.fromkeys(
         c for criteria in CANONICAL_SELECTIONS.values() for c in criteria))
-    strata: dict[frozenset, dict[str, int]] = {}  # stratum -> word -> tokens
-    for (*values, word), n in Counter(
-            zip(*map(table.column, tested), table.columns[0])).items():
-        strata.setdefault(frozenset(zip(tested, values)), {})[word] = n
-    types = TypeCounts.of(table, tokens=False)
-    maximal = transliterate_words(types.forms, builtin_rules("maximal"))
-    forms = {"none": types.forms, "maximal": maximal, "minimal":
+    values = line_values(tested)
+    strata: dict[frozenset, Counter] = {}  # stratum -> word -> tokens
+    for line in lines:
+        if line[0]:  # a line with no words makes no stratum
+            strata.setdefault(frozenset(zip(tested, values(line))),
+                              Counter()).update(line[0])
+    words = tuple(dict.fromkeys(w for line in lines for w in line[0]))
+    maximal = transliterate_words(words, builtin_rules("maximal"))
+    forms = {"none": words, "maximal": maximal, "minimal":
              transliterate_words(maximal, builtin_rules("minimal"))}
     symbols = sorted({BOUNDARY, *"".join(maximal)})  # maximal's, every one
     counted = {}  # system -> stratum -> (its cells, its types' forms)
@@ -575,10 +568,10 @@ def cmd_batch(args, run: _Run) -> None:
             continue
         base = "maximal" if system == "simplified" else system
         if base not in counted:
-            new = dict(zip(types.forms, types.checked(forms[base])))
+            new = dict(zip(words, forms[base]))
             counted[base] = {}
             for key, tokens in strata.items():
-                part = TypeCounts(types.source_id, tuple(map(new.get, tokens)),
+                part = TypeCounts("", tuple(map(new.get, tokens)),
                                   tuple(tokens.values()), None)
                 counted[base][key] = part.cells(), part.forms
         parts = [counted[base][key] for key in chosen]

@@ -1,27 +1,28 @@
 """Parse interlinear transcription files and plain text into word tables.
 
-The central structure is the :class:`LongTable`: the words of one source in
-document order, stored column by column. Besides the surface forms there is
-a column for each word's position within its line and paragraph and for each
-page-level classification (folio, quire, section, language, scribal hand,
-transcriber); the table carries one ``source_id``. A :class:`WordRecord` is
-one row of the table, built on demand.
+The parsers make lines: one tuple per text line, holding its words and the
+attributes they share (locus kind, line and paragraph numbers, folio,
+quire, section, language, scribal hand, transcriber). :func:`_placed` is
+the one place a line's words get their positions within line and
+paragraph; plain text comes in runs of lines (:func:`plaintext_runs`), cut
+between any two lines, placed by each paragraph's word count
+(:func:`paragraph_sizes`). :func:`tsv_pieces` writes the long-table TSV
+straight from placed lines, so no command builds a table.
 
-Columns are validated once, where tables are built: the two parsers,
-:func:`read_tsv`, :func:`from_words` and :func:`with_words`. One function
-assigns the positions of the parsers' and from_words' tables from their
-lines; plain text also comes in runs of lines (:func:`plaintext_runs`),
-cut between any two lines, whose paragraph positions follow from each
-paragraph's word count (:func:`paragraph_sizes`). A TSV is read a block at
-a time: one pattern per file accepts a block of good rows in a single
+The library's table is the :class:`LongTable`: the words of one source in
+document order, column by column, with one ``source_id``; a
+:class:`WordRecord` is one of its rows, built on demand. Columns are
+validated once, where tables are built: the parsers, :func:`read_tsv`,
+:func:`from_words` and :func:`with_words`. A TSV is read a block at a
+time: one pattern per file accepts a block of good rows in a single
 match, and a block it rejects is checked row by row, which alone decides
-which line is in error and why.
-Every other table derives from those through the only two transforms,
-:func:`with_words` (replace every word) and :func:`take` (keep the rows a
-boolean mask selects). Every word rewrite in the package (transliteration,
-simplification, cleansing) is a map from word types and their frequencies
-to new forms, applied to a table by :func:`rewrite_types` and to the rows
-of a TSV, where they stand, by :func:`rewritten_tsv`.
+which line is in error and why. Every other table derives from those
+through the only two transforms, :func:`with_words` (replace every word)
+and :func:`take` (keep the rows a boolean mask selects). Every word
+rewrite in the package (transliteration, simplification, cleansing) is a
+map from word types and their frequencies to new forms, applied to a
+table by :func:`rewrite_types` and to the rows of a TSV, where they
+stand, by :func:`rewritten_tsv`.
 
 Interlinear input follows a documented subset of the line-by-line
 transcription family used for the Voynich manuscript:
@@ -56,9 +57,9 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, islice, repeat
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
-from .errors import DecodeError, MetadataError, ParseError
+from .errors import DataError, DecodeError, MetadataError, ParseError
 
 PARAGRAPH = "paragraph"
 LABEL_OR_DIAGRAM = "label_or_diagram"
@@ -314,42 +315,60 @@ def decoded_blocks(read: Callable[[int], bytes]) -> Iterator[str]:
         yield _decode(piece, offset)
 
 
-def _table_from_lines(lines: Iterable[tuple], source_id: str,
-                      sizes: Sequence[int] | None = None,
-                      start: int = 1) -> LongTable:
-    """Expand per-line words and attributes into a table's columns.
+def line_values(names: Iterable[str]) -> Callable[[tuple], tuple]:
+    """A line's values in the columns ``names``. A line holds a table's
+    columns but the four positions, which follow its words."""
+    at = [RECORD_FIELDS.index(name) - 4 for name in names]
+    return lambda line: tuple(map(line.__getitem__, at))
 
-    Each entry of ``lines`` is ``(words, locus_kind, line_number,
-    paragraph_number, folio, quire, section, language, hand, transcriber)``
-    for one text line, in document order, with the lines of a paragraph
-    next to each other. Every attribute repeats for each word of its line,
-    and the four position columns follow from the per-line word counts and
-    paragraph numbers. This is the one place positions are assigned.
 
-    Without ``sizes`` each paragraph lies whole in ``lines``. With them,
-    paragraph p holds ``sizes[p - 1]`` words, and ``lines`` may be a run cut
-    out of the text anywhere between lines: its first word is word
-    ``start`` of its paragraph.
-    """
-    per_line = list(zip(*lines)) or [()] * 10
-    counts = list(map(len, per_line[0]))
-    paragraphs = [(p, sum(n for _, n in group)) for p, group
-                  in groupby(zip(per_line[3], counts), key=itemgetter(0))]
-    # (first position, words here, size) of each paragraph of the lines
-    spans = [(1, n, n if sizes is None else sizes[p - 1])
-             for p, n in paragraphs]
-    if spans:
-        spans[0] = (start, *spans[0][1:])
-    positions = [  # line_pos_fwd, line_pos_rev, para_pos_fwd, para_pos_rev
-        chain.from_iterable(range(1, n + 1) for n in counts),
-        chain.from_iterable(range(n, 0, -1) for n in counts),
-        chain.from_iterable(range(a, a + n) for a, n, _ in spans),
-        chain.from_iterable(range(size + 1 - a, size + 1 - a - n, -1)
-                            for a, n, size in spans)]
-    words = chain.from_iterable(per_line[0])
-    attributes = (chain.from_iterable(map(repeat, values, counts))
-                  for values in per_line[1:])
-    return LongTable._from_columns((words, *positions, *attributes), source_id)
+def _placed(lines: Iterable[tuple], sizes: Sequence[int] | None = None,
+            start: int = 1, criteria: Mapping[str, str] | None = None
+            ) -> tuple[list[tuple], list[Iterator[int]]]:
+    """The lines that meet ``criteria`` (all, without it) and the
+    line_pos_fwd, line_pos_rev, para_pos_fwd and para_pos_rev columns of
+    their words: the one place positions are assigned, so that a selection
+    never renumbers. Each line is ``(words, locus_kind, line_number,
+    paragraph_number, folio, quire, section, language, hand, transcriber)``,
+    in document order. Without ``sizes`` each paragraph lies whole in
+    ``lines``; with them, paragraph p holds ``sizes[p - 1]`` words and
+    ``lines`` may begin anywhere, at word ``start`` of its paragraph. A
+    paragraph beyond ``sizes`` is a DataError."""
+    criteria = criteria or {}
+    chosen, wanted = line_values(criteria), tuple(criteria.values())
+    kept, spans = [], []  # a kept line's words, first para_pos_fwd and _rev
+    for p, group in groupby(lines, key=itemgetter(3)):
+        if sizes is None:
+            group = list(group)
+            size = sum(len(line[0]) for line in group)
+        elif p > len(sizes):
+            raise DataError(f"paragraph {p} was not counted")
+        else:
+            size = sizes[p - 1]
+        for line in group:
+            if not criteria or chosen(line) == wanted:
+                kept.append(line)
+                spans.append((len(line[0]), start, size + 1 - start))
+            start += len(line[0])
+        start = 1
+    counts, firsts, ends = zip(*spans) if spans else ((), (), ())
+    return kept, [
+        chain.from_iterable(map(range, repeat(1), [n + 1 for n in counts])),
+        chain.from_iterable(map(range, counts, repeat(0), repeat(-1))),
+        chain.from_iterable(map(range, firsts, map(add, firsts, counts))),
+        chain.from_iterable(map(range, ends, map(sub, ends, counts),
+                                repeat(-1)))]
+
+
+def _table_from_lines(lines: Iterable[tuple], source_id: str) -> LongTable:
+    """The table of lines holding whole paragraphs (see :func:`_placed`)."""
+    lines, positions = _placed(lines)
+    counts = [len(line[0]) for line in lines]
+    words, *attributes = zip(*lines) if lines else [()] * 10
+    return LongTable._from_columns((
+        chain.from_iterable(words), *positions,
+        *(chain.from_iterable(map(repeat, values, counts))
+          for values in attributes)), source_id)
 
 
 def _split_payload(payload: str, comma_breaks: bool, line_number: int) -> tuple[str, ...]:
@@ -372,23 +391,17 @@ def _split_payload(payload: str, comma_breaks: bool, line_number: int) -> tuple[
     return words
 
 
-def parse_interlinear(
-    raw: bytes | str,
-    meta: FolioMetadataMap,
-    transcriber_filter: str | None = None,
-    *,
-    comma_breaks: bool = False,
-    source_id: str = "",
-) -> LongTable:
-    """Parse an interlinear transcription file into a LongTable.
-
-    One row per credible word. When ``transcriber_filter`` is given, only
-    that transcriber's lines are kept, and line/paragraph positions are
-    computed over the filtered text (an interlinear file repeats each locus
-    once per transcriber; positions describe a single transcriber's
-    document). ``comma_breaks=True`` treats uncertain breaks as real breaks
-    instead of deleting them. ``raw`` is the file's bytes, or its text
-    already decoded as :func:`_decode` decodes them.
+def interlinear_lines(raw: bytes | str, meta: FolioMetadataMap,
+                      transcriber_filter: str | None = None, *,
+                      comma_breaks: bool = False) -> list[tuple]:
+    """The lines of an interlinear transcription file, as :func:`_placed`
+    takes them, with every credible word. With ``transcriber_filter``, only
+    that transcriber's lines are kept, and positions are computed over the
+    filtered text (an interlinear file repeats each locus once per
+    transcriber; positions describe a single transcriber's document).
+    ``comma_breaks=True`` treats uncertain breaks as real breaks instead of
+    deleting them. ``raw`` is the file's bytes, or its text already decoded
+    as :func:`_decode` decodes them.
 
     Raises ParseError for malformed locus headers (with the line number) and
     MetadataError listing every folio missing from ``meta``.
@@ -432,7 +445,16 @@ def parse_interlinear(
                 raise ParseError(str(exc), source_line) from None
         lines.append((words, kind, line_number, paragraph, folio, quire,
                       section, language, hand, transcriber))
-    return _table_from_lines(lines, source_id)
+    return lines
+
+
+def parse_interlinear(raw: bytes | str, meta: FolioMetadataMap,
+                      transcriber_filter: str | None = None, *,
+                      comma_breaks: bool = False,
+                      source_id: str = "") -> LongTable:
+    """The LongTable of :func:`interlinear_lines`, one row per word."""
+    return _table_from_lines(interlinear_lines(
+        raw, meta, transcriber_filter, comma_breaks=comma_breaks), source_id)
 
 
 def paragraph_sizes(lines: Iterable[str]) -> list[int]:
@@ -444,7 +466,7 @@ def paragraph_sizes(lines: Iterable[str]) -> list[int]:
 
 def plaintext_runs(lines: Iterable[str]) -> Iterator[tuple[int, list[tuple]]]:
     """The lines of plain text, whose lines are ``lines``, as
-    :func:`_table_from_lines` takes them, in runs: a run ends at the first
+    :func:`_placed` takes them, in runs: a run ends at the first
     line end after it holds :data:`_PIECE_ROWS` words, whether or not a
     paragraph ends there, or at the end of the text. Yields ``(start,
     run)``, where ``start`` is the position of the run's first word in its
@@ -524,31 +546,16 @@ for _name, _lang, _hand in [("full", None, None),
 del _name, _lang, _hand
 
 
-def selection_mask(table: LongTable, name: str) -> bytes:
-    """One byte per row: 1 where the row meets every criterion of the
-    canonical selection ``name`` (``full``, ``a_text``, ...), else 0. Each
-    criterion is judged once per distinct value of its column."""
-    try:
-        criteria = CANONICAL_SELECTIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown selection {name!r}; expected one of "
-            + ", ".join(sorted(CANONICAL_SELECTIONS))) from None
-    n = len(table)
-    # Bytes of 0 and 1 read as one integer: their AND is the rows that
-    # meet both criteria.
-    keep = int.from_bytes(b"\x01" * n, "little")
-    for column, wanted in criteria.items():
-        values = table.column(column)
-        hit = {v: int(v == wanted) for v in set(values)}
-        keep &= int.from_bytes(bytes(map(hit.__getitem__, values)), "little")
-    return keep.to_bytes(n, "little")
-
-
 def canonical_selection(table: LongTable, name: str) -> LongTable:
     """Apply one of the sixteen named selections (``full``, ``a_text``, ...)."""
-    mask = selection_mask(table, name)
-    return take(table, mask) if CANONICAL_SELECTIONS[name] else table
+    if name not in CANONICAL_SELECTIONS:
+        raise ValueError(f"unknown selection {name!r}; expected one of "
+                         + ", ".join(sorted(CANONICAL_SELECTIONS)))
+    if not (criteria := CANONICAL_SELECTIONS[name]):
+        return table
+    wanted = tuple(criteria.values())
+    return take(table, [row == wanted
+                        for row in zip(*map(table.column, criteria))])
 
 
 # ---------------------------------------------------------------------------
@@ -576,27 +583,41 @@ def _position(name: str, text: str) -> int:
     raise ValueError(f"{name} must be a positive integer, got {text!r}")
 
 
-def tsv_pieces(tables: Iterable[LongTable]) -> Iterator[str]:
-    """The text of :func:`write_tsv` for the rows of ``tables`` one after
-    another, in consecutive pieces: the header, then each table's rows
-    :data:`_PIECE_ROWS` at a time. A table is taken only once the pieces
-    before it are written."""
+class _Numbers(dict):
+    """``str(n)`` for each number ``n`` looked up, made once."""
+
+    def __missing__(self, n: int) -> str:
+        self[n] = text = str(n)
+        return text
+
+
+def tsv_pieces(runs: Iterable[tuple[int, list[tuple]]], source_id: str,
+               sizes: Sequence[int] | None = None,
+               criteria: Mapping[str, str] | None = None) -> Iterator[str]:
+    """:func:`write_tsv`'s text of the lines of ``(start, lines)`` runs, as
+    :func:`_placed` places and selects them, in pieces: the header, then
+    :data:`_PIECE_ROWS` rows at a time."""
     yield TSV_HEADER
-    ints = [RECORD_FIELDS.index(name) for name in _INT_FIELDS]
-    for table in tables:
-        columns = list(table.columns)
-        # One string for each number of the table, whatever its column.
-        numbers = set().union(*(columns[i] for i in ints))
-        as_str = dict(zip(numbers, map(str, numbers)))
-        for i in ints:
-            columns[i] = map(as_str.__getitem__, columns[i])
-        rows = map("\t".join, zip(*columns, repeat(table.source_id + "\n")))
+    end = f"\t{source_id}\n"
+    for start, lines in runs:
+        lines, positions = _placed(lines, sizes, start, criteria)
+        get = _Numbers().__getitem__  # a run's numbers, not the text's
+        columns = [map(get, p) for p in positions]
+        tails = chain.from_iterable(  # the fields a line's words share
+            repeat("\t".join((kind, str(n), str(paragraph), *page)) + end,
+                   len(words))
+            for words, kind, n, paragraph, *page in lines)
+        words = chain.from_iterable(line[0] for line in lines)
+        rows = map("\t".join, zip(words, *columns, tails))
         while piece := "".join(islice(rows, _PIECE_ROWS)):
             yield piece
 
 
 def write_tsv(table: LongTable) -> str:
-    return "".join(tsv_pieces([table]))
+    columns = [map(str, c) if name in _INT_FIELDS else c
+               for name, c in zip(RECORD_FIELDS, table.columns)]
+    return TSV_HEADER + "".join(map("\t".join, zip(
+        *columns, repeat(table.source_id + "\n"))))
 
 
 def rewritten_tsv(blocks: Iterable[str],

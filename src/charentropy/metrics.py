@@ -200,8 +200,7 @@ class TypeCounts:
     ``freq[t]`` is the number of tokens of type t. ``boundary_word`` is the
     ``(line_number, word)`` of the first token that contains the boundary
     symbol, or None. With the tokens kept (else None), token i is
-    ``forms[ids[i]]``; :meth:`of` also keeps ``lines[t]``, the line of type
-    t's first token.
+    ``forms[ids[i]]``.
     """
 
     source_id: str
@@ -209,7 +208,6 @@ class TypeCounts:
     freq: tuple[int, ...]
     boundary_word: tuple[int, str] | None
     ids: np.ndarray | None = None
-    lines: tuple[int, ...] | None = None
 
     @classmethod
     def fold(cls, slices: Iterable[tuple[str, Sequence[str], Callable]], *,
@@ -240,24 +238,20 @@ class TypeCounts:
                    ids=token_ids)
 
     @classmethod
-    def of(cls, table: LongTable, *, tokens: bool = True) -> "TypeCounts":
-        """The table's word types and, if ``tokens``, its tokens, folded as
-        one slice, and each type's first line."""
-        words, lines = table.columns[0], table.column("line_number")
-        types = cls.fold([(table.source_id, words, lines.__getitem__)],
-                         tokens=tokens)
-        first = dict(zip(reversed(words), reversed(lines)))
-        return replace(types, lines=tuple(map(first.get, types.forms)))
+    def of(cls, table: LongTable) -> "TypeCounts":
+        """The table's word types and tokens, folded as one slice."""
+        return cls.fold([(table.source_id, table.columns[0],
+                          table.column("line_number").__getitem__)],
+                        tokens=True)
 
     def frequencies(self, mask: bytes | np.ndarray) -> np.ndarray:
         """Tokens of each type that ``mask`` (bools or 0/1 bytes) keeps."""
         keep = np.frombuffer(mask, bool)
         return np.bincount(self.ids[keep], minlength=len(self.forms))
 
-    def pairs(self, forms: Sequence[str] | None = None) -> TypePairs:
-        """Pair codes of the types' forms or of ``forms``, a rewrite of them
-        one for one (which needs :meth:`of`'s lines)."""
-        forms = self.checked(forms)
+    def pairs(self) -> TypePairs:
+        """The pair codes of the types' forms."""
+        forms = self.checked()
         symbols, codes = _pair_codes(stream_from_words(forms))
         offsets = np.zeros(len(forms) + 1, dtype=np.intp)
         np.cumsum([len(form) + 1 for form in forms], out=offsets[1:])
@@ -268,31 +262,22 @@ class TypeCounts:
         """The pair counts of the types' forms, counted in Python: the forms
         of one frequency, joined, are a stream whose pairs are theirs."""
         by_freq: dict[int, list[str]] = {}
-        for form, n in zip(self.checked(None), self.freq):
+        for form, n in zip(self.checked(), self.freq):
             by_freq.setdefault(n, []).append(form)
         streams = ((n, BOUNDARY + BOUNDARY.join(forms) + BOUNDARY)
                    for n, forms in by_freq.items())
         return PairCells.summed((pair, n * c) for n, s in streams
                                 for pair, c in Counter(zip(s, s[1:])).items())
 
-    def checked(self, forms: Sequence[str] | None) -> tuple[str, ...]:
-        """``forms``, a rewrite of the types' own, else theirs. Raises what
-        :func:`to_stream` does on them: EmptyStreamError, or DataError."""
-        if forms is not None and self.lines is None:
-            raise ValueError("a rewrite needs TypeCounts.of's lines")
+    def checked(self) -> tuple[str, ...]:
+        """The types' forms. Raises what :func:`to_stream` does on them:
+        EmptyStreamError, or DataError."""
         if not self.forms:
             raise EmptyStreamError(
                 f"document {self.source_id!r} has no words")
-        if forms is None:
-            if self.boundary_word is not None:
-                raise _boundary_error(*self.boundary_word)
-            forms = self.forms
-        elif len(forms := tuple(forms)) != len(self.forms):
-            raise ValueError(f"{len(forms)} forms for {len(self.forms)} types")
-        elif any(BOUNDARY in form for form in forms):
-            t = next(t for t, form in enumerate(forms) if BOUNDARY in form)
-            raise _boundary_error(self.lines[t], forms[t])
-        return forms
+        if self.boundary_word is not None:
+            raise _boundary_error(*self.boundary_word)
+        return self.forms
 
 
 @dataclass(frozen=True, slots=True)

@@ -1065,6 +1065,59 @@ def test_a_manifest_that_names_an_output_is_config_error(
     assert _files(workspace) == before
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "p.tsv", "--out", "s.json", "--manifest", "p.tsv"],
+     "--manifest 'p.tsv' is an input of this run"),
+    (["ingest", "page.txt", "--meta", "meta.tsv", "--out", "t.tsv",
+      "--manifest", "./meta.tsv"],
+     "--manifest './meta.tsv' is an input of this run"),
+    (["stats", "x.manifest.json", "--out", "x"],
+     "manifest 'x.manifest.json' is an input of this run"),
+], ids=["stats", "secondary-by-realpath", "default-path"])
+def test_a_manifest_that_names_an_input_is_config_error(
+        workspace, capsys, argv, message):
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    (workspace / "x.manifest.json").write_bytes(
+        (workspace / "p.tsv").read_bytes())
+    before = _files(workspace)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"charentropy: error: {message}\n"
+    assert _files(workspace) == before
+
+
+def test_standard_output_without_a_byte_buffer_gets_the_text(workspace):
+    assert run("ingest", "plain.txt", "--out", "p.tsv") == 0
+    assert run("stats", "p.tsv", "--out", "s.json") == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run("stats", "p.tsv") == 0
+    assert out.getvalue() == (workspace / "s.json").read_text(encoding="utf-8")
+
+
+def test_no_command_builds_a_long_table(workspace, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command built a LongTable")
+
+    monkeypatch.setattr(ingest.LongTable, "__init__", refuse)
+    monkeypatch.setattr(ingest.LongTable, "_from_columns", refuse)
+    page = ["page.txt", "--meta", "meta.tsv"]
+    for argv in (["ingest", "plain.txt", "--out", "p.tsv"],
+                 ["ingest", "plain.txt", "--select", "full_text"],
+                 ["ingest", *page, "--out", "t.tsv"],
+                 ["ingest", *page, "--select", "a_text", "--out", "a.tsv"],
+                 ["translit", "t.tsv", "--system", "maximal",
+                  "--out", "m.tsv"],
+                 ["cleanse", "p.tsv", "--out", "c.tsv"],
+                 ["stats", "m.tsv", "--out", "s.json"],
+                 ["bigrams", "m.tsv", "--out-prefix", "bg"],
+                 ["sukhotin", "m.tsv", "--out", "v.json"],
+                 ["sample", "m.tsv", "--windows", "2", "--n", "3",
+                  "--out", "w.json"],
+                 ["batch", *page, "--out", "b.tsv"]):
+        assert run(*argv) == 0, argv
+
+
 def test_standard_output_is_utf8_whatever_the_locale(workspace):
     (workspace / "u.txt").write_text("naïve café\n\nüber\n", encoding="utf-8")
     env = dict(os.environ, PYTHONIOENCODING="ascii")

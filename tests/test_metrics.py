@@ -148,15 +148,10 @@ def test_type_counts_equal_stream_counts(words, data):
     freq = types.frequencies(mask)
     assert freq.tolist() == [kept.count(f) for f in types.forms]
 
-    pairs = types.pairs(types.forms)
+    pairs = types.pairs()
     counts = pairs.counts(freq)
     assert counts.dtype == np.int64
     assert_counts_of(kept, pairs.symbols, counts)
-
-    # The same over a rewrite of the forms, one for one.
-    upper = types.pairs([f.upper() + "z" for f in types.forms])
-    assert_counts_of([w.upper() + "z" for w in kept], upper.symbols,
-                     upper.counts(freq))
 
 
 @given(words_strategy, st.data())
@@ -165,7 +160,7 @@ def test_type_counts_add_over_disjoint_frequencies(words, data):
     part = np.array(data.draw(st.lists(
         st.booleans(), min_size=len(words), max_size=len(words))))
     first, second = types.frequencies(part), types.frequencies(~part)
-    pairs = types.pairs(types.forms)
+    pairs = types.pairs()
     assert np.array_equal(pairs.counts(first) + pairs.counts(second),
                           pairs.counts(first + second))
     assert np.array_equal(pairs.counts(first + second),
@@ -177,27 +172,12 @@ def test_boundary_inside_a_form_names_the_first_such_word():
     with pytest.raises(DataError) as caught:
         to_stream(table)
     types = TypeCounts.of(table)
-    with pytest.raises(DataError) as again:
-        types.pairs(types.forms)
     with pytest.raises(DataError) as own:
         types.pairs()
     with pytest.raises(DataError) as cells:
         types.cells()
-    assert str(again.value) == str(own.value) == str(caught.value) == str(
-        cells.value) == (
+    assert str(own.value) == str(caught.value) == str(cells.value) == (
         "line 2: word 'c#' contains the word boundary symbol '#'")
-    with pytest.raises(DataError, match="line 3: word 'd#e'"):
-        TypeCounts.of(from_words(["ab", "ab", "de"])).pairs(["ab", "d#e"])
-
-
-def test_pairs_of_a_rewrite_needs_the_lines_of_a_table():
-    # A fold keeps no line per type, so it cannot name the line of a
-    # rewritten form that holds the boundary; it says so, whatever forms.
-    types = TypeCounts.fold(tsv_slices([write_tsv(from_words(["ab", "cd"]))]))
-    for forms in (["ab", "c#d"], types.forms, ["too", "many", "forms"]):
-        with pytest.raises(ValueError, match=r"needs TypeCounts\.of.s lines"):
-            types.pairs(forms)
-    assert types.pairs().forms == ("ab", "cd")
 
 
 # Letters from three planes, a combining accent (U+0301) alone and after a
