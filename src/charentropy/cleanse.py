@@ -28,9 +28,9 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import partial
 
+from ._record import record
 from .errors import ConfigError
 from .ingest import (LongTable, character_counts, content_lines,
                      rewrite_types)
@@ -41,13 +41,13 @@ DEFAULT_RARE_THRESHOLD = 0.0001  # 0.01% of word characters
 _REMOVABLE_CATEGORIES = frozenset("PSN")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CleanseConfig:
     lowercase: bool = True
     strip_punctuation: bool = True
     rare_char_threshold: float = DEFAULT_RARE_THRESHOLD
     script_ranges: tuple[tuple[int, int], ...] | None = None
-    preserve_chars: frozenset[str] = field(default_factory=frozenset)
+    preserve_chars: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rare_char_threshold < 1.0:

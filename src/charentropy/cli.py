@@ -65,10 +65,10 @@ from .errors import CharentropyError, ConfigError, DataError
 from .formats import (SCHEMA_VERSION, fmt_float, json_dumps, json_pieces,
                       sha256_bytes)
 from .ingest import (_LINE_BREAKS, CANONICAL_SELECTIONS, FolioMetadataMap,
-                     _decode, character_counts, check_words, content_lines,
-                     decoded_blocks, interlinear_lines, line_values,
-                     paragraph_sizes, plaintext_runs, rewritten_tsv,
-                     tsv_pieces, tsv_slices)
+                     _decode, builtin_data, character_counts, check_words,
+                     content_lines, decoded_blocks, interlinear_lines,
+                     line_values, paragraph_sizes, plaintext_runs,
+                     rewritten_tsv, tsv_pieces, tsv_slices)
 from .metrics import BOUNDARY, PairCells, TypeCounts
 from .sampling import (SamplingConfig, distributions_csv_rows,
                        distributions_to_dict, sample_h2)
@@ -160,8 +160,7 @@ class _Run(contextlib.AbstractContextManager):
     def builtin(self, name: str) -> str:
         """The text of a file shipped in ``charentropy.data``, digested as
         ``builtin:NAME``."""
-        from importlib import resources
-        raw = (resources.files("charentropy.data") / name).read_bytes()
+        raw = builtin_data(name)
         self.inputs[f"builtin:{name}"] = sha256_bytes(raw)
         return _decode(raw)
 
@@ -641,8 +640,6 @@ def _add_meta_flags(p) -> None:
     p.add_argument("--comma-breaks", action="store_true",
                    help="treat uncertain word breaks (commas) as real breaks "
                         "instead of deleting them")
-    p.add_argument("--source-id", metavar="ID",
-                   help="document identifier (default: input file name)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -669,6 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("auto", "interlinear", "plaintext"),
                    default="auto", help="input format (default: sniff)")
     _add_meta_flags(p)
+    p.add_argument("--source-id", metavar="ID",
+                   help="document identifier (default: input file name)")
     p.add_argument("--select", choices=sorted(CANONICAL_SELECTIONS),
                    metavar="NAME",
                    help="keep only one canonical document selection "

@@ -52,13 +52,14 @@ these are scholarly classifications subject to revision.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import chain, compress, groupby, islice, repeat
 from operator import add, itemgetter, sub
 
+from ._record import record
 from .errors import DataError, DecodeError, MetadataError, ParseError
 
 PARAGRAPH = "paragraph"
@@ -114,7 +115,7 @@ def _check_surface_form(word: str) -> None:
             f"surface_form {word!r} contains whitespace {sorted(bad)!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WordRecord:
     """One word of the source text with its full positional metadata.
 
@@ -151,6 +152,12 @@ class WordRecord:
                 raise ValueError(f"unknown {name} {value!r}")
 
 
+def builtin_data(name: str) -> bytes:
+    """A file shipped in ``data/`` (importlib.resources loads inspect)."""
+    return __spec__.loader.get_data(
+        os.path.join(os.path.dirname(__file__), "data", name))
+
+
 def check_words(words: Sequence[str]) -> None:
     """Raise WordRecord's ValueError for the first invalid word, if any,
     judging each distinct word once."""
@@ -160,7 +167,7 @@ def check_words(words: Sequence[str]) -> None:
         _check_surface_form(next(w for w in words if w in bad))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class LongTable:
     """An ordered, immutable table of words from one source.
 
@@ -188,6 +195,9 @@ class LongTable:
         object.__setattr__(table, "source_id", source_id)
         return table
 
+    def __reduce__(self):
+        return type(self)._from_columns, (self.columns, self.source_id)
+
     def __len__(self) -> int:
         return len(self.columns[0])
 
@@ -206,7 +216,7 @@ class LongTable:
         return self.columns[RECORD_FIELDS.index(name)]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FolioMetadataMap:
     """folio -> (section, language, hand, quire), loaded from a TSV.
 

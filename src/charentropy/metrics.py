@@ -43,9 +43,9 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import asdict, dataclass, replace
 
 from ._lazy import lazy_import
+from ._record import asdict, record, replace
 from .errors import DataError, EmptyStreamError
 from .ingest import LongTable
 
@@ -56,7 +56,7 @@ BOUNDARY = "#"
 HEATMAP_MODES = ("conditional", "weighted", "entropy_contribution")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CharStream:
     """A boundary-delimited character sequence plus its letter alphabet."""
 
@@ -115,7 +115,7 @@ def _boundary_error(line: int, word: str) -> DataError:
                      f"boundary symbol {BOUNDARY!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BigramMatrix:
     """Adjacent-pair statistics over a stream.
 
@@ -167,7 +167,7 @@ def pair_counts(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
     return symbols, np.bincount(codes, minlength=k * k).reshape(k, k)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TypePairs:
     """The adjacent-pair codes of each word type's ``#form#``, as CSR arrays.
 
@@ -192,7 +192,7 @@ class TypePairs:
         return flat.astype(np.int64).reshape(k, k)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TypeCounts:
     """The words of a long table as word types.
 
@@ -280,7 +280,7 @@ class TypeCounts:
         return self.forms
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PairCells:
     """A pair-count matrix over ``symbols`` (in :func:`pair_counts`' order)
     by its occupied cells: symbol b follows symbol a ``cells[a, b]`` times,
@@ -446,7 +446,7 @@ def h1_from_counts(counts: np.ndarray) -> float:
     return h2_from_counts(counts.sum(axis=0, keepdims=True))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EntropyReport:
     """The entropy ladder and size census for one document."""
 
@@ -481,7 +481,7 @@ def charset_from_counts(
     return PairCells.of(symbols, counts).charset()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CoverageReport:
     """Bigrams whose successor is near-forced, and how much text they cover.
 

@@ -40,9 +40,9 @@ take the per-sample generator itself.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from ._lazy import lazy_import
+from ._record import record
 from .errors import ConfigError
 from .ingest import _PIECE_ROWS, LongTable
 from .metrics import TypeCounts, h2_from_cells
@@ -54,7 +54,7 @@ statistics = lazy_import("statistics")
 DEFAULT_SAMPLES_PER_SIZE = 1000
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SamplingConfig:
     window_sizes: tuple[int, ...]
     samples_per_size: int = DEFAULT_SAMPLES_PER_SIZE
@@ -74,7 +74,7 @@ class SamplingConfig:
             raise ConfigError("seed must be an unsigned 64-bit integer")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SampleDistribution:
     window_size: int
     values: tuple[float, ...]

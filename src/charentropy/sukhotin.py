@@ -23,16 +23,16 @@ every word-edge adjacency.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from ._lazy import lazy_import
+from ._record import record
 from .ingest import LongTable
 from .metrics import BOUNDARY, CharStream, PairCells, pair_counts, to_stream
 
 np = lazy_import("numpy")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AdjacencyMatrix:
     """Symmetric neighbour counts; symbols in first-occurrence order."""
 
@@ -49,7 +49,7 @@ class AdjacencyMatrix:
             raise ValueError("adjacency matrix must be symmetric")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SukhotinResult:
     vowels: tuple[str, ...]
     include_space: bool

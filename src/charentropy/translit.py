@@ -31,11 +31,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from functools import partial
 
+from ._record import record
 from .errors import RewriteError, RuleFileError
-from .ingest import LongTable, character_counts, check_words, rewrite_types
+from .ingest import (LongTable, builtin_data, character_counts, check_words,
+                     rewrite_types)
 
 RARE_THRESHOLD = 50  # a character this frequent (or more) is not "rare"
 RARE_EXEMPT = frozenset("x")  # rare but kept distinct, never masked
@@ -45,7 +46,7 @@ MASK = "*"
 LIGATURE_LOWERING = {ord(c): c.lower() for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"}
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Rule:
     pattern: str
     replacement: str
@@ -58,7 +59,7 @@ class Rule:
                 f"rule {self.pattern!r} -> {self.replacement!r} is a no-op")
 
 
-@dataclass(frozen=True)
+@partial(record, slots=False)
 class RuleSet:
     """Ordered rewrite rules plus the expected output alphabet."""
 
@@ -231,10 +232,8 @@ def load_rules(text: str, name: str) -> RuleSet:
 
 def builtin_rules(name: str) -> RuleSet:
     """Load one of the shipped rule tables: maximal, simplify, minimal."""
-    from importlib import resources
-    ref = resources.files("charentropy.data") / f"{name}.rules"
     try:
-        text = ref.read_text(encoding="utf-8")
+        text = builtin_data(f"{name}.rules").decode("utf-8")
     except FileNotFoundError:
         raise RuleFileError(f"no built-in rule set named {name!r}") from None
     return load_rules(text, name)

@@ -573,6 +573,14 @@ def test_batch_default_grid(workspace):
     assert int(full_max[4]) == 10
 
 
+def test_batch_has_no_source_id(workspace, capsys):
+    # batch writes no table, so a document id would go nowhere
+    assert run("batch", "page.txt", "--meta", "meta.tsv", "--source-id",
+               "x", "--out", "grid.tsv") == 1
+    assert "unrecognized arguments: --source-id x" in capsys.readouterr().err
+    assert not (workspace / "grid.tsv").exists()
+
+
 def test_batch_jobs_file(workspace):
     jobs = workspace / "jobs.tsv"
     jobs.write_text("everything\tfull\tnone\nmine\ta_text\tmaximal\n",

@@ -258,15 +258,20 @@ def test_word_record_validation():
         from_words([""])
     with pytest.raises(ValueError):
         from_words(["two words"])
-    import dataclasses
+    assert good == WordRecord("ok", 1, 1, 1, 1, "paragraph", 1, 1, "", "",
+                              "", "unclassified", "unclassified", "")
     with pytest.raises(ValueError):
-        dataclasses.replace(good, language="C")
+        WordRecord("ok", 1, 1, 1, 1, "paragraph", 1, 1, "", "", "", "C",
+                   "unclassified", "")
     with pytest.raises(ValueError):
-        dataclasses.replace(good, hand="6")
+        WordRecord("ok", 1, 1, 1, 1, "paragraph", 1, 1, "", "", "",
+                   "unclassified", "6", "")
     with pytest.raises(ValueError):
-        dataclasses.replace(good, line_pos_fwd=0)
+        WordRecord("ok", 0, 1, 1, 1, "paragraph", 1, 1, "", "", "",
+                   "unclassified", "unclassified", "")
     with pytest.raises(ValueError):
-        dataclasses.replace(good, locus_kind="marginalia")
+        WordRecord("ok", 1, 1, 1, 1, "marginalia", 1, 1, "", "", "",
+                   "unclassified", "unclassified", "")
 
 
 MIXED = parse(

@@ -18,17 +18,24 @@ import pytest
 import charentropy
 from test_cli import INTERLINEAR, META
 
-# Runs each argv through cli.main and prints, per run, its exit code and
-# the numpy submodules then loaded. A lazy ``numpy`` entry in sys.modules
-# is not a load; its submodules (``numpy._core``, ``numpy.core``, ...) are.
+# Imports charentropy.cli, runs each argv through cli.main and prints, for
+# the import and then per run, its exit code (None for the import), the
+# numpy submodules then loaded, and which of dataclasses and inspect were
+# loaded since before the import. A lazy ``numpy`` entry in sys.modules is
+# not a load; its submodules (``numpy._core``, ``numpy.core``, ...) are.
 CHILD = """
 import json, sys
+before = set(sys.modules)
 from charentropy.cli import main
-report = []
+
+def entry(argv, code):
+    numpy = sorted(m for m in sys.modules if m.startswith("numpy."))
+    return [argv, code, numpy,
+            sorted((set(sys.modules) - before) & {"dataclasses", "inspect"})]
+
+report = [entry("import charentropy.cli", None)]
 for argv in json.loads(sys.argv[1]):
-    code = main(argv)
-    loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
-    report.append([argv, code, loaded])
+    report.append(entry(argv, main(argv)))
 print(json.dumps(report))
 """
 
@@ -96,13 +103,23 @@ def test_only_the_counting_commands_load_numpy(tmp_path):
     argvs = [*NUMPY_FREE, ["sample", "c.tsv", "--windows", "2", "--n", "3",
                            "--out", "sample.json"]]
     out = _python("-c", CHILD, json.dumps(argvs), cwd=tmp_path)
-    report = json.loads(out.splitlines()[-1])  # after --version's line
-    assert [argv for argv, _, _ in report] == argvs
-    assert all(code == 0 for _, code, _ in report), report
-    for argv, _, loaded in report[:-1]:
+    _, *report = json.loads(out.splitlines()[-1])  # after the import's
+    assert [argv for argv, *_ in report] == argvs
+    assert all(code == 0 for _, code, *_ in report), report
+    for argv, _, loaded, _ in report[:-1]:
         assert loaded == [], argv
     # the positive control: sample counts many windows, so it loads numpy
     assert report[-1][2], report[-1]
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """Together they cost every command ~10 ms to import."""
+    _write_inputs(tmp_path)
+    out = _python("-c", CHILD, json.dumps(NUMPY_FREE), cwd=tmp_path)
+    imported, *report = json.loads(out.splitlines()[-1])
+    assert imported == ["import charentropy.cli", None, [], []]
+    assert [(argv, code, heavy) for argv, code, _, heavy in report] == [
+        (argv, 0, []) for argv in NUMPY_FREE]
 
 
 def test_numpy_imports_after_and_before_charentropy():
@@ -228,8 +245,8 @@ def test_the_numpy_free_commands_run_on_python(tmp_path, version):
         files = {p.name: p.read_bytes() for p in work.iterdir()}
         runs[side] = out, files
     out, files = runs["host"]
-    report = json.loads(out.splitlines()[-1])
-    assert [code for _, code, _ in report] == [0] * len(NUMPY_FREE)
+    report = json.loads(out.splitlines()[-1])[1:]  # after the import's
+    assert [code for _, code, *_ in report] == [0] * len(NUMPY_FREE)
     assert "self.tsv.manifest.json" in files and "simp.tsv" in files
     assert {"s.json", "bg_entropy.csv", "bgmx_coverage.json",
             "vowels_space.json"} <= set(files)
