@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from functools import partial
 
 from ._record import record
@@ -77,17 +77,13 @@ def _in_ranges(char: str, ranges: tuple[tuple[int, int], ...]) -> bool:
     return any(lo <= cp <= hi for lo, hi in ranges)
 
 
-def cleaned_forms(forms: Sequence[str], freq: Sequence[int],
-                  cfg: CleanseConfig) -> list[str]:
-    """Each word type's form after the pipeline, for a document holding
-    ``freq[t]`` tokens of ``forms[t]``; an empty form is a word the
-    pipeline empties. The rare-character census counts each type's
-    characters times its frequency, so it counts every token.
-
-    Every stage decides per character, so each pass is one translation
-    table over the characters present. A form the pipeline leaves as it
-    was is returned as the very string it was given.
-    """
+def cleansing_table(counts: Mapping[str, int],
+                    cfg: CleanseConfig) -> dict[int, str | None]:
+    """The pipeline as one translation table, for a document whose words
+    hold ``counts[c]`` of each character ``c``, each mapped to what it
+    becomes or to None. Every stage decides per character, so the census
+    after stripping and lowering carries each count to what its character
+    becomes."""
     keep = cfg.preserve_chars
 
     def strip_and_lower(c: str) -> str:
@@ -97,24 +93,28 @@ def cleaned_forms(forms: Sequence[str], freq: Sequence[int],
             return ""
         return c.lower() if cfg.lowercase else c
 
-    first = {ord(c): strip_and_lower(c) for c in set("".join(forms))}
-    cleaned = [w if (t := w.translate(first)) == w else t for w in forms]
-
+    first = {c: strip_and_lower(c) for c in counts}
+    cleaned = character_counts(first.values(), counts.values())
     drop: set[str] = set()
     if cfg.rare_char_threshold > 0.0:
-        counts = character_counts(cleaned, freq)
-        total = sum(counts.values())
-        drop = {c for c, n in counts.items()
+        total = sum(cleaned.values())
+        drop = {c for c, n in cleaned.items()
                 if n / total < cfg.rare_char_threshold and c not in keep}
     if cfg.script_ranges is not None:
-        drop |= {c for c in set("".join(cleaned))
+        drop |= {c for c in cleaned
                  if c not in keep and not _in_ranges(c, cfg.script_ranges)}
-    if drop:
-        # Only the forms that hold a dropped character change.
-        second = dict.fromkeys(map(ord, drop))
-        holds = re.compile(f"[{''.join(map(re.escape, sorted(drop)))}]").search
-        cleaned = [w.translate(second) if holds(w) else w for w in cleaned]
-    return cleaned
+    return str.maketrans({c: "".join(d for d in f if d not in drop) or None
+                          for c, f in first.items()})
+
+
+def cleaned_forms(forms: Sequence[str], freq: Sequence[int],
+                  cfg: CleanseConfig) -> list[str]:
+    """Each word type's form after the pipeline, for a document holding
+    ``freq[t]`` tokens of ``forms[t]``; an empty form is a word the
+    pipeline empties (see :func:`cleansing_table`). A form the pipeline
+    leaves as it was is returned as the very string it was given."""
+    table = cleansing_table(character_counts(forms, freq), cfg)
+    return [w if (t := w.translate(table)) == w else t for w in forms]
 
 
 def cleanse(table: LongTable, cfg: CleanseConfig) -> LongTable:

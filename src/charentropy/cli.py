@@ -35,13 +35,14 @@ text twice: once to count each paragraph's words, and once to write each
 run of a few thousand words, cut at any line end. It parses interlinear
 text whole, so that every missing folio is reported first. ``stats``,
 ``bigrams``, ``sukhotin`` and ``sample`` fold theirs into word types a
-block at a time (``sample`` keeps a type id per word), and ``translit``
-and ``cleanse`` keep their input's word-type counts and rewrite each row
-where it stands, mapping only the words whose form changes. ``batch``
-counts the words of each stratum of its parsed lines, the lines that
-agree on every column a selection tests, once per system. numpy loads on
-first use, which only ``sample`` reaches: the other commands count in
-Python.
+block at a time (``sample`` keeps a type id per word). ``translit`` and
+``cleanse`` rewrite each row where it stands. ``cleanse`` and the
+simplifying ``translit`` decide per character and keep one count per
+character; rule-based ``translit`` keeps its input's word-type counts and
+maps only the words whose form changes. ``batch`` counts the words of
+each stratum of its parsed lines, the lines that agree on every column a
+selection tests, once per system. numpy loads on first use, which only
+``sample`` reaches: the other commands count in Python.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .cleanse import (CleanseConfig, cleaned_forms, parse_config,
+from .cleanse import (CleanseConfig, cleansing_table, parse_config,
                       parse_decimal, parse_script_range)
 from .errors import CharentropyError, ConfigError, DataError
 from .formats import (SCHEMA_VERSION, fmt_float, json_dumps, json_pieces,
-                      sha256_bytes)
+                      round_float, sha256_bytes)
 from .ingest import (_LINE_BREAKS, CANONICAL_SELECTIONS, FolioMetadataMap,
                      _decode, builtin_data, character_counts, check_words,
                      content_lines, decoded_blocks, interlinear_lines,
@@ -74,7 +75,7 @@ from .sampling import (SamplingConfig, distributions_csv_rows,
                        distributions_to_dict, sample_h2)
 from .sukhotin import detect_from_cells
 from .translit import (builtin_rules, load_rules, rare_characters,
-                       simplified_forms, simplify_maximal,
+                       simplify_maximal, simplifying_table,
                        transliterate_words)
 
 # Not called here, but perfbench wraps each of these names in this module
@@ -260,13 +261,18 @@ def _in_place(out: str) -> bool:
     return not os.path.isfile(t := os.path.realpath(out)) and os.path.exists(t)
 
 
-def _emit_rewritten(run: _Run, path, types: TypeCounts, new_forms, out):
-    """Write the TSV :meth:`_Run.types` read into ``types``, read again,
-    with new forms. Only the words whose form changes are mapped, so a
-    word pass 1 did not see is kept, and the digest reports the change."""
-    new = {w: f for w, f in zip(types.forms, new_forms) if f != w}
-    with run.reread(path) as blocks:
-        run.output(out, rewritten_tsv(blocks, new))
+def _census(run: _Run, path) -> Counter:
+    """Each character's count in the words of a long-table TSV, every row
+    validated as :meth:`_Run.types` validates it."""
+    with _naming(path):
+        return Counter(chain.from_iterable(
+            "".join(words) for _, words, _ in tsv_slices(run.blocks(path))))
+
+
+def _translated(table: dict):
+    """A rewrite that translates a block's words, joined by tabs, at once."""
+    table[ord("\t")] = "\t"  # a key that misses is slow
+    return lambda words: "\t".join(words).translate(table).split("\t")
 
 
 def _read_cells(run: _Run, path) -> tuple[TypeCounts, PairCells]:
@@ -369,14 +375,14 @@ def cmd_ingest(args, run: _Run) -> None:
 
 def cmd_translit(args, run: _Run) -> None:
     _check_rare_min(args.rare_min)
-    # Two passes over the input: one counts the word types, which are
-    # rewritten once each, and one rewrites the rows where they stand.
-    types = run.types(args.input)
+    # Pass 1 counts characters, or the word types a rule set rewrites once
+    # each; pass 2 rewrites the rows where they stand.
     if args.simplify:
-        new_forms = simplified_forms(types.forms, types.freq,
-                                     threshold=args.rare_min)
+        rewrite = _translated(simplifying_table(_census(run, args.input),
+                                                threshold=args.rare_min))
         rules_label = f"simplify(<{args.rare_min})"
     else:
+        types = run.types(args.input)
         if args.rules:
             name = Path(args.rules).stem
             ruleset = run.text(args.rules, lambda t: load_rules(t, name))
@@ -385,8 +391,13 @@ def cmd_translit(args, run: _Run) -> None:
             run.builtin(f"{args.system}.rules")
         with _naming(args.input):
             new_forms = transliterate_words(types.forms, ruleset)
+        new = {w: f for w, f in zip(types.forms, new_forms) if f != w}
+
+        def rewrite(words):  # only the words whose form changes are mapped
+            return map(new.get, words, words)
         rules_label = ruleset.name
-    _emit_rewritten(run, args.input, types, new_forms, args.out)
+    with run.reread(args.input) as blocks:
+        run.output(args.out, rewritten_tsv(blocks, rewrite))
     run.config = {"rules": rules_label, "rare_min": args.rare_min,
                   "simplify": args.simplify}
 
@@ -414,10 +425,11 @@ def cmd_cleanse(args, run: _Run) -> None:
     if args.threshold is not None and not 0.0 <= args.threshold < 1.0:
         raise ConfigError(
             f"--threshold must lie in [0, 1), got {args.threshold}")
-    types = run.types(args.input)
+    census = _census(run, args.input)
     cfg = _cleanse_config(args, run)
-    new_forms = cleaned_forms(types.forms, types.freq, cfg)
-    _emit_rewritten(run, args.input, types, new_forms, args.out)
+    rewrite = _translated(cleansing_table(census, cfg))
+    with run.reread(args.input) as blocks:
+        run.output(args.out, rewritten_tsv(blocks, rewrite))
     run.config = {
         "lowercase": cfg.lowercase,
         "strip_punctuation": cfg.strip_punctuation,
@@ -469,15 +481,19 @@ def cmd_sample(args, run: _Run) -> None:
     if args.format == "csv":
         pieces = distributions_csv_rows(distributions)
     else:
+        entries = distributions_to_dict(distributions,
+                                        include_values=args.values)
+        del distributions  # its values are in the entries' lists
+        for values in (e["values"] for e in entries if "values" in e):
+            for i, value in enumerate(values):  # each let go as rounded
+                values[i] = round_float(value)
         pieces = json_pieces({
             "schema_version": SCHEMA_VERSION,
             "source_id": types.source_id,
             "seed": args.seed,
             "samples_per_size": args.n,
-            "distributions": distributions_to_dict(
-                distributions, include_values=args.values),
+            "distributions": entries,
         })
-        del distributions  # its values are in the dict
     run.output(args.out, pieces)
     run.config = {"windows": list(args.windows), "n": args.n,
                   "format": args.format, "values": args.values}

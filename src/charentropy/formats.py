@@ -29,7 +29,8 @@ def fmt_float(x: float) -> str:
 
 
 def round_float(x: float) -> float:
-    return float(fmt_float(x))
+    """``x`` at 12 significant digits; ``x`` itself if it already is."""
+    return x if (rounded := float(fmt_float(x))) == x else rounded
 
 
 def round_floats(obj):

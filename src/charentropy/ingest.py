@@ -21,8 +21,8 @@ through the only two transforms, :func:`with_words` (replace every word)
 and :func:`take` (keep the rows a boolean mask selects). Every word
 rewrite in the package (transliteration, simplification, cleansing) is a
 map from word types and their frequencies to new forms, applied to a
-table by :func:`rewrite_types` and to the rows of a TSV, where they
-stand, by :func:`rewritten_tsv`.
+table by :func:`rewrite_types`; :func:`rewritten_tsv` rewrites the rows
+of a TSV where they stand, a block of words at a time.
 
 Interlinear input follows a documented subset of the line-by-line
 transcription family used for the Voynich manuscript:
@@ -631,11 +631,11 @@ def write_tsv(table: LongTable) -> str:
 
 
 def rewritten_tsv(blocks: Iterable[str],
-                  new: Mapping[str, str]) -> Iterator[str]:
-    """``write_tsv(rewrite_types(read_tsv(text), rewrite))`` in pieces, one
-    per block of a valid long-table TSV's text (see :func:`tsv_slices`),
-    where ``new`` maps each word whose form the rewrite changes to its new
-    form; every other word is kept as it is.
+                  rewrite: Callable[[list[str]], Iterable[str]]
+                  ) -> Iterator[str]:
+    """A valid long-table TSV's text with new words, in pieces, one per
+    block (see :func:`tsv_slices`): ``rewrite(words)`` gives the new form
+    of each of a block's words, in order.
 
     Each row is rewritten where it stands: its first field is replaced and
     the rest is kept, which is how ``write_tsv`` writes a row that
@@ -644,18 +644,15 @@ def rewritten_tsv(blocks: Iterable[str],
     """
     yield TSV_HEADER
     header = True
-    get = new.get
     for block in blocks:
         lines = block.splitlines()
         if header and lines:
             lines = lines[1:]
             header = False
-        rows = []
-        for line in lines:
-            word, _, rest = line.partition("\t")
-            if line and (form := get(word, word)):
-                rows.append(f"{form}\t{rest}\n")
-        yield "".join(rows)
+        rows = [line.partition("\t") for line in lines if line]
+        forms = rewrite([word for word, _, _ in rows])
+        yield "".join([f"{form}\t{rest}\n"
+                       for form, (_, _, rest) in zip(forms, rows) if form])
 
 
 def _text_blocks(text: str) -> Iterator[str]:

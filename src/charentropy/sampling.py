@@ -53,6 +53,8 @@ statistics = lazy_import("statistics")
 
 DEFAULT_SAMPLES_PER_SIZE = 1000
 
+_SAMPLE_BLOCK = 1 << 10  # sample indices per call of _starts
+
 
 @record
 class SamplingConfig:
@@ -193,10 +195,10 @@ def sample_h2(document: LongTable | TypeCounts,
     results = []
     for size_index, w in enumerate(cfg.window_sizes):
         values = []
-        # Blocks of sample indices keep the arrays of _starts small.
-        for first in range(0, cfg.samples_per_size, _PIECE_ROWS):
+        # Blocks keep the arrays of _starts small: ~146 bytes an index.
+        for first in range(0, cfg.samples_per_size, _SAMPLE_BLOCK):
             indices = np.arange(
-                first, min(first + _PIECE_ROWS, cfg.samples_per_size),
+                first, min(first + _SAMPLE_BLOCK, cfg.samples_per_size),
                 dtype=np.uint64)
             values += [windows.h2(start, w) for start in _starts(
                 cfg.seed, size_index, indices, n_words - w + 1)]

@@ -176,17 +176,27 @@ def simplify_maximal(word: str, rare_chars: frozenset[str] | set[str]) -> str:
     return "".join(out)
 
 
+def simplifying_table(counts: Mapping[str, int], *,
+                      threshold: int = RARE_THRESHOLD) -> dict[int, str]:
+    """:func:`simplify_maximal` as one translation table, for a document
+    whose words hold ``counts[c]`` of each character ``c``. The rare set is
+    the document's own, judged after ligature lowering, so a character's
+    plain and ligature-marked spellings are counted as one."""
+    lowered = {c: c.translate(LIGATURE_LOWERING) for c in counts}
+    rare = rare_characters(character_counts(lowered.values(), counts.values()),
+                           threshold=threshold)
+    return str.maketrans({c: MASK if low in rare else low
+                          for c, low in lowered.items()})
+
+
 def simplified_forms(forms: Sequence[str], freq: Sequence[int], *,
                      threshold: int = RARE_THRESHOLD) -> list[str]:
     """Each word type's form after :func:`simplify_maximal`, for a document
-    holding ``freq[t]`` tokens of ``forms[t]``. The rare set is the
-    document's own: each lowered type's characters are counted times its
-    frequency, so rarity is judged after ligature lowering and a character
-    split across plain and ligature-marked spellings is counted once."""
-    lowered = [w.translate(LIGATURE_LOWERING) for w in forms]
-    rare = rare_characters(character_counts(lowered, freq),
-                           threshold=threshold)
-    return [simplify_maximal(w, rare) for w in lowered]
+    holding ``freq[t]`` tokens of ``forms[t]`` (see
+    :func:`simplifying_table`)."""
+    table = simplifying_table(character_counts(forms, freq),
+                              threshold=threshold)
+    return [w.translate(table) for w in forms]
 
 
 def simplify_document(table: LongTable, *,

@@ -5,37 +5,39 @@ library (dicts and plain loops instead of numpy; no shared helpers) so that
 agreement between the two is meaningful. Four are exceptions. The
 long-table reader is the original row-by-row reader, which builds each row
 as a WordRecord and so shares the record's validation, as the plain-text
-table oracle does for each word it places. The TSV command
-oracle is ``stats``, ``bigrams``, ``sukhotin``, ``sample``, ``translit``
-and ``cleanse`` as they ran before they read their input in slices: the
-whole file decoded, read into a table with ``read_tsv``, and the table
-functions, with ``translit`` rewriting token by token. The batch oracle is
-the token-level path ``batch`` took before it counted word types: it
-composes the library's transliteration, this module's token-by-token
-simplification and ``entropy_report``, job by job. The sampler oracle is
-``sample_h2`` as it was before it counted from checkpoints: a dense numpy
-count of each window over every pair of symbols, and h2 as a generator
-over the occupied cells; the tests compare its values with ``==``. Its
-starts are drawn one child generator per sample, the path that
-``sampling._starts`` computes in one pass. The window-pairs oracle is
-the one numpy expression ``WindowCounts`` gathered its pairs with before it
-gathered them a block of tokens at a time.
+table oracle does for each word it places. The TSV command oracle is
+``stats``, ``bigrams``, ``sukhotin``, ``sample``, ``translit`` and
+``cleanse`` as they ran before they read their input in slices: the whole
+file decoded, read into a table with ``read_tsv``, and the table functions,
+except that ``translit`` and ``cleanse`` rewrite token by token, cleansing
+and simplifying with this module's own loops. The batch oracle is the
+token-level path ``batch`` took before it counted word types: it composes
+the library's transliteration, this module's token-by-token simplification
+and ``entropy_report``, job by job. The sampler oracle is ``sample_h2`` as
+it was before it counted from checkpoints: a dense numpy count of each
+window over every pair of symbols, and h2 as a generator over the occupied
+cells; the tests compare its values with ``==``. Its starts are drawn one
+child generator per sample, the path that ``sampling._starts`` computes in
+one pass. The window-pairs oracle is the one numpy expression
+``WindowCounts`` gathered its pairs with before it gathered them a block of
+tokens at a time.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import unicodedata
 from pathlib import Path
 
 import numpy as np
 
-from charentropy.cleanse import CleanseConfig, cleanse
+from charentropy.cleanse import CleanseConfig
 from charentropy.errors import DataError, ParseError, RewriteError
 from charentropy.formats import SCHEMA_VERSION, fmt_float, json_dumps
 from charentropy.ingest import (TSV_COLUMNS, LongTable, WordRecord, _decode,
-                                canonical_selection, read_tsv, with_words,
-                                write_tsv)
+                                canonical_selection, read_tsv, take,
+                                with_words, write_tsv)
 from charentropy.metrics import (bigram_matrix, coverage_report,
                                  entropy_report, heatmap_export, symbol_codes,
                                  to_stream)
@@ -288,6 +290,52 @@ def simplify_document_oracle(table: LongTable, threshold: int) -> LongTable:
     return with_words(table, [simplified[w] for w in words])
 
 
+def cleanse_words_oracle(words, cfg) -> list[str]:
+    """Each token of ``words`` after the cleansing pipeline, character by
+    character: stripped of P*, S* and N* characters and lowered, then
+    every character of every token counted, and the characters rarer than
+    the threshold or outside the script ranges dropped. Characters of
+    ``preserve_chars`` are exempt from every removal; an emptied token is
+    an empty string."""
+    keep = cfg.preserve_chars
+    first = []
+    for word in words:
+        out = ""
+        for c in word:
+            if c in keep:
+                out += c
+            elif cfg.strip_punctuation and unicodedata.category(c)[0] in "PSN":
+                continue
+            elif cfg.lowercase:
+                out += c.lower()
+            else:
+                out += c
+        first.append(out)
+    counts: dict[str, int] = {}
+    for word in first:
+        for c in word:
+            counts[c] = counts.get(c, 0) + 1
+    total = sum(counts.values())
+    dropped = set()
+    for c, n in counts.items():
+        if c in keep:
+            continue
+        if cfg.rare_char_threshold > 0 and n / total < cfg.rare_char_threshold:
+            dropped.add(c)
+        if cfg.script_ranges is not None and not any(
+                lo <= ord(c) <= hi for lo, hi in cfg.script_ranges):
+            dropped.add(c)
+    return ["".join(c for c in word if c not in dropped) for word in first]
+
+
+def cleanse_oracle(table: LongTable, cfg) -> LongTable:
+    """``cleanse`` token by token: each row's word cleansed by
+    :func:`cleanse_words_oracle`, and the rows it empties dropped."""
+    words = cleanse_words_oracle(table.words(), cfg)
+    return with_words(take(table, [bool(w) for w in words]),
+                      [w for w in words if w])
+
+
 def _translit_oracle(table: LongTable, system: str | None,
                      rules: str | None, rare_min: int | None) -> LongTable:
     """``translit`` on a table, token by token."""
@@ -353,7 +401,7 @@ def tsv_command_oracle(command: str, raw: bytes, path: str, *,
         else:
             cfg = (CleanseConfig() if threshold is None
                    else CleanseConfig(rare_char_threshold=threshold))
-            files = {"o.tsv": write_tsv(cleanse(table, cfg))}
+            files = {"o.tsv": write_tsv(cleanse_oracle(table, cfg))}
     except DataError as exc:
         return 2, f"charentropy: error: {path}: {exc}\n", {}
     return 0, "", files

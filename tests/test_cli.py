@@ -283,10 +283,10 @@ def _append_a_paragraph(path):
                          ids=["new-word", "count", "truncate", "same-size",
                               "paragraph"])
 @pytest.mark.parametrize("argv, between", [
-    (["cleanse", "x.tsv"], "cleaned_forms"),
+    (["cleanse", "x.tsv"], "cleansing_table"),
     (["translit", "x.tsv", "--system", "maximal"], "transliterate_words"),
     (["translit", "x.tsv", "--simplify", "--rare-min", "2"],
-     "simplified_forms"),
+     "simplifying_table"),
     # A TSV read as plain text: a paragraph of words, tabs as spaces.
     (["ingest", "x.tsv", "--kind", "plaintext"], "plaintext_runs"),
 ], ids=["cleanse", "translit", "simplify", "ingest"])

@@ -134,9 +134,9 @@ def test_starts_equal_the_per_sample_generators(seed):
                 for j in _SAMPLE_INDICES.tolist()], (size_index, n)
 
 
-@pytest.mark.parametrize("block", [1, 3, sampling._PIECE_ROWS])
+@pytest.mark.parametrize("block", [1, 3, sampling._SAMPLE_BLOCK])
 def test_blocks_of_sample_indices_do_not_change_values(monkeypatch, block):
-    monkeypatch.setattr(sampling, "_PIECE_ROWS", block)
+    monkeypatch.setattr(sampling, "_SAMPLE_BLOCK", block)
     # Two blocks, the second of them short, except for blocks of 1.
     cfg = SamplingConfig(window_sizes=(1, 7, 60), seed=5,
                          samples_per_size=block + 2)

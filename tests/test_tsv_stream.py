@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import charentropy
 import oracles
-from charentropy import ingest
+from charentropy import cli, ingest
 from charentropy.cli import main
 from charentropy.errors import ParseError
 from charentropy.ingest import (TSV_COLUMNS, canonical_selection,
@@ -391,16 +391,15 @@ print(status, usage.ru_maxrss)
 """
 
 
-def _ingest_peak_mb(path: Path) -> float:
-    """The peak RSS, in MB, of ``ingest`` run on ``path`` in a child
+def _peak_mb(argv: list[str]) -> float:
+    """The peak RSS, in MB, of the command ``argv`` run in a child
     interpreter, as ``os.wait4`` reports it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC, *filter(None, [env.get("PYTHONPATH")])])
     out = subprocess.run(
         [sys.executable, "-c", _PEAK, sys.executable, "-m", "charentropy",
-         "ingest", str(path), "--out", str(path.with_suffix(".tsv"))],
-        env=env, capture_output=True, text=True, check=True).stdout
+         *argv], env=env, capture_output=True, text=True, check=True).stdout
     status, kilobytes = map(int, out.split())
     assert status == 0
     return kilobytes / 1024
@@ -416,13 +415,44 @@ def test_ingest_memory_is_flat_in_a_text_with_no_blank_line(tmp_path):
         path.write_text("".join(" ".join(words[i:i + 20]) + "\n"
                                 for i in range(0, n_words, 20)),
                         encoding="utf-8")
-        peaks.append(_ingest_peak_mb(path))
+        peaks.append(_peak_mb(["ingest", str(path), "--out",
+                               str(path.with_suffix(".tsv"))]))
     # Held as one table, the 200k words took 76 MB more than the 20k.
     assert peaks[1] - peaks[0] < 5, peaks
 
 
-def test_sample_values_are_written_as_they_are_encoded(tmp_path):
+def test_character_rewrites_are_flat_in_the_vocabulary(tmp_path):
+    # Two tables of 100k rows and about as many characters, one drawn from
+    # 5k distinct words and one from 60k. cleanse and translit --simplify
+    # keep one count per character, so their peaks stay level.
+    rng = random.Random(0)
+    paths = []
+    for n_types in (5_000, 60_000):
+        vocabulary = ["".join(rng.choices("abcdefghijklmnopXYZ", k=6))
+                      for _ in range(n_types)]
+        words = vocabulary + rng.choices(vocabulary, k=100_000 - n_types)
+        path = tmp_path / f"{n_types}.tsv"
+        path.write_text(_HEADER + "".join(map(_row, words)), encoding="utf-8")
+        paths.append(path)
+    out = str(tmp_path / "o.tsv")
+    for options in (["cleanse"], ["translit", "--simplify"]):
+        small, large = (_peak_mb([options[0], str(path), *options[1:],
+                                  "--out", out]) for path in paths)
+        # Counting word types, the 60k-type table peaked 7.9 MB (cleanse)
+        # and 11.4 MB (translit --simplify) above the 5k.
+        assert large - small < 1.5, (options, small, large)
+
+
+def test_sample_values_are_written_as_they_are_encoded(tmp_path,
+                                                       monkeypatch):
     tsv = _tsv_file(tmp_path, 2_000)
+    sample_h2 = cli.sample_h2
+
+    def sampled_from_here(*args, **kwargs):
+        tracemalloc.reset_peak()  # the peak from the sampling on
+        return sample_h2(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_h2", sampled_from_here)
 
     def sample(n: int) -> None:
         assert main(["sample", str(tsv), "--windows", "5", "--n", str(n),
@@ -431,9 +461,10 @@ def test_sample_values_are_written_as_they_are_encoded(tmp_path):
     sample(2_000)
     growth = (_traced_peak(lambda: sample(16_000))
               - _traced_peak(lambda: sample(2_000)))
-    # The 14,000 more values cost 32 bytes each as floats in a tuple. Held
+    # The 14,000 more values cost 32 bytes each as floats in a list. Held
     # whole, their JSON text and its encoder's chunks made the run grow by
-    # 1.9 MB, three times this bound.
+    # 1.9 MB, three times this bound; a rounded copy beside the values
+    # made it grow by 0.78 MB.
     assert growth < 14_000 * 45, growth
 
 
