@@ -11,6 +11,11 @@ consonants from adjacency alone (:mod:`~charentropy.sukhotin`). The
 ``charentropy`` command (:mod:`~charentropy.cli`) binds it all into
 reproducible pipelines.
 
+Every statistic is computed from a text's adjacent-pair counts,
+:class:`~charentropy.metrics.PairCells`: the commands count them from a
+TSV's word types, the stream functions from a character stream. The
+README's "Library use" section lists the names this replaced.
+
 The package re-exports the public functions, and one of them shares its
 module's name: ``charentropy.cleanse`` is the function, not the module. Reach
 the module's other names with ``from charentropy.cleanse import …``.
@@ -21,14 +26,13 @@ from .errors import (CharentropyError, ConfigError, DataError, DecodeError,
                      EmptyStreamError, MetadataError, ParseError,
                      RewriteError, RuleFileError)
 from .ingest import (FolioMetadataMap, LongTable, WordRecord,
-                     canonical_selection, parse_interlinear, parse_plaintext,
-                     select)
+                     canonical_selection, from_words, parse_interlinear,
+                     parse_plaintext)
 from .metrics import (BigramMatrix, CharStream, CoverageReport, EntropyReport,
                       bigram_matrix, coverage_report, entropy_report,
                       heatmap_export, to_stream)
 from .sampling import SampleDistribution, SamplingConfig, sample_h2
-from .sukhotin import (AdjacencyMatrix, SukhotinResult, detect_on_document,
-                       detect_vowels)
+from .sukhotin import AdjacencyMatrix, SukhotinResult
 from .translit import (Rule, RuleSet, apply, builtin_rules, load_rules,
                        simplify_document, simplify_maximal,
                        transliterate_document)
@@ -66,15 +70,13 @@ __all__ = [
     "charset_report",
     "cleanse",
     "coverage_report",
-    "detect_on_document",
-    "detect_vowels",
     "entropy_report",
+    "from_words",
     "heatmap_export",
     "load_rules",
     "parse_interlinear",
     "parse_plaintext",
     "sample_h2",
-    "select",
     "simplify_document",
     "simplify_maximal",
     "to_stream",

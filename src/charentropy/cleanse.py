@@ -34,7 +34,7 @@ from ._record import record
 from .errors import ConfigError
 from .ingest import (LongTable, character_counts, content_lines,
                      rewrite_types)
-from .metrics import charset_from_counts, pair_counts, to_stream
+from .metrics import PairCells, to_stream
 
 DEFAULT_RARE_THRESHOLD = 0.0001  # 0.01% of word characters
 
@@ -134,7 +134,7 @@ def charset_report(table: LongTable) -> list[tuple[str, int, float]]:
     """
     if not len(table):
         return []
-    return charset_from_counts(*pair_counts(to_stream(table)))
+    return PairCells.of_stream(to_stream(table)).charset()
 
 
 # int(x, 16) would also take a sign, "0x", "_" and non-ASCII digits.

@@ -525,11 +525,6 @@ def take(table: LongTable, mask: Sequence[bool]) -> LongTable:
         (compress(column, mask) for column in table.columns), table.source_id)
 
 
-def select(table: LongTable, predicate: Callable[[WordRecord], bool]) -> LongTable:
-    """Subsequence of records matching ``predicate``, order preserved."""
-    return take(table, [predicate(r) for r in table.records])
-
-
 # The sixteen canonical document selections: the whole text, each Currier
 # language, and each scribal hand -- with and without label/diagram text.
 # Each maps a column name to the value a kept row must have there.
@@ -827,17 +822,23 @@ def rewrite_types(
     return with_words(kept, filter(None, new_words))
 
 
-def character_counts(forms: Iterable[str], freq: Iterable[int]) -> Counter:
-    """Each character's count in ``freq[t]`` tokens of each ``forms[t]``.
-    The forms of one frequency are joined and counted once."""
+def tally_by_frequency(forms: Iterable[str], freq: Iterable[int],
+                       keys: Callable[[list[str]], Iterable]) -> Counter:
+    """Each key's count in ``freq[t]`` tokens of each ``forms[t]``: the
+    forms of one frequency are grouped, and ``keys(group)`` counted once."""
     by_freq: dict[int, list[str]] = {}
     for form, n in zip(forms, freq):
         by_freq.setdefault(n, []).append(form)
     counts: Counter = Counter()
     for n, group in by_freq.items():
-        for c, k in Counter("".join(group)).items():
-            counts[c] += n * k
+        for key, k in Counter(keys(group)).items():
+            counts[key] += n * k
     return counts
+
+
+def character_counts(forms: Iterable[str], freq: Iterable[int]) -> Counter:
+    """Each character's count in ``freq[t]`` tokens of each ``forms[t]``."""
+    return tally_by_frequency(forms, freq, "".join)
 
 
 def from_words(words: Sequence[str], source_id: str = "") -> LongTable:

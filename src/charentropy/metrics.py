@@ -26,13 +26,14 @@ matrix is ``sum over types t of freq(t) * pairs("#" + t + "#")``, so it can
 be counted from word types instead of tokens. :class:`TypeCounts` holds
 a document's distinct words in first-occurrence order and their
 frequencies, folded from a long table's rows slice by slice, and on
-request each token's type id. Every statistic takes the matrix's occupied
-cells, a :class:`PairCells`, counted in Python (:meth:`TypeCounts.cells`)
-or read from a numpy matrix; the cells of a text's disjoint parts sum to
-the text's (:meth:`PairCells.summed`). Only ``sample``'s windows, counted
-from the types' pair codes (:meth:`TypeCounts.pairs`), use numpy, and
-their h2 divides in numpy. ``to_stream`` and :func:`pair_counts` count
-token by token, as the reference.
+request each token's type id. Every statistic is a method of the matrix's
+occupied cells, a :class:`PairCells`, the one counting primitive. Its cells
+are counted in Python from word types (:meth:`TypeCounts.cells`) or from a
+stream (:meth:`PairCells.of_stream`, which the stream functions use), and
+the cells of a text's disjoint parts sum to the text's
+(:meth:`PairCells.summed`). Only ``sample``'s windows, counted from the
+types' pair codes (:meth:`TypeCounts.pairs`), count in numpy, and their h2
+divides in numpy.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ import io
 import math
 import operator
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from ._lazy import lazy_import
 from ._record import asdict, record, replace
 from .errors import DataError, EmptyStreamError
-from .ingest import LongTable
+from .ingest import LongTable, tally_by_frequency
 
 np = lazy_import("numpy")
 
@@ -139,9 +140,6 @@ class BigramMatrix:
     def index(self, symbol: str) -> int:
         return self.symbols.index(symbol)
 
-    def pair_count(self, x: str, y: str) -> int:
-        return int(self.counts[self.index(x), self.index(y)])
-
 
 def symbol_codes(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
     """Codepoint-sorted symbols (boundary included) and the stream as
@@ -153,26 +151,12 @@ def symbol_codes(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
     return symbols, np.searchsorted(order, points).astype(np.int64)
 
 
-def _pair_codes(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
-    """Codepoint-sorted symbols and the code ``a * len(symbols) + b`` of
-    each adjacent pair (a, b) of the stream."""
-    symbols, codes = symbol_codes(stream)
-    return symbols, codes[:-1] * len(symbols) + codes[1:]
-
-
-def pair_counts(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
-    """Count matrix over codepoint-sorted symbols (boundary included)."""
-    symbols, codes = _pair_codes(stream)
-    k = len(symbols)
-    return symbols, np.bincount(codes, minlength=k * k).reshape(k, k)
-
-
 @record
 class TypePairs:
     """The adjacent-pair codes of each word type's ``#form#``, as CSR arrays.
 
     ``symbols`` are the forms' characters and the boundary in codepoint
-    order, as in :func:`pair_counts`; pair (a, b) has the code
+    order, as in :meth:`PairCells.of_stream`; pair (a, b) has the code
     ``a * len(symbols) + b``. Type t's ``len(forms[t]) + 1`` codes are
     ``codes[offsets[t]:offsets[t + 1]]``.
     """
@@ -181,15 +165,6 @@ class TypePairs:
     symbols: tuple[str, ...]
     offsets: np.ndarray
     codes: np.ndarray
-
-    def counts(self, freq: np.ndarray) -> np.ndarray:
-        """The pair-count matrix of a text holding ``freq[t]`` tokens of
-        each type t: the ``pair_counts`` matrix of those tokens' stream,
-        with a zero row and column for each symbol they lack."""
-        k = len(self.symbols)
-        weights = np.repeat(freq, np.diff(self.offsets))
-        flat = np.bincount(self.codes, weights=weights, minlength=k * k)
-        return flat.astype(np.int64).reshape(k, k)
 
 
 @record
@@ -244,30 +219,23 @@ class TypeCounts:
                           table.column("line_number").__getitem__)],
                         tokens=True)
 
-    def frequencies(self, mask: bytes | np.ndarray) -> np.ndarray:
-        """Tokens of each type that ``mask`` (bools or 0/1 bytes) keeps."""
-        keep = np.frombuffer(mask, bool)
-        return np.bincount(self.ids[keep], minlength=len(self.forms))
-
     def pairs(self) -> TypePairs:
         """The pair codes of the types' forms."""
         forms = self.checked()
-        symbols, codes = _pair_codes(stream_from_words(forms))
+        symbols, codes = symbol_codes(stream_from_words(forms))
         offsets = np.zeros(len(forms) + 1, dtype=np.intp)
         np.cumsum([len(form) + 1 for form in forms], out=offsets[1:])
         return TypePairs(forms=forms, symbols=symbols, offsets=offsets,
-                         codes=codes)
+                         codes=codes[:-1] * len(symbols) + codes[1:])
 
     def cells(self) -> PairCells:
         """The pair counts of the types' forms, counted in Python: the forms
         of one frequency, joined, are a stream whose pairs are theirs."""
-        by_freq: dict[int, list[str]] = {}
-        for form, n in zip(self.checked(), self.freq):
-            by_freq.setdefault(n, []).append(form)
-        streams = ((n, BOUNDARY + BOUNDARY.join(forms) + BOUNDARY)
-                   for n, forms in by_freq.items())
-        return PairCells.summed((pair, n * c) for n, s in streams
-                                for pair, c in Counter(zip(s, s[1:])).items())
+        def pairs(forms: list[str]) -> Iterator[tuple[str, str]]:
+            s = BOUNDARY + BOUNDARY.join(forms) + BOUNDARY
+            return zip(s, s[1:])
+        cells = tally_by_frequency(self.checked(), self.freq, pairs)
+        return PairCells(tuple(sorted({a for a, _ in cells})), cells)
 
     def checked(self) -> tuple[str, ...]:
         """The types' forms. Raises what :func:`to_stream` does on them:
@@ -282,9 +250,10 @@ class TypeCounts:
 
 @record
 class PairCells:
-    """A pair-count matrix over ``symbols`` (in :func:`pair_counts`' order)
-    by its occupied cells: symbol b follows symbol a ``cells[a, b]`` times,
-    never 0. Python divides its counts, exactly as numpy below 2**53."""
+    """A pair-count matrix over ``symbols`` (codepoint order, so the
+    boundary first) by its occupied cells: symbol b follows symbol a
+    ``cells[a, b]`` times, never 0. Every statistic is computed from it.
+    Python divides its counts, exactly as numpy below 2**53."""
 
     symbols: tuple[str, ...]
     cells: dict[tuple[str, str], int]
@@ -297,6 +266,13 @@ class PairCells:
             total[pair] = total.get(pair, 0) + n
         # Every symbol, the boundary too, is followed by another.
         return cls(tuple(sorted({a for a, _ in total})), total)
+
+    @classmethod
+    def of_stream(cls, stream: CharStream) -> "PairCells":
+        """The stream's pairs over its alphabet and the boundary."""
+        s = stream.symbols
+        return cls(tuple(sorted(stream.alphabet | {BOUNDARY})),
+                   dict(Counter(zip(s, s[1:]))))
 
     @classmethod
     def of(cls, symbols: Sequence[str], counts: np.ndarray) -> "PairCells":
@@ -383,31 +359,15 @@ _VIEWS = {"joint": lambda p, c: p, "conditional": lambda p, c: c,
           "entropy_contribution": lambda p, c: p * -math.log2(c)}
 
 
-def merge_symbols(
-    symbols: Sequence[str], counts: np.ndarray, targets: Sequence[str],
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """The count matrix after renaming each symbol to its entry in
-    ``targets``: symbols given the same name are merged and their rows and
-    columns summed. The new symbols are in codepoint order."""
-    merged = tuple(sorted(set(targets)))
-    index = {s: i for i, s in enumerate(merged)}
-    to = np.array([index[t] for t in targets], dtype=np.intp)
-    out = np.zeros((len(merged), len(merged)), dtype=counts.dtype)
-    np.add.at(out, (to[:, None], to[None, :]), counts)
-    return merged, out
-
-
 def bigram_matrix(stream: CharStream) -> BigramMatrix:
-    return bigram_matrix_from_counts(*pair_counts(stream))
-
-
-def bigram_matrix_from_counts(symbols: tuple[str, ...],
-                              counts: np.ndarray) -> BigramMatrix:
-    """The bigram matrix over ``symbols`` of the pair-count matrix
-    ``counts``, its views those of :meth:`PairCells.grid`."""
-    cells = PairCells.of(symbols, counts)
+    """The stream's pair counts as int64 arrays, its views those of
+    :meth:`PairCells.grid`."""
+    cells = PairCells.of_stream(stream)
+    symbols, k = cells.symbols, len(cells.symbols)
+    counts = np.array([[cells.cells.get((a, b), 0) for b in symbols]
+                       for a in symbols], dtype=np.int64).reshape(k, k)
     joint, conditional, weighted = (
-        np.array(cells.grid(view), dtype=float).reshape(counts.shape)
+        np.array(cells.grid(view), dtype=float).reshape(k, k)
         for view in ("joint", "conditional", "weighted"))
     for arr in (counts, joint, conditional, weighted):
         arr.setflags(write=False)
@@ -415,17 +375,8 @@ def bigram_matrix_from_counts(symbols: tuple[str, ...],
                         conditional=conditional, weighted=weighted)
 
 
-def h2_from_counts(counts: np.ndarray) -> float:
-    """:meth:`PairCells.h2` of ``counts``, dividing in numpy."""
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("empty count matrix")
-    rows, cols = np.nonzero(counts)
-    return h2_from_cells(counts[rows, cols], counts.sum(axis=1)[rows], total)
-
-
 def h2_from_cells(cells: np.ndarray, row_sums: np.ndarray, total) -> float:
-    """:func:`h2_from_counts` from the occupied cells alone, in any order:
+    """:meth:`PairCells.h2` from the occupied cells alone, in any order:
     ``cells`` are the nonzero counts, ``row_sums[i]`` is the sum of the row
     holding ``cells[i]``, and ``total`` is the sum of all counts.
 
@@ -439,11 +390,6 @@ def entropy_from_terms(joint: list[float], ratios: list[float]) -> float:
     """``fsum(joint[i] * log2(ratios[i]))`` by ``math.log2``, which can
     differ from ``np.log2`` in the last bit: every entropy ends here."""
     return math.fsum(map(operator.mul, joint, map(math.log2, ratios)))
-
-
-def h1_from_counts(counts: np.ndarray) -> float:
-    """Entropy of the successor marginal (column sums / total)."""
-    return h2_from_counts(counts.sum(axis=0, keepdims=True))
 
 
 @record
@@ -463,22 +409,8 @@ class EntropyReport:
 
 
 def entropy_report(stream: CharStream) -> EntropyReport:
-    symbols, counts = pair_counts(stream)
-    return entropy_report_from_counts(symbols, counts,
-                                      len(set(stream.words())))
-
-
-def entropy_report_from_counts(symbols: Sequence[str], counts: np.ndarray,
-                               word_type_count: int) -> EntropyReport:
-    """The report of the count matrix ``counts`` over ``symbols``."""
-    return PairCells.of(symbols, counts).entropy_report(word_type_count)
-
-
-def charset_from_counts(
-    symbols: Sequence[str], counts: np.ndarray,
-) -> list[tuple[str, int, float]]:
-    """The census of the count matrix ``counts`` over ``symbols``."""
-    return PairCells.of(symbols, counts).charset()
+    return PairCells.of_stream(stream).entropy_report(
+        len(set(stream.words())))
 
 
 @record
@@ -506,13 +438,6 @@ class CoverageReport:
 
 def coverage_report(matrix: BigramMatrix, threshold: float = 0.5) -> CoverageReport:
     return PairCells.of(matrix.symbols, matrix.counts).coverage(threshold)
-
-
-def entropy_contribution(matrix: BigramMatrix) -> np.ndarray:
-    """Per-cell share of h2: ``p(xy) * -log2 p(y|x)``; the cells sum to h2."""
-    cells = PairCells.of(matrix.symbols, matrix.counts)
-    grid = cells.grid("entropy_contribution")
-    return np.array(grid, dtype=float).reshape(matrix.counts.shape)
 
 
 def heatmap_export(matrix: BigramMatrix, mode: str) -> str:

@@ -312,14 +312,9 @@ def distributions_to_dict(
     return out
 
 
-def distributions_to_csv(distributions) -> str:
-    """Long-form CSV (window, sample_index, h2), one row per sample —
-    the shape density/violin plotting tools want."""
-    return "".join(distributions_csv_rows(distributions))
-
-
 def distributions_csv_rows(distributions) -> Iterator[str]:
-    """The lines of :func:`distributions_to_csv`; no field needs quotes."""
+    """Long-form CSV (window, sample_index, h2), one line per sample, the
+    shape density/violin plotting tools want; no field needs quotes."""
     yield "window,sample_index,h2\n"
     for d in distributions:
         for i, v in enumerate(d.values):

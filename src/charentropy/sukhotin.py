@@ -22,12 +22,12 @@ every word-edge adjacency.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from ._lazy import lazy_import
 from ._record import record
-from .ingest import LongTable
-from .metrics import BOUNDARY, CharStream, PairCells, pair_counts, to_stream
+from .metrics import BOUNDARY, CharStream, PairCells
+from .metrics import to_stream  # noqa: F401  (a perfbench trace point)
 
 np = lazy_import("numpy")
 
@@ -73,20 +73,10 @@ def adjacency_matrix(stream: CharStream, include_space: bool) -> AdjacencyMatrix
     boundary are dropped entirely, though letters appearing only at word
     edges keep a (zero) row so the symbol inventory still reflects the text.
     """
-    return adjacency_from_counts(*pair_counts(stream), stream.symbols,
-                                 include_space)
-
-
-def adjacency_from_counts(
-    sorted_symbols: Sequence[str], counts: np.ndarray, text: Iterable[str],
-    include_space: bool,
-) -> AdjacencyMatrix:
-    """:func:`adjacency_matrix` of a stream whose pair-count matrix over
-    ``sorted_symbols`` is ``counts``, ordered as in :func:`_adjacency`."""
-    symbols, rows = _adjacency(PairCells.of(sorted_symbols, counts), text,
+    symbols, rows = _adjacency(PairCells.of_stream(stream), stream.symbols,
                                include_space)
     k = len(symbols)
-    return AdjacencyMatrix(symbols, np.array(rows, counts.dtype).reshape(k, k))
+    return AdjacencyMatrix(symbols, np.array(rows, np.int64).reshape(k, k))
 
 
 def _adjacency(cells: PairCells, text: Iterable[str], include_space: bool,
@@ -113,7 +103,8 @@ def detect_from_adjacency(
 
 def detect_from_cells(cells: PairCells, text: Iterable[str],
                       include_space: bool = False) -> SukhotinResult:
-    """:func:`detect_vowels` from pair counts; see :func:`_adjacency`."""
+    """:func:`detect_from_adjacency` of the adjacency of ``cells``; see
+    :func:`_adjacency`."""
     return _detect(*_adjacency(cells, text, include_space), include_space)
 
 
@@ -140,22 +131,3 @@ def _detect(symbols: tuple[str, ...], adjacency: list[list[int]],
         iterations=iterations,
         final_sums=dict(zip(symbols, sums)),
     )
-
-
-def detect_vowels(stream: CharStream, include_space: bool = False) -> SukhotinResult:
-    return detect_from_adjacency(
-        adjacency_matrix(stream, include_space), include_space)
-
-
-def detect_from_counts(
-    sorted_symbols: Sequence[str], counts: np.ndarray, text: Iterable[str],
-    include_space: bool = False,
-) -> SukhotinResult:
-    """:func:`detect_from_cells` of the count matrix ``counts``."""
-    return detect_from_cells(PairCells.of(sorted_symbols, counts), text,
-                             include_space)
-
-
-def detect_on_document(
-    table: LongTable, include_space: bool = False) -> SukhotinResult:
-    return detect_vowels(to_stream(table), include_space)

@@ -10,7 +10,12 @@ table oracle does for each word it places. The TSV command oracle is
 ``cleanse`` as they ran before they read their input in slices: the whole
 file decoded, read into a table with ``read_tsv``, and the table functions,
 except that ``translit`` and ``cleanse`` rewrite token by token, cleansing
-and simplifying with this module's own loops. The batch oracle is the
+and simplifying with this module's own loops. Its statistics are the
+library's ``PairCells`` methods, as the commands' are, but counted from
+the stream (``PairCells.of_stream``), not from word types; so it checks
+the commands' reading and counting, and the statistics themselves are
+checked against this module's tallies (``pair_tally``, ``h2_oracle``,
+``coverage_oracle``, ``sukhotin_oracle``). The batch oracle is the
 token-level path ``batch`` took before it counted word types: it composes
 the library's transliteration, this module's token-by-token simplification
 and ``entropy_report``, job by job. The sampler oracle is ``sample_h2`` as
@@ -43,7 +48,7 @@ from charentropy.metrics import (bigram_matrix, coverage_report,
                                  to_stream)
 from charentropy.sampling import (SamplingConfig, distributions_to_dict,
                                   sample_h2)
-from charentropy.sukhotin import detect_on_document
+from charentropy.sukhotin import adjacency_matrix, detect_from_adjacency
 from charentropy.translit import (apply, builtin_rules, load_rules,
                                   transliterate_document)
 
@@ -386,7 +391,9 @@ def tsv_command_oracle(command: str, raw: bytes, path: str, *,
             files["o_coverage.json"] = json_dumps(
                 {**head, **coverage_report(matrix).as_dict()})
         elif command == "sukhotin":
-            result = detect_on_document(table, include_space)
+            result = detect_from_adjacency(
+                adjacency_matrix(to_stream(table), include_space),
+                include_space)
             files = {"o.json": json_dumps(
                 {**head, **result.as_dict(diagnostics=True)})}
         elif command == "sample":

@@ -28,7 +28,7 @@ from charentropy.metrics import (
     to_stream,
 )
 from charentropy.sampling import SamplingConfig, sample_h2
-from charentropy.sukhotin import detect_vowels
+from charentropy.sukhotin import adjacency_matrix, detect_from_adjacency
 
 TRANSCRIPTION_ENV = "CHARENTROPY_INTERLINEAR"
 META_ENV = "CHARENTROPY_FOLIO_META"
@@ -222,6 +222,10 @@ def test_bootstrap_spread_shrinks_and_mean_converges():
 
 
 # --------------------------------------------------------------- criterion 6
+
+def detect_vowels(stream):
+    return detect_from_adjacency(adjacency_matrix(stream, False), False)
+
 
 def test_vowel_detection_on_synthetic_cv_corpora():
     with criterion(6, "exact vowel recovery on 10 random CV phonologies, "

@@ -1223,20 +1223,54 @@ def test_every_input_is_read_with_a_bom_stripped(workspace):
     assert rows[1].startswith("x\tnone\t")
 
 
-def test_perfbench_wrap_points_resolve():
-    """Every function the benchmark's tracer wraps is still where it looks
-    for it (read from the source, so the benchmark is neither imported nor
-    touched)."""
+def wrap_points() -> tuple[tuple[str, str, str], ...]:
+    """The benchmark tracer's ``(span, module, attribute)`` wrap points,
+    read from its source, so the benchmark is neither imported nor
+    touched."""
     source = (Path(__file__).resolve().parent.parent / "perfbench"
               / "tracing.py").read_text(encoding="utf-8")
     (points,) = [ast.literal_eval(node.value)
                  for node in ast.parse(source).body
                  if isinstance(node, ast.Assign)
                  and [t.id for t in node.targets] == ["WRAP_POINTS"]]
+    return points
+
+
+def test_perfbench_wrap_points_resolve():
+    """Every function the benchmark's tracer wraps is still where it looks
+    for it."""
+    points = wrap_points()
     assert points
     for _, module_name, attr in points:
         module = importlib.import_module(f"charentropy.{module_name}")
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+# Defined but called by no code in the package, on purpose: the data
+# diagnostics that ROADMAP.md plans for the run object will call them.
+NOT_YET_CALLED = (("translit", "rule_usage"), ("translit", "lint_alphabet"))
+
+
+def test_every_definition_is_used_public_or_traced():
+    """No module-level function or class of the package is dead: each is
+    referenced by other code of the package (as a name or an attribute;
+    a docstring does not count), named in ``__all__``, wrapped by the
+    benchmark's tracer, or listed in NOT_YET_CALLED."""
+    package = Path(charentropy.__file__).parent
+    used: set[str] = set()
+    defined = []
+    for path in sorted(package.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(statement)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, statement.name))
+                names.discard(statement.name)  # its own body does not count
+            used |= names
+    exempt = {*charentropy.__all__, *(attr for _, _, attr in wrap_points())}
+    assert [(module, name) for module, name in defined
+            if name not in used | exempt] == list(NOT_YET_CALLED)
 
 
 def test_manifest_written_and_stable(workspace):

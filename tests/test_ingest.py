@@ -19,7 +19,7 @@ from charentropy.ingest import (CANONICAL_SELECTIONS, HANDS, LANGUAGES,
                                 LongTable, WordRecord, canonical_selection,
                                 character_counts, from_words,
                                 parse_interlinear, parse_plaintext, read_tsv,
-                                select, with_words, write_tsv)
+                                take, with_words, write_tsv)
 
 META = FolioMetadataMap.from_tsv(
     "f1r\therbal\tA\t1\tA\n"
@@ -283,27 +283,32 @@ MIXED = parse(
 
 
 def test_select_language():
-    sub = select(MIXED, lambda r: r.language == "A")
+    sub = canonical_selection(MIXED, "a")
     assert sub.words() == ["a1", "a2", "lab"]
 
 
 def test_select_excludes_labels():
-    sub = select(MIXED, lambda r: r.locus_kind == "paragraph")
+    sub = canonical_selection(MIXED, "full_text")
     assert "lab" not in sub.words()
     assert len(sub) == 6
 
 
 def test_select_identity_and_composition():
-    assert select(MIXED, lambda r: True) == MIXED
-    f = lambda r: r.language == "A"
-    g = lambda r: r.locus_kind == "paragraph"
-    both = select(select(MIXED, f), g)
-    assert both == select(MIXED, lambda r: f(r) and g(r))
-    assert select(select(MIXED, f), f) == select(MIXED, f)
+    assert take(MIXED, [True] * len(MIXED)) == MIXED
+    f = [r.language == "A" for r in MIXED]
+    g = [r.locus_kind == "paragraph" for r in MIXED]
+    first = take(MIXED, f)
+    both = take(first, [r.locus_kind == "paragraph" for r in first])
+    assert both == take(MIXED, [a and b for a, b in zip(f, g)])
+    assert both == canonical_selection(
+        canonical_selection(MIXED, "a"), "full_text") == canonical_selection(
+        MIXED, "a_text")
+    assert take(first, [True] * len(first)) == first
+    assert canonical_selection(first, "a") == first
 
 
 def test_select_hand_count():
-    assert len(select(MIXED, lambda r: r.hand == "2")) == 3
+    assert len(canonical_selection(MIXED, "hand2")) == 3
 
 
 def test_canonical_selections_cover_expected_names():

@@ -2,10 +2,11 @@ import csv
 import io
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,11 +15,11 @@ from charentropy.ingest import from_words, tsv_slices, write_tsv
 from charentropy.formats import json_dumps
 from charentropy.metrics import (BOUNDARY, HEATMAP_MODES, CharStream,
                                  PairCells, TypeCounts, bigram_matrix,
-                                 coverage_report, entropy_contribution,
-                                 entropy_report, h2_from_counts,
-                                 heatmap_export, merge_symbols, pair_counts,
+                                 coverage_report, entropy_report,
+                                 h2_from_cells, heatmap_export,
                                  stream_from_words, to_stream)
-from charentropy.sukhotin import detect_from_cells, detect_vowels
+from charentropy.sukhotin import (adjacency_matrix, detect_from_adjacency,
+                                  detect_from_cells)
 
 words_strategy = st.lists(
     st.text(alphabet="abcde", min_size=1, max_size=8),
@@ -73,7 +74,7 @@ def test_charstream_validation():
 
 def test_counts_match_spec_example():
     m = bigram_matrix(stream_from_words(["ab", "ab"]))
-    assert m.pair_count("a", "b") == 2
+    assert m.counts[m.index("a"), m.index("b")] == 2
     i, j = m.index("a"), m.index("b")
     assert m.conditional[i, j] == 1.0
 
@@ -125,46 +126,46 @@ def test_symbols_are_codepoint_sorted_with_boundary_first():
     assert m.symbols == ("#", "a", "b", "c")
 
 
+def test_a_declared_symbol_that_never_occurs_keeps_its_place():
+    # The stream's symbols are its alphabet and the boundary, not the
+    # characters it holds: c and z count in the charset and in h0, and
+    # keep a zero row and column; only the adjacency drops them.
+    stream = stream_from_words(["ab", "ba", "aab"], alphabet="abcz")
+    m = bigram_matrix(stream)
+    assert m.symbols == ("#", "a", "b", "c", "z")
+    assert m.counts.dtype == np.int64
+    assert m.counts.tolist() == [[0, 2, 1, 0, 0], [1, 1, 2, 0, 0],
+                                 [2, 1, 0, 0, 0], [0] * 5, [0] * 5]
+    for view in (m.joint, m.conditional, m.weighted):
+        assert not view[3:].any() and not view[:, 3:].any()
+    report = entropy_report(stream)
+    assert report.charset_size == 4
+    assert report.h0 == math.log2(5)
+    assert PairCells.of_stream(stream).symbols == m.symbols
+    for include_space in (False, True):
+        adjacency = adjacency_matrix(stream, include_space)
+        assert adjacency.symbols == ("#", "a", "b")[not include_space:]
+        assert adjacency.counts.dtype == np.int64
+
+
 # --- word-type counts --------------------------------------------------------
 
-def assert_counts_of(words, symbols, counts):
-    """``counts`` over ``symbols`` is the pair-count matrix of ``words``,
-    once the symbols whose row and column are both zero are dropped."""
-    keep = (counts.sum(axis=0) + counts.sum(axis=1)) > 0
-    want_symbols, want = pair_counts(to_stream(from_words(words)))
-    assert [s for s, k in zip(symbols, keep) if k] == list(want_symbols)
-    assert np.array_equal(counts[keep][:, keep], want)
-
-
-@given(words_strategy, st.data())
-def test_type_counts_equal_stream_counts(words, data):
+@given(words_strategy)
+def test_type_counts_equal_stream_counts(words):
     types = TypeCounts.of(from_words(words))
     assert list(types.forms) == list(dict.fromkeys(words))
     assert [types.forms[i] for i in types.ids] == words
-    mask = np.array(data.draw(st.lists(
-        st.booleans(), min_size=len(words), max_size=len(words))))
-    assume(mask.any())
-    kept = [w for w, k in zip(words, mask) if k]
-    freq = types.frequencies(mask)
-    assert freq.tolist() == [kept.count(f) for f in types.forms]
-
+    # Each token's pair codes, decoded, are the stream's pairs.
     pairs = types.pairs()
-    counts = pairs.counts(freq)
-    assert counts.dtype == np.int64
-    assert_counts_of(kept, pairs.symbols, counts)
-
-
-@given(words_strategy, st.data())
-def test_type_counts_add_over_disjoint_frequencies(words, data):
-    types = TypeCounts.of(from_words(words))
-    part = np.array(data.draw(st.lists(
-        st.booleans(), min_size=len(words), max_size=len(words))))
-    first, second = types.frequencies(part), types.frequencies(~part)
-    pairs = types.pairs()
-    assert np.array_equal(pairs.counts(first) + pairs.counts(second),
-                          pairs.counts(first + second))
-    assert np.array_equal(pairs.counts(first + second),
-                          pair_counts(to_stream(from_words(words)))[1])
+    k = len(pairs.symbols)
+    tally: Counter = Counter()
+    for t in types.ids.tolist():
+        codes = pairs.codes[pairs.offsets[t]:pairs.offsets[t + 1]]
+        tally.update((pairs.symbols[c // k], pairs.symbols[c % k])
+                     for c in codes.tolist())
+    want = oracles.pair_tally(oracles.stream_of(words))
+    assert dict(tally) == types.cells().cells == want
+    assert pairs.symbols == tuple(sorted({a for a, _ in want}))
 
 
 def test_boundary_inside_a_form_names_the_first_such_word():
@@ -204,10 +205,14 @@ def test_the_cells_of_the_types_give_the_stream_routes_statistics(words):
     types = TypeCounts.fold(tsv_slices([write_tsv(table)]))
     cells = types.cells()
     stream = to_stream(table)
-    symbols, counts = pair_counts(stream)
     matrix = bigram_matrix(stream)
-    assert cells == PairCells.of(symbols, counts)
-    assert cells.h2() == h2_from_counts(counts) == (
+    counts = matrix.counts
+    assert cells == PairCells.of_stream(stream) == PairCells.of(
+        matrix.symbols, counts)
+    assert cells.cells == oracles.pair_tally(stream.symbols)
+    rows, cols = np.nonzero(counts)
+    assert cells.h2() == h2_from_cells(
+        counts[rows, cols], counts.sum(axis=1)[rows], matrix.total) == (
         oracles.h2_generator_oracle(counts))
 
     report, want = cells.entropy_report(len(types.forms)), entropy_report(
@@ -219,8 +224,11 @@ def test_the_cells_of_the_types_give_the_stream_routes_statistics(words):
         [want.as_dict(), oracles.charset_oracle(words)])
     for mode in HEATMAP_MODES:
         assert cells.heatmap(mode) == heatmap_export(matrix, mode)
-    assert cells.grid("entropy_contribution") == (
-        entropy_contribution(matrix).tolist())
+    tally, row_sums = oracles.pair_tally(stream.symbols), counts.sum(axis=1)
+    assert cells.grid("entropy_contribution") == [
+        [(n / matrix.total) * -math.log2(n / int(row_sums[i]))
+         if (n := tally.get((a, b))) else 0.0 for b in matrix.symbols]
+        for i, a in enumerate(matrix.symbols)]
     assert [cells.grid(v) for v in ("conditional", "weighted")] == [
         matrix.conditional.tolist(), matrix.weighted.tolist()]
     for threshold in (0.0, 0.5, 1.0):
@@ -231,23 +239,13 @@ def test_the_cells_of_the_types_give_the_stream_routes_statistics(words):
     for include_space in (False, True):
         got = detect_from_cells(cells, BOUNDARY + "".join(types.forms),
                                 include_space)
-        want = detect_vowels(stream, include_space)
+        want = detect_from_adjacency(adjacency_matrix(stream, include_space),
+                                     include_space)
         assert got == want
         assert json_dumps(got.as_dict(diagnostics=True)) == json_dumps(
             want.as_dict(diagnostics=True))
         assert list(got.vowels) == oracles.sukhotin_oracle(stream.symbols,
                                                            include_space)
-
-
-@given(words_strategy, st.data())
-def test_merge_symbols_equals_counts_of_the_renamed_text(words, data):
-    symbols, counts = pair_counts(to_stream(from_words(words)))
-    rename = {s: data.draw(st.sampled_from("ab*")) for s in symbols}
-    rename[BOUNDARY] = BOUNDARY
-    merged_symbols, merged = merge_symbols(
-        symbols, counts, [rename[s] for s in symbols])
-    renamed = ["".join(rename[c] for c in w) for w in words]
-    assert_counts_of(renamed, merged_symbols, merged)
 
 
 # --- entropies ---------------------------------------------------------------
@@ -391,7 +389,8 @@ def test_entropy_contribution_sums_to_h2():
         words = random_words(rng, "abcdef", rng.randint(1, 50))
         stream = stream_from_words(words)
         m = bigram_matrix(stream)
-        contrib = entropy_contribution(m)
+        contrib = np.array(
+            PairCells.of_stream(stream).grid("entropy_contribution"))
         assert abs(contrib.sum() - entropy_report(stream).h2) < 1e-9
         text = heatmap_export(m, "entropy_contribution")
         rows = list(csv.reader(io.StringIO(text)))

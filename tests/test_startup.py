@@ -122,6 +122,21 @@ def test_start_up_loads_neither_dataclasses_nor_inspect(tmp_path):
         (argv, 0, []) for argv in NUMPY_FREE]
 
 
+def test_the_stream_statistics_load_no_numpy():
+    """entropy_report and charset_report count through PairCells, in
+    Python, as the commands do."""
+    out = _python("-c", """
+import json, sys
+from charentropy import charset_report, entropy_report, from_words, to_stream
+table = from_words("the cat sat on the mat".split())
+report = entropy_report(to_stream(table))
+census = charset_report(table)
+print(json.dumps([report.charset_size, census[0][0],
+                  sorted(m for m in sys.modules if m.startswith("numpy."))]))
+""")
+    assert json.loads(out) == [9, "#", []]
+
+
 def test_numpy_imports_after_and_before_charentropy():
     _python("-c", """
 import sys

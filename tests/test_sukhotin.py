@@ -6,9 +6,15 @@ import pytest
 import oracles
 from charentropy.errors import EmptyStreamError
 from charentropy.ingest import from_words
-from charentropy.metrics import stream_from_words
+from charentropy.metrics import (BOUNDARY, TypeCounts, stream_from_words,
+                                 to_stream)
 from charentropy.sukhotin import (AdjacencyMatrix, adjacency_matrix,
-                                  detect_on_document, detect_vowels)
+                                  detect_from_adjacency, detect_from_cells)
+
+
+def detect_vowels(stream, include_space=False):
+    return detect_from_adjacency(adjacency_matrix(stream, include_space),
+                                 include_space)
 
 
 def make_cv_words(rng, consonants, vowels, n_words,
@@ -141,11 +147,14 @@ def test_tie_breaks_by_first_occurrence():
 
 def test_detect_on_document_matches_stream_route():
     table = from_words(["ta", "to", "tu"])
-    via_doc = detect_on_document(table)
+    via_doc = detect_vowels(to_stream(table))
     via_stream = detect_vowels(stream_from_words(table.words()))
-    assert via_doc == via_stream
+    types = TypeCounts.of(table)
+    via_cells = detect_from_cells(types.cells(),
+                                  BOUNDARY + "".join(types.forms))
+    assert via_doc == via_stream == via_cells
     with pytest.raises(EmptyStreamError):
-        detect_on_document(from_words([]))
+        to_stream(from_words([]))
 
 
 def test_selected_sums_are_positive_and_frozen():
