@@ -64,18 +64,16 @@ from .cleanse import (CleanseConfig, cleansing_table, parse_config,
                       parse_decimal, parse_script_range)
 from .errors import CharentropyError, ConfigError, DataError
 from .formats import (SCHEMA_VERSION, fmt_float, json_dumps, json_pieces,
-                      round_float, sha256_bytes)
+                      sha256_bytes)
 from .ingest import (_LINE_BREAKS, CANONICAL_SELECTIONS, FolioMetadataMap,
-                     _decode, builtin_data, character_counts, check_words,
-                     content_lines, decoded_blocks, interlinear_lines,
-                     line_values, paragraph_sizes, plaintext_runs,
-                     rewritten_tsv, tsv_pieces, tsv_slices)
+                     _decode, builtin_data, content_lines, decoded_blocks,
+                     interlinear_lines, line_values, paragraph_sizes,
+                     plaintext_runs, rewritten_tsv, tsv_pieces, tsv_slices)
 from .metrics import BOUNDARY, PairCells, TypeCounts
 from .sampling import (SamplingConfig, distributions_csv_rows,
                        distributions_to_dict, sample_h2)
 from .sukhotin import detect_from_cells
-from .translit import (builtin_rules, load_rules, rare_characters,
-                       simplify_maximal, simplifying_table,
+from .translit import (builtin_rules, load_rules, simplifying_table,
                        transliterate_words)
 
 # Not called here, but perfbench wraps each of these names in this module
@@ -484,9 +482,6 @@ def cmd_sample(args, run: _Run) -> None:
         entries = distributions_to_dict(distributions,
                                         include_values=args.values)
         del distributions  # its values are in the entries' lists
-        for values in (e["values"] for e in entries if "values" in e):
-            for i, value in enumerate(values):  # each let go as rounded
-                values[i] = round_float(value)
         pieces = json_pieces({
             "schema_version": SCHEMA_VERSION,
             "source_id": types.source_id,
@@ -572,7 +567,6 @@ def cmd_batch(args, run: _Run) -> None:
     maximal = transliterate_words(words, builtin_rules("maximal"))
     forms = {"none": words, "maximal": maximal, "minimal":
              transliterate_words(maximal, builtin_rules("minimal"))}
-    symbols = sorted({BOUNDARY, *"".join(maximal)})  # maximal's, every one
     counted = {}  # system -> stratum -> (its cells, its types' forms)
     rows = ["doc\ttranscription\tcharset\th2\twords\tword_types\n"]
     for doc, selection, system in jobs:
@@ -592,19 +586,15 @@ def cmd_batch(args, run: _Run) -> None:
         parts = [counted[base][key] for key in chosen]
         cells = PairCells.summed(c for p, _ in parts for c in p.cells.items())
         present = set().union(*(own for _, own in parts))
-        if system == "simplified":
+        if system == "simplified":  # translit --simplify's table
             successors = cells.sums(1)
-            rare = rare_characters(character_counts(
-                [simplify_maximal(s, frozenset()) for s in successors],
-                successors.values()), threshold=args.rare_min) - {BOUNDARY}
-            names = {s: simplify_maximal(s, rare) for s in symbols}
-            # A simplified form is valid when each character's name is.
-            check_words(list(names.values()))
-            cells = PairCells.summed(((names[a], names[b]), n)
-                                     for (a, b), n in cells.cells.items())
-            rename = str.maketrans(names)
-            # No form holds the boundary, and every name keeps it.
-            present = set(BOUNDARY.join(present).translate(rename).split(
+            del successors[BOUNDARY]  # the letters' counts in the words
+            table = simplifying_table(successors, threshold=args.rare_min)
+            cells = PairCells.summed(
+                ((a.translate(table), b.translate(table)), n)
+                for (a, b), n in cells.cells.items())
+            # No form holds the boundary, and the table keeps it.
+            present = set(BOUNDARY.join(present).translate(table).split(
                 BOUNDARY))
         successors = cells.sums(1)
         rows.append("\t".join([

@@ -34,18 +34,22 @@ def round_float(x: float) -> float:
 
 
 def round_floats(obj):
-    """Recursively apply the 12-significant-digit rule to every float."""
+    """Recursively apply the 12-significant-digit rule to every float,
+    each once. Lists and dicts are rounded in place, so a float is let go
+    as its rounded value takes its place; tuples become rounded lists."""
     if isinstance(obj, float):
         return round_float(obj)
-    if isinstance(obj, dict):
-        return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, tuple):
         return [round_floats(v) for v in obj]
+    if isinstance(obj, (dict, list)):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            obj[k] = round_floats(v)
     return obj
 
 
 def json_pieces(obj) -> Iterator[str]:
-    """:func:`json_dumps`'s text in pieces, made as a writer takes them."""
+    """:func:`json_dumps`'s text in pieces, made as a writer takes them.
+    The floats of ``obj``'s lists and dicts are rounded in place."""
     yield from _ENCODER.iterencode(round_floats(obj))
     yield "\n"
 

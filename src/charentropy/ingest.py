@@ -9,20 +9,23 @@ between any two lines, placed by each paragraph's word count
 (:func:`paragraph_sizes`). :func:`tsv_pieces` writes the long-table TSV
 straight from placed lines, so no command builds a table.
 
-The library's table is the :class:`LongTable`: the words of one source in
-document order, column by column, with one ``source_id``; a
-:class:`WordRecord` is one of its rows, built on demand. Columns are
-validated once, where tables are built: the parsers, :func:`read_tsv`,
-:func:`from_words` and :func:`with_words`. A TSV is read a block at a
-time: one pattern per file accepts a block of good rows in a single
-match, and a block it rejects is checked row by row, which alone decides
-which line is in error and why. Every other table derives from those
-through the only two transforms, :func:`with_words` (replace every word)
-and :func:`take` (keep the rows a boolean mask selects). Every word
-rewrite in the package (transliteration, simplification, cleansing) is a
-map from word types and their frequencies to new forms, applied to a
-table by :func:`rewrite_types`; :func:`rewritten_tsv` rewrites the rows
-of a TSV where they stand, a block of words at a time.
+The parsers check each line as they read it, and a
+:class:`FolioMetadataMap` checks its languages and hands when it is
+built, so a parsed line needs no further check. The library's table is
+the :class:`LongTable`: the words of one source in document order, column
+by column, with one ``source_id``; a :class:`WordRecord` is one of its
+rows, built on demand. Its columns are validated where a table is built
+from anything else: :func:`read_tsv`, :func:`from_words` and
+:func:`with_words`. A TSV is read a block at a time: one pattern per file
+accepts a block of good rows in a single match, and a block it rejects is
+checked row by row, which alone decides which line is in error and why.
+Every other table derives from those through the only two transforms,
+:func:`with_words` (replace every word) and :func:`take` (keep the rows a
+boolean mask selects). Every word rewrite in the package
+(transliteration, simplification, cleansing) is a map from word types and
+their frequencies to new forms, applied to a table by
+:func:`rewrite_types`; :func:`rewritten_tsv` rewrites the rows of a TSV
+where they stand, a block of words at a time.
 
 Interlinear input follows a documented subset of the line-by-line
 transcription family used for the Voynich manuscript:
@@ -222,11 +225,20 @@ class FolioMetadataMap:
 
     Lookups are total over parsed input: a folio with no entry fails the
     parse, unless a ``default_entry`` is set (see :meth:`permissive`), in
-    which case unknown folios take the default classification.
+    which case unknown folios take the default classification. Every
+    entry's language and hand, the default's too, is checked when built.
     """
 
     entries: dict[str, tuple[str, str, str, str]]
     default_entry: tuple[str, str, str, str] | None = None
+
+    def __post_init__(self) -> None:
+        for _, language, hand, _ in filter(None, [*self.entries.values(),
+                                                  self.default_entry]):
+            if language not in LANGUAGES:
+                raise ValueError(f"unknown language {language!r}")
+            if hand not in HANDS:
+                raise ValueError(f"unknown hand {hand!r}")
 
     def lookup(self, folio: str) -> tuple[str, str, str, str]:
         try:
@@ -258,13 +270,14 @@ class FolioMetadataMap:
                     f"folio metadata row needs 5 tab-separated fields, "
                     f"got {len(fields)}", n)
             folio, section, language, hand, quire = (f.strip() for f in fields)
-            if language not in LANGUAGES:
-                raise ParseError(f"unknown language {language!r}", n)
-            if hand not in HANDS:
-                raise ParseError(f"unknown hand {hand!r}", n)
+            entry = (section, language, hand, quire)
+            try:
+                cls({folio: entry})  # the map's own check, named by line
+            except ValueError as exc:
+                raise ParseError(str(exc), n) from None
             if folio in entries:
                 raise ParseError(f"folio {folio!r} is listed twice", n)
-            entries[folio] = (section, language, hand, quire)
+            entries[folio] = entry
         return cls(entries)
 
 
@@ -413,48 +426,38 @@ def interlinear_lines(raw: bytes | str, meta: FolioMetadataMap,
     deleting them. ``raw`` is the file's bytes, or its text already decoded
     as :func:`_decode` decodes them.
 
-    Raises ParseError for malformed locus headers (with the line number) and
-    MetadataError listing every folio missing from ``meta``.
+    Raises ParseError naming the line for a malformed locus header or
+    payload, or for words on a line numbered 0; then MetadataError listing
+    every folio missing from ``meta``, which checked its own entries.
     """
     text = raw if isinstance(raw, str) else _decode(raw)
-    parsed: list[tuple[str, str, int, str, tuple[str, ...], int]] = []
+    lines, missing = [], set()
+    paragraph, unit = 0, None  # a paragraph: consecutive lines of one unit
     for n, line in content_lines(text):
         m = _LOCUS_RE.match(line.strip())
         if m is None:
             raise ParseError(
                 "expected '<folio.locus.line;transcriber>' locus header", n)
-        if transcriber_filter is not None and m["transcriber"] != transcriber_filter:
+        folio, locus, number, transcriber, payload = m.groups()
+        if transcriber_filter is not None and transcriber != transcriber_filter:
             continue
-        parsed.append((m["folio"], m["locus"], int(m["line"]),
-                       m["transcriber"],
-                       _split_payload(m["payload"], comma_breaks, n), n))
-
-    if meta.default_entry is None:
-        missing = sorted({folio for folio, *_ in parsed} - set(meta.entries))
-        if missing:
-            raise MetadataError(missing)
-
-    # Group consecutive lines into paragraphs by (folio, locus).
-    lines: list[tuple] = []
-    paragraph = 0
-    prev_key: tuple[str, str] | None = None
-    for folio, locus, line_number, transcriber, words, source_line in parsed:
-        if (folio, locus) != prev_key:
+        words = _split_payload(payload, comma_breaks, n)
+        line_number = int(number)
+        if words and not line_number:  # a line of words is numbered from 1
+            raise ParseError("line_number must be a positive integer", n)
+        if (folio, locus) != unit:
             paragraph += 1
-            prev_key = (folio, locus)
-        section, language, hand, quire = meta.lookup(folio)
-        kind = PARAGRAPH if locus[0] in "Pp" else LABEL_OR_DIAGRAM
-        if words:
-            # One record per line checks the fields its words share (locus
-            # kind, line number, language, hand); positions are valid by
-            # construction and the payload split already rejected bad words.
-            try:
-                WordRecord(words[0], 1, 1, 1, 1, kind, line_number, paragraph,
-                           folio, quire, section, language, hand, transcriber)
-            except ValueError as exc:
-                raise ParseError(str(exc), source_line) from None
-        lines.append((words, kind, line_number, paragraph, folio, quire,
+            unit = (folio, locus)
+        try:
+            section, language, hand, quire = meta.lookup(folio)
+        except MetadataError:
+            missing.add(folio)
+            continue
+        lines.append((words, PARAGRAPH if locus[0] in "Pp" else
+                      LABEL_OR_DIAGRAM, line_number, paragraph, folio, quire,
                       section, language, hand, transcriber))
+    if missing:
+        raise MetadataError(sorted(missing))
     return lines
 
 

@@ -1,9 +1,9 @@
 """Character-level statistics: entropy ladder, bigram matrices, coverage.
 
-All statistics are computed over a :class:`CharStream`: the document's words
-joined by the boundary symbol ``#``, with one leading and one trailing ``#``.
-That construction counts every word-initial bigram (``#x``) and word-final
-bigram (``x#``) exactly once, and makes ``##`` structurally impossible.
+All statistics are computed over a stream: the document's words joined by the
+boundary symbol ``#``, with one leading and one trailing ``#``. That
+construction counts every word-initial bigram (``#x``) and word-final bigram
+(``x#``) exactly once, and makes ``##`` structurally impossible.
 
 Conventions, applied uniformly and worth stating once:
 
@@ -31,9 +31,10 @@ occupied cells, a :class:`PairCells`, the one counting primitive. Its cells
 are counted in Python from word types (:meth:`TypeCounts.cells`) or from a
 stream (:meth:`PairCells.of_stream`, which the stream functions use), and
 the cells of a text's disjoint parts sum to the text's
-(:meth:`PairCells.summed`). Only ``sample``'s windows, counted from the
-types' pair codes (:meth:`TypeCounts.pairs`), count in numpy, and their h2
-divides in numpy.
+(:meth:`PairCells.summed`). A text's pairs come from one place,
+:func:`stream_pairs`. ``sample``'s windows number those same pairs and
+count them in numpy (``sampling.WindowCounts``), and their h2 divides in
+numpy.
 """
 
 from __future__ import annotations
@@ -111,6 +112,12 @@ def to_stream(table: LongTable) -> CharStream:
     return stream_from_words(words)
 
 
+def stream_pairs(forms: Sequence[str]) -> Iterator[tuple[str, str]]:
+    """The adjacent pairs of ``#form#form#...#``, ``len(form) + 1`` a form."""
+    s = BOUNDARY + BOUNDARY.join(forms) + BOUNDARY
+    return zip(s, s[1:])
+
+
 def _boundary_error(line: int, word: str) -> DataError:
     return DataError(f"line {line}: word {word!r} contains the word "
                      f"boundary symbol {BOUNDARY!r}")
@@ -139,32 +146,6 @@ class BigramMatrix:
 
     def index(self, symbol: str) -> int:
         return self.symbols.index(symbol)
-
-
-def symbol_codes(stream: CharStream) -> tuple[tuple[str, ...], np.ndarray]:
-    """Codepoint-sorted symbols (boundary included) and the stream as
-    indices into them."""
-    symbols = tuple(sorted(stream.alphabet | {BOUNDARY}))
-    points = np.frombuffer(
-        stream.symbols.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    order = np.array([ord(c) for c in symbols], dtype="<u4")
-    return symbols, np.searchsorted(order, points).astype(np.int64)
-
-
-@record
-class TypePairs:
-    """The adjacent-pair codes of each word type's ``#form#``, as CSR arrays.
-
-    ``symbols`` are the forms' characters and the boundary in codepoint
-    order, as in :meth:`PairCells.of_stream`; pair (a, b) has the code
-    ``a * len(symbols) + b``. Type t's ``len(forms[t]) + 1`` codes are
-    ``codes[offsets[t]:offsets[t + 1]]``.
-    """
-
-    forms: tuple[str, ...]
-    symbols: tuple[str, ...]
-    offsets: np.ndarray
-    codes: np.ndarray
 
 
 @record
@@ -219,22 +200,10 @@ class TypeCounts:
                           table.column("line_number").__getitem__)],
                         tokens=True)
 
-    def pairs(self) -> TypePairs:
-        """The pair codes of the types' forms."""
-        forms = self.checked()
-        symbols, codes = symbol_codes(stream_from_words(forms))
-        offsets = np.zeros(len(forms) + 1, dtype=np.intp)
-        np.cumsum([len(form) + 1 for form in forms], out=offsets[1:])
-        return TypePairs(forms=forms, symbols=symbols, offsets=offsets,
-                         codes=codes[:-1] * len(symbols) + codes[1:])
-
     def cells(self) -> PairCells:
         """The pair counts of the types' forms, counted in Python: the forms
         of one frequency, joined, are a stream whose pairs are theirs."""
-        def pairs(forms: list[str]) -> Iterator[tuple[str, str]]:
-            s = BOUNDARY + BOUNDARY.join(forms) + BOUNDARY
-            return zip(s, s[1:])
-        cells = tally_by_frequency(self.checked(), self.freq, pairs)
+        cells = tally_by_frequency(self.checked(), self.freq, stream_pairs)
         return PairCells(tuple(sorted({a for a, _ in cells})), cells)
 
     def checked(self) -> tuple[str, ...]:

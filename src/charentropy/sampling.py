@@ -10,19 +10,21 @@ Windows are word-aligned and ignore line/paragraph structure. Each window
 is measured with its own leading and trailing boundary; because the full
 document stream already separates words with single boundary symbols, a
 window's stream is literally a contiguous slice of the document stream,
-whose pairs are those of its tokens' word types (``metrics.TypeCounts``).
+whose pairs are those of its tokens' word types (``metrics.TypeCounts``),
+as ``metrics.stream_pairs`` makes them for ``TypeCounts.cells``.
 
 Counting a window costs the same whatever its length. Only the m distinct
-adjacent pairs that occur in the document are counted, renumbered 0..m-1
-in pair-code order. A table holds the cumulative count of each of them at
-a checkpoint every s words, so a window's counts are the difference
-between the first and the last checkpoint inside it, plus one short
-count over the words before the first and one over the words after the
-last. The spacing s is derived from the document, with no setting: it is
-the smallest that keeps the table (checkpoints x m) no larger than the
-document's array of pairs. h2 then takes the window's occupied pairs and
-the sums of their rows (see ``metrics.h2_from_cells``), so its cost grows
-with the distinct pairs in the window, at most m.
+adjacent pairs that occur in the document are counted, numbered 0..m-1 in
+sorted (a, b) order, so that the pairs of one row are adjacent. A table
+holds the cumulative count of each of them at a checkpoint every s words, so
+a window's counts are the difference between the first and the last
+checkpoint inside it, plus one short count over the words before the first
+and one over the words after the last. The spacing s is derived from the
+document, with no setting: it is the smallest that keeps the table
+(checkpoints x m) no larger than the document's array of pairs. h2 then
+takes the window's occupied pairs and the sums of their rows (see
+``metrics.h2_from_cells``), so its cost grows with the distinct pairs in the
+window, at most m.
 
 Reproducibility: the generator is numpy's default PCG64, and every
 (window-size, sample-index) pair gets its own child generator derived from
@@ -45,7 +47,7 @@ from ._lazy import lazy_import
 from ._record import record
 from .errors import ConfigError
 from .ingest import _PIECE_ROWS, LongTable
-from .metrics import TypeCounts, h2_from_cells
+from .metrics import TypeCounts, h2_from_cells, stream_pairs
 from .metrics import to_stream  # noqa: F401  (a perfbench trace point)
 
 np = lazy_import("numpy")
@@ -109,14 +111,19 @@ class WindowCounts:
     def __init__(self, types: TypeCounts) -> None:
         if types.ids is None:
             raise ValueError("WindowCounts needs the tokens' type ids")
-        pairs = types.pairs()
-        k = len(pairs.symbols)
-        # Renumber the pairs (a, b) that occur (the types') in the order of
-        # a * k + b, so that the pairs of one row are adjacent. Counts, and
-        # so pair numbers, fit 32 bits unless the text has 2**31 characters.
-        occurring, pair_of_code = np.unique(pairs.codes, return_inverse=True)
+        forms = types.checked()
+        # Number the pairs (a, b) that occur (the types') in sorted order,
+        # so that the pairs of one row are adjacent; type t's are the
+        # len(forms[t]) + 1 from type_pairs[offsets[t]]. Counts, and so pair
+        # numbers, fit 32 bits unless the text has 2**31 characters.
+        sizes = np.fromiter(map(len, forms), np.intp, len(forms)) + 1
+        offsets = np.cumsum(sizes) - sizes
+        occurring = sorted(set(stream_pairs(forms)))
+        number = dict(zip(occurring, range(len(occurring))))
+        type_pairs = np.fromiter(map(number.__getitem__, stream_pairs(forms)),
+                                 np.intp, int(sizes.sum()))
         m = len(occurring)
-        sizes = np.diff(pairs.offsets)[types.ids]
+        sizes = sizes[types.ids]
         ends = np.cumsum(sizes)
         n_pairs = int(ends[-1])
         small = np.int32 if n_pairs < 2 ** 31 else np.int64
@@ -127,14 +134,14 @@ class WindowCounts:
         # The text's pairs are those of its tokens' types, in token order,
         # gathered a block of tokens at a time so that no temporary is as
         # long as the text.
-        pair_of_code = pair_of_code.astype(small)
-        offsets = pairs.offsets.astype(small)
+        type_pairs = type_pairs.astype(small)
+        offsets = offsets.astype(small)
         self._pairs = np.empty(n_pairs, dtype=small)
         for first in range(0, self.n_words, _PIECE_ROWS):
             ids = types.ids[first:first + _PIECE_ROWS]
             edges = self._boundaries[first:first + len(ids) + 1]
             lo, hi = edges[0], edges[-1]
-            self._pairs[lo:hi] = pair_of_code[
+            self._pairs[lo:hi] = type_pairs[
                 np.arange(hi - lo, dtype=small) + np.repeat(
                     offsets[ids] - (edges[:-1] - lo).astype(small),
                     sizes[first:first + len(ids)])]
@@ -142,8 +149,8 @@ class WindowCounts:
         # The pairs of row i of the count matrix are pairs
         # row_starts[i]:row_starts[i + 1] of the m; _row_of[j] is the row of
         # pair j, numbered over the rows that occur.
-        rows = occurring // k
-        row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        row_starts = np.flatnonzero(np.diff([ord(a) for a, _ in occurring],
+                                            prepend=-1))
         self._row_starts = row_starts
         self._row_of = np.repeat(np.arange(len(row_starts)),
                                  np.diff(row_starts, append=m))

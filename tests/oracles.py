@@ -23,9 +23,10 @@ it was before it counted from checkpoints: a dense numpy count of each
 window over every pair of symbols, and h2 as a generator over the occupied
 cells; the tests compare its values with ``==``. Its starts are drawn one
 child generator per sample, the path that ``sampling._starts`` computes in
-one pass. The window-pairs oracle is the one numpy expression
-``WindowCounts`` gathered its pairs with before it gathered them a block of
-tokens at a time.
+one pass; it keeps the stream's own symbol codes (``symbol_codes``), which
+the library no longer has. The window-pairs oracle numbers the pairs of the
+tokens' whole stream, where ``WindowCounts`` gathers its types' pairs a
+block of tokens at a time.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from charentropy.ingest import (TSV_COLUMNS, LongTable, WordRecord, _decode,
                                 canonical_selection, read_tsv, take,
                                 with_words, write_tsv)
 from charentropy.metrics import (bigram_matrix, coverage_report,
-                                 entropy_report, heatmap_export, symbol_codes,
-                                 to_stream)
+                                 entropy_report, heatmap_export, to_stream)
 from charentropy.sampling import (SamplingConfig, distributions_to_dict,
                                   sample_h2)
 from charentropy.sukhotin import adjacency_matrix, detect_from_adjacency
@@ -456,6 +456,16 @@ def h2_generator_oracle(counts) -> float:
                         row_sums[rows].tolist()))
 
 
+def symbol_codes(stream) -> tuple[tuple[str, ...], np.ndarray]:
+    """Codepoint-sorted symbols (boundary included) and the stream as
+    indices into them."""
+    symbols = tuple(sorted(stream.alphabet | {BOUNDARY}))
+    points = np.frombuffer(
+        stream.symbols.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    order = np.array([ord(c) for c in symbols], dtype="<u4")
+    return symbols, np.searchsorted(order, points).astype(np.int64)
+
+
 def _dense_window_h2(table: LongTable):
     """(word count, h2 of the window of words ``[start, start + w)``),
     each window counted with a dense bincount over all k * k pairs."""
@@ -479,16 +489,13 @@ def window_h2_oracle(table: LongTable, windows) -> list[float]:
 
 
 def window_pairs_oracle(types) -> np.ndarray:
-    """``WindowCounts._pairs`` as one gather over the whole text, the way it
-    was built before it was built a block of tokens at a time."""
-    pairs = types.pairs()
-    _, pair_of_code = np.unique(pairs.codes, return_inverse=True)
-    sizes = np.diff(pairs.offsets)[types.ids]
-    ends = np.cumsum(sizes)
-    n_pairs = int(ends[-1])
-    small = np.int32 if n_pairs < 2 ** 31 else np.int64
-    return pair_of_code[np.arange(n_pairs) + np.repeat(
-        pairs.offsets[types.ids] - ends + sizes, sizes)].astype(small)
+    """``WindowCounts._pairs``: the pairs of the tokens' own ``#w#w#...#``
+    stream, each numbered by its place among the distinct pairs sorted."""
+    s = stream_of([types.forms[i] for i in types.ids.tolist()])
+    pairs = list(zip(s, s[1:]))
+    number = {pair: j for j, pair in enumerate(sorted(set(pairs)))}
+    small = np.int32 if len(pairs) < 2 ** 31 else np.int64
+    return np.array([number[pair] for pair in pairs], dtype=small)
 
 
 def sample_start_oracle(seed: int, size_index: int, sample_index: int,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import charentropy
 import oracles
-from charentropy import cli, ingest
+from charentropy import cli, ingest, metrics
 from charentropy.cli import BATCH_SYSTEMS, main
 from charentropy.ingest import (CANONICAL_SELECTIONS, TSV_COLUMNS,
                                 FolioMetadataMap, parse_interlinear, read_tsv)
@@ -1103,12 +1103,18 @@ def test_standard_output_without_a_byte_buffer_gets_the_text(workspace):
     assert out.getvalue() == (workspace / "s.json").read_text(encoding="utf-8")
 
 
-def test_no_command_builds_a_long_table(workspace, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a command built a LongTable")
+def test_no_command_builds_a_table_a_word_record_or_a_stream(workspace,
+                                                            monkeypatch):
+    def refusing(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"a command built a {name}")
+        return refuse
 
-    monkeypatch.setattr(ingest.LongTable, "__init__", refuse)
-    monkeypatch.setattr(ingest.LongTable, "_from_columns", refuse)
+    monkeypatch.setattr(ingest.LongTable, "__init__", refusing("LongTable"))
+    monkeypatch.setattr(ingest.LongTable, "_from_columns",
+                        refusing("LongTable"))
+    monkeypatch.setattr(ingest.WordRecord, "__init__", refusing("WordRecord"))
+    monkeypatch.setattr(metrics.CharStream, "__init__", refusing("CharStream"))
     page = ["page.txt", "--meta", "meta.tsv"]
     for argv in (["ingest", "plain.txt", "--out", "p.tsv"],
                  ["ingest", "plain.txt", "--select", "full_text"],

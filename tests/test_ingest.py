@@ -170,6 +170,23 @@ def test_permissive_map_defaults_unknown_folios():
     assert table.records[0].hand == "unclassified"
 
 
+def test_words_on_a_line_numbered_0_are_a_parse_error_before_metadata():
+    text = "<f1r.P1.1;H> daiin\n<f99r.P1.1;H> qol\n<f1r.P2.0;H> chol\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == "line 3: line_number must be a positive integer"
+    assert exc.value.line_number == 3
+    # Another transcriber's line is not read, so not checked.
+    with pytest.raises(MetadataError):
+        parse(text.replace("P2.0;H", "P2.0;C"), transcriber_filter="H")
+
+
+def test_a_line_numbered_0_without_words_is_accepted():
+    table = parse("<f1r.P1.0;H> {blank}\n<f1r.P1.1;H> daiin\n")
+    assert table.words() == ["daiin"]
+    assert table.column("line_number") == (1,)
+
+
 def test_invalid_utf8_reports_offset():
     with pytest.raises(DecodeError) as exc:
         parse_interlinear(b"<f1r.P1.1;H> da\xffiin\n", META)

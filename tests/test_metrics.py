@@ -2,7 +2,6 @@ import csv
 import io
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from charentropy.metrics import (BOUNDARY, HEATMAP_MODES, CharStream,
                                  coverage_report, entropy_report,
                                  h2_from_cells, heatmap_export,
                                  stream_from_words, to_stream)
+from charentropy.sampling import WindowCounts
 from charentropy.sukhotin import (adjacency_matrix, detect_from_adjacency,
                                   detect_from_cells)
 
@@ -49,7 +49,7 @@ def test_to_stream_empty_table_errors():
     with pytest.raises(EmptyStreamError) as caught:
         to_stream(from_words([], source_id="s"))
     types = TypeCounts.of(from_words([], source_id="s"))
-    for count in (types.pairs, types.cells):
+    for count in (lambda: WindowCounts(types), types.cells):
         with pytest.raises(EmptyStreamError) as again:
             count()
         assert str(again.value) == str(caught.value)
@@ -155,17 +155,14 @@ def test_type_counts_equal_stream_counts(words):
     types = TypeCounts.of(from_words(words))
     assert list(types.forms) == list(dict.fromkeys(words))
     assert [types.forms[i] for i in types.ids] == words
-    # Each token's pair codes, decoded, are the stream's pairs.
-    pairs = types.pairs()
-    k = len(pairs.symbols)
-    tally: Counter = Counter()
-    for t in types.ids.tolist():
-        codes = pairs.codes[pairs.offsets[t]:pairs.offsets[t + 1]]
-        tally.update((pairs.symbols[c // k], pairs.symbols[c % k])
-                     for c in codes.tolist())
     want = oracles.pair_tally(oracles.stream_of(words))
-    assert dict(tally) == types.cells().cells == want
-    assert pairs.symbols == tuple(sorted({a for a, _ in want}))
+    assert types.cells().cells == want
+    assert types.cells().symbols == tuple(sorted({a for a, _ in want}))
+    # The windows number the stream's pairs in sorted order, each once.
+    numbered = WindowCounts(types)._pairs
+    tally = np.bincount(numbered).tolist()
+    assert dict(zip(sorted(want), tally)) == want
+    assert len(tally) == len(want)
 
 
 def test_boundary_inside_a_form_names_the_first_such_word():
@@ -174,7 +171,7 @@ def test_boundary_inside_a_form_names_the_first_such_word():
         to_stream(table)
     types = TypeCounts.of(table)
     with pytest.raises(DataError) as own:
-        types.pairs()
+        WindowCounts(types)
     with pytest.raises(DataError) as cells:
         types.cells()
     assert str(own.value) == str(caught.value) == str(cells.value) == (

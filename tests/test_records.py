@@ -14,7 +14,7 @@ from charentropy.errors import ConfigError
 from charentropy.ingest import FolioMetadataMap, LongTable, WordRecord
 from charentropy.metrics import (BigramMatrix, CharStream, CoverageReport,
                                  EntropyReport, PairCells, TypeCounts,
-                                 TypePairs, asdict, replace)
+                                 asdict, replace)
 from charentropy.sampling import SampleDistribution, SamplingConfig
 from charentropy.sukhotin import AdjacencyMatrix, SukhotinResult
 from charentropy.translit import Rule, RuleSet
@@ -60,7 +60,10 @@ CASES = [
           "default_entry": ("", "unclassified", "unclassified", "")},
          "FolioMetadataMap(entries={'f1r': ('herbal', 'A', '1', 'A')}, "
          "default_entry=('', 'unclassified', 'unclassified', ''))",
-         None, defaults={"default_entry": None}),
+         None, defaults={"default_entry": None}, bad=[
+             ({"entries": {"f1r": ("herbal", "C", "1", "A")}}, ValueError),
+             ({"entries": {"f1r": ("herbal", "A", "6", "A")}}, ValueError),
+             ({"default_entry": ("", "unclassified", "0", "")}, ValueError)]),
     Case(CharStream, {"symbols": "#aa#a#", "alphabet": frozenset("a")},
          "CharStream(symbols='#aa#a#', alphabet=frozenset({'a'}))",
          ("#aa#a#", frozenset("a")), bad=[
@@ -74,10 +77,6 @@ CASES = [
          "BigramMatrix(symbols=('#',), counts=array([[0]]), "
          "joint=array([[0]]), conditional=array([[0]]), "
          "weighted=array([[0]]))", None),
-    Case(TypePairs, {"forms": ("a",), "symbols": ("#", "a"),
-                     "offsets": ONE, "codes": ONE},
-         "TypePairs(forms=('a',), symbols=('#', 'a'), offsets=array([[0]]), "
-         "codes=array([[0]]))", None),
     Case(TypeCounts, {"source_id": "doc", "forms": ("a", "b"),
                       "freq": (2, 1), "boundary_word": (3, "a#b"),
                       "ids": ONE},

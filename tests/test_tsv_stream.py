@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import charentropy
 import oracles
-from charentropy import cli, ingest
+from charentropy import cli, formats, ingest
 from charentropy.cli import main
 from charentropy.errors import ParseError
 from charentropy.ingest import (TSV_COLUMNS, canonical_selection,
@@ -466,6 +466,24 @@ def test_sample_values_are_written_as_they_are_encoded(tmp_path,
     # 1.9 MB, three times this bound; a rounded copy beside the values
     # made it grow by 0.78 MB.
     assert growth < 14_000 * 45, growth
+
+
+def test_sample_values_are_each_formatted_once(tmp_path, monkeypatch):
+    tsv, out = _tsv_file(tmp_path, 200), tmp_path / "s.json"
+    fmt_float, calls = formats.fmt_float, []
+
+    def counted(x):
+        calls.append(x)
+        return fmt_float(x)
+
+    monkeypatch.setattr(formats, "fmt_float", counted)
+    assert main(["sample", str(tsv), "--windows", "5,9", "--n", "300",
+                 "--values", "--out", str(out)]) == 0
+    written = [v for d in json.loads(out.read_text(encoding="utf-8"))[
+        "distributions"] for v in (*d["values"], d["mean"], d["sd"],
+                                   d["min"], d["max"])]
+    assert len(written) == 2 * (300 + 4)
+    assert len(calls) == len(written)
 
 
 def _readme_example(marker: str) -> str:
