@@ -32,17 +32,20 @@ measurement commands (``stats``, ``bigrams``, ``sample``, ``sukhotin``,
 command builds a table. ``ingest`` writes rows straight from the parsed
 lines (dropping those a ``--select`` misses, once placed). It reads plain
 text twice: once to count each paragraph's words, and once to write each
-run of a few thousand words, cut at any line end. It parses interlinear
-text whole, so that every missing folio is reported first. ``stats``,
+run of a few thousand words, cut at any line end. It holds interlinear
+text whole and parses it twice in the same way: the first parse checks
+every line and counts, so that every error, each missing folio included,
+is reported before any output. ``stats``,
 ``bigrams``, ``sukhotin`` and ``sample`` fold theirs into word types a
 block at a time (``sample`` keeps a type id per word). ``translit`` and
 ``cleanse`` rewrite each row where it stands. ``cleanse`` and the
 simplifying ``translit`` decide per character and keep one count per
 character; rule-based ``translit`` keeps its input's word-type counts and
 maps only the words whose form changes. ``batch`` counts the words of
-each stratum of its parsed lines, the lines that agree on every column a
-selection tests, once per system. numpy loads on first use, which only
-``sample`` reaches: the other commands count in Python.
+each stratum, the lines that agree on every column a selection tests, as
+it parses the file, holding no line, and then counts each stratum's pairs
+one system at a time. numpy loads on first use, which only ``sample``
+reaches: the other commands count in Python.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ from .formats import (SCHEMA_VERSION, fmt_float, json_dumps, json_pieces,
                       sha256_bytes)
 from .ingest import (_LINE_BREAKS, CANONICAL_SELECTIONS, FolioMetadataMap,
                      _decode, builtin_data, content_lines, decoded_blocks,
-                     interlinear_lines, line_values, paragraph_sizes,
-                     plaintext_runs, rewritten_tsv, tsv_pieces, tsv_slices)
+                     interlinear_lines, line_runs, line_sizes, line_values,
+                     paragraph_sizes, plaintext_lines, rewritten_tsv,
+                     tsv_pieces, tsv_slices)
 from .metrics import BOUNDARY, PairCells, TypeCounts
 from .sampling import (SamplingConfig, distributions_csv_rows,
                        distributions_to_dict, sample_h2)
@@ -300,9 +304,11 @@ def _sniff_kind(text: str) -> str | None:
 def _first_pass(blocks: Iterator[str], kind: str):
     """Pass 1 of ``ingest`` over its input's blocks: ``(kind, text,
     sizes)``. The kind is sniffed from the first content line when it is
-    ``auto``. Interlinear input is held whole as ``text``; of plain text
-    only each paragraph's word count is kept, as ``sizes``. The blank and
-    comment lines before the kind is known are kept as empty lines."""
+    ``auto``. Of plain text only each paragraph's word count is kept, as
+    ``sizes``. Interlinear input is held whole as ``text``, decoded, so that
+    a bad byte is reported before the folio map is read; ``cmd_ingest``
+    then parses it twice, to count and to write. The blank and comment
+    lines before the kind is known are kept as empty lines."""
     held: list[str] = []
 
     def lines():
@@ -353,17 +359,22 @@ def cmd_ingest(args, run: _Run) -> None:
     criteria = CANONICAL_SELECTIONS.get(args.select)
     if kind == "interlinear":
         meta = _load_meta(args, run)
+
+        def lines():
+            return interlinear_lines(text, meta, args.transcriber,
+                                     comma_breaks=args.comma_breaks)
+        # Parse 1 raises every error before any output; parse 2 writes.
         with _naming(args.input):
-            lines = interlinear_lines(text, meta, args.transcriber,
-                                      comma_breaks=args.comma_breaks)
-        run.output(args.out, tsv_pieces([(1, lines)], source_id,
-                                        criteria=criteria))
+            sizes = line_sizes(lines())
+        run.output(args.out, tsv_pieces(line_runs(lines()), source_id, sizes,
+                                        criteria))
     else:
         _check_plaintext_flags(args)
         with run.reread(args.input) as blocks:
-            runs = plaintext_runs(chain.from_iterable(map(str.splitlines,
-                                                          blocks)))
-            run.output(args.out, tsv_pieces(runs, source_id, sizes, criteria))
+            lines = plaintext_lines(chain.from_iterable(map(str.splitlines,
+                                                            blocks)))
+            run.output(args.out, tsv_pieces(line_runs(lines), source_id,
+                                            sizes, criteria))
     run.config = {
         "kind": kind, "transcriber": args.transcriber,
         "comma_breaks": args.comma_breaks, "source_id": source_id,
@@ -536,6 +547,27 @@ def _check_rare_min(rare_min: int) -> None:
         raise ConfigError(f"--rare-min must be at least 1, got {rare_min}")
 
 
+def _batch_row(doc: str, system: str, parts: list, rare_min: int) -> str:
+    """The row of a job whose selection's strata have ``parts``, each its
+    cells and its types' forms under the job's base system."""
+    cells = PairCells.summed(c for p, _ in parts for c in p.cells.items())
+    present = set().union(*(own for _, own in parts))
+    if system == "simplified":  # translit --simplify's table
+        successors = cells.sums(1)
+        del successors[BOUNDARY]  # the letters' counts in the words
+        table = simplifying_table(successors, threshold=rare_min)
+        cells = PairCells.summed(
+            ((a.translate(table), b.translate(table)), n)
+            for (a, b), n in cells.cells.items())
+        # No form holds the boundary, and the table keeps it.
+        present = set(BOUNDARY.join(present).translate(table).split(BOUNDARY))
+    successors = cells.sums(1)
+    return "\t".join([
+        # Every letter follows a symbol; every word ends with "#".
+        doc, system, str(len(successors) - 1), fmt_float(cells.h2()),
+        str(successors[BOUNDARY]), str(len(present))]) + "\n"
+
+
 def cmd_batch(args, run: _Run) -> None:
     _check_rare_min(args.rare_min)
     text = run.text(args.input)
@@ -543,65 +575,60 @@ def cmd_batch(args, run: _Run) -> None:
     run.builtin("maximal.rules")
     run.builtin("minimal.rules")
     jobs_text = run.text(args.jobs) if args.jobs else None
+    # Every row is a function of the selection's pair cells. A selection is
+    # a union of strata, the lines that agree on every column a selection
+    # tests, so each stratum's words are counted as the file is parsed, its
+    # cells once per system, and a job sums its strata's. A simplified job
+    # renames its own maximal cells.
+    tested = tuple(dict.fromkeys(
+        c for criteria in CANONICAL_SELECTIONS.values() for c in criteria))
+    values = line_values(tested)
+    strata: dict[frozenset, Counter] = {}  # stratum -> word -> tokens
+    first: dict[str, str] = {}  # each word, in order of first occurrence
     with _naming(args.input):
-        lines = interlinear_lines(text, meta, args.transcriber,
-                                  comma_breaks=args.comma_breaks)
+        for line in interlinear_lines(text, meta, args.transcriber,
+                                      comma_breaks=args.comma_breaks):
+            if line[0]:  # a line with no words makes no stratum
+                strata.setdefault(frozenset(zip(tested, values(line))),
+                                  Counter()).update(
+                    map(first.setdefault, line[0], line[0]))
+    del text  # parsed: only the counts are needed from here on
     jobs = [(s, s, system) for s in CANONICAL_SELECTIONS  # the default grid
             for system in ("maximal", "simplified", "minimal")]
     if jobs_text is not None:
         with _naming(args.jobs):
             jobs = _batch_jobs(jobs_text)
-    # Every row is a function of the selection's pair cells. A selection is
-    # a union of strata, the lines that agree on every column a selection
-    # tests, so each stratum's cells are counted once per system and a job
-    # sums its strata's. A simplified job renames its own maximal cells.
-    tested = tuple(dict.fromkeys(
-        c for criteria in CANONICAL_SELECTIONS.values() for c in criteria))
-    values = line_values(tested)
-    strata: dict[frozenset, Counter] = {}  # stratum -> word -> tokens
-    for line in lines:
-        if line[0]:  # a line with no words makes no stratum
-            strata.setdefault(frozenset(zip(tested, values(line))),
-                              Counter()).update(line[0])
-    words = tuple(dict.fromkeys(w for line in lines for w in line[0]))
+    words = tuple(first)
     maximal = transliterate_words(words, builtin_rules("maximal"))
     forms = {"none": words, "maximal": maximal, "minimal":
              transliterate_words(maximal, builtin_rules("minimal"))}
-    counted = {}  # system -> stratum -> (its cells, its types' forms)
-    rows = ["doc\ttranscription\tcharset\th2\twords\tword_types\n"]
+    chosen = []  # per job, the strata of its selection
     for doc, selection, system in jobs:
         criteria = CANONICAL_SELECTIONS[selection].items()
-        if not (chosen := [key for key in strata if criteria <= key]):
+        chosen.append([key for key in strata if criteria <= key])
+        if not chosen[-1]:
             print(f"charentropy: batch: skipping {doc}/{system}: "
                   f"selection {selection!r} is empty", file=sys.stderr)
+    rows = [""] * len(jobs)  # an empty selection's stays empty
+    for base in forms:  # one system's cells at a time
+        todo = [i for i, (_, _, system) in enumerate(jobs) if chosen[i] and
+                base == ("maximal" if system == "simplified" else system)]
+        if not todo:
             continue
-        base = "maximal" if system == "simplified" else system
-        if base not in counted:
-            new = dict(zip(words, forms[base]))
-            counted[base] = {}
-            for key, tokens in strata.items():
-                part = TypeCounts("", tuple(map(new.get, tokens)),
-                                  tuple(tokens.values()), None)
-                counted[base][key] = part.cells(), part.forms
-        parts = [counted[base][key] for key in chosen]
-        cells = PairCells.summed(c for p, _ in parts for c in p.cells.items())
-        present = set().union(*(own for _, own in parts))
-        if system == "simplified":  # translit --simplify's table
-            successors = cells.sums(1)
-            del successors[BOUNDARY]  # the letters' counts in the words
-            table = simplifying_table(successors, threshold=args.rare_min)
-            cells = PairCells.summed(
-                ((a.translate(table), b.translate(table)), n)
-                for (a, b), n in cells.cells.items())
-            # No form holds the boundary, and the table keeps it.
-            present = set(BOUNDARY.join(present).translate(table).split(
-                BOUNDARY))
-        successors = cells.sums(1)
-        rows.append("\t".join([
-            # Every letter follows a symbol; every word ends with "#".
-            doc, system, str(len(successors) - 1), fmt_float(cells.h2()),
-            str(successors[BOUNDARY]), str(len(present))]) + "\n")
-    run.output(args.out, rows)
+        new = dict(zip(words, forms[base]))
+        counted = {}  # stratum -> (its cells, its types' forms)
+        for key, tokens in strata.items():
+            part = TypeCounts("", tuple(map(new.get, tokens)),
+                              tuple(tokens.values()), None)
+            counted[key] = part.cells(), part.forms
+        for i in todo:
+            doc, _, system = jobs[i]
+            rows[i] = _batch_row(doc, system,
+                                 [counted[key] for key in chosen[i]],
+                                 args.rare_min)
+    run.output(args.out,
+               ["doc\ttranscription\tcharset\th2\twords\tword_types\n",
+                *rows])
     run.config = {
         "transcriber": args.transcriber, "comma_breaks": args.comma_breaks,
         "rare_min": args.rare_min,

@@ -4,9 +4,11 @@ The parsers make lines: one tuple per text line, holding its words and the
 attributes they share (locus kind, line and paragraph numbers, folio,
 quire, section, language, scribal hand, transcriber). :func:`_placed` is
 the one place a line's words get their positions within line and
-paragraph; plain text comes in runs of lines (:func:`plaintext_runs`), cut
-between any two lines, placed by each paragraph's word count
-(:func:`paragraph_sizes`). :func:`tsv_pieces` writes the long-table TSV
+paragraph. The parsers yield their lines one at a time
+(:func:`interlinear_lines`, :func:`plaintext_lines`); a command writes them
+in runs (:func:`line_runs`), cut between any two lines and placed by each
+paragraph's word count (:func:`line_sizes`, and for plain text
+:func:`paragraph_sizes`). :func:`tsv_pieces` writes the long-table TSV
 straight from placed lines, so no command builds a table.
 
 The parsers check each line as they read it, and a
@@ -80,7 +82,6 @@ HANDS = ("1", "2", "3", "4", "5", UNCLASSIFIED)
 # cleansing strips it), which is why that stricter check lives in the
 # interlinear parser, not here.
 _WHITESPACE_CHARS = frozenset(" \t\r\n\v\f")
-_INTERLINEAR_FORBIDDEN = frozenset(".,#")
 
 _LOCUS_RE = re.compile(
     r"^<\s*(?P<folio>[A-Za-z0-9]+)"
@@ -394,44 +395,51 @@ def _table_from_lines(lines: Iterable[tuple], source_id: str) -> LongTable:
           for values in attributes)), source_id)
 
 
-def _split_payload(payload: str, comma_breaks: bool, line_number: int) -> tuple[str, ...]:
+def _split_payload(payload: str, comma_breaks: bool,
+                   line_number: int) -> list[str]:
+    """The words of a line's payload: annotations stripped, commas deleted
+    or made breaks, split at runs of ``.`` and whitespace (``str.split``'s
+    whitespace is the regex ``\\s``). Raises ParseError for an unbalanced
+    annotation or a word that holds ``#``."""
     if "{" in payload or "}" in payload:
         stripped = _ANNOTATION_RE.sub("", payload)
         if "{" in stripped or "}" in stripped:
             raise ParseError("unbalanced '{' annotation", line_number)
         payload = stripped
-    if comma_breaks:
-        payload = payload.replace(",", ".")
-    else:
-        payload = payload.replace(",", "")
-    words = tuple(w for w in re.split(r"[.\s]+", payload) if w)
-    for w in words:
-        bad = _INTERLINEAR_FORBIDDEN.intersection(w)
-        if bad:
-            raise ParseError(
-                f"word {w!r} contains reserved character(s) {sorted(bad)!r}",
-                line_number)
+    payload = payload.replace(",", "." if comma_breaks else "")
+    words = payload.replace(".", " ").split()
+    # "." separates words and "," is gone, so "#" is the only reserved
+    # character a word can still hold.
+    if "#" in payload:
+        word = next(w for w in words if "#" in w)
+        raise ParseError(
+            f"word {word!r} contains reserved character(s) ['#']",
+            line_number)
     return words
 
 
 def interlinear_lines(raw: bytes | str, meta: FolioMetadataMap,
                       transcriber_filter: str | None = None, *,
-                      comma_breaks: bool = False) -> list[tuple]:
+                      comma_breaks: bool = False) -> Iterator[tuple]:
     """The lines of an interlinear transcription file, as :func:`_placed`
-    takes them, with every credible word. With ``transcriber_filter``, only
-    that transcriber's lines are kept, and positions are computed over the
-    filtered text (an interlinear file repeats each locus once per
-    transcriber; positions describe a single transcriber's document).
-    ``comma_breaks=True`` treats uncertain breaks as real breaks instead of
-    deleting them. ``raw`` is the file's bytes, or its text already decoded
-    as :func:`_decode` decodes them.
+    takes them, with every credible word, parsed one at a time as they are
+    asked for. With ``transcriber_filter``, only that transcriber's lines
+    are kept, and positions are computed over the filtered text (an
+    interlinear file repeats each locus once per transcriber; positions
+    describe a single transcriber's document). ``comma_breaks=True`` treats
+    uncertain breaks as real breaks instead of deleting them. ``raw`` is the
+    file's bytes, or its text already decoded as :func:`_decode` decodes
+    them.
 
     Raises ParseError naming the line for a malformed locus header or
-    payload, or for words on a line numbered 0; then MetadataError listing
-    every folio missing from ``meta``, which checked its own entries.
+    payload, or for words on a line numbered 0, when it reaches that line;
+    then, once every line is read, MetadataError listing every folio
+    missing from ``meta``, which checked its own entries. A line of a
+    missing folio is not yielded, so the lines yielded before an error
+    are no document: a caller that writes them reads every line first.
     """
     text = raw if isinstance(raw, str) else _decode(raw)
-    lines, missing = [], set()
+    missing = set()
     paragraph, unit = 0, None  # a paragraph: consecutive lines of one unit
     for n, line in content_lines(text):
         m = _LOCUS_RE.match(line.strip())
@@ -453,12 +461,11 @@ def interlinear_lines(raw: bytes | str, meta: FolioMetadataMap,
         except MetadataError:
             missing.add(folio)
             continue
-        lines.append((words, PARAGRAPH if locus[0] in "Pp" else
-                      LABEL_OR_DIAGRAM, line_number, paragraph, folio, quire,
-                      section, language, hand, transcriber))
+        yield (words, PARAGRAPH if locus[0] in "Pp" else LABEL_OR_DIAGRAM,
+               line_number, paragraph, folio, quire, section, language, hand,
+               transcriber)
     if missing:
         raise MetadataError(sorted(missing))
-    return lines
 
 
 def parse_interlinear(raw: bytes | str, meta: FolioMetadataMap,
@@ -472,39 +479,37 @@ def parse_interlinear(raw: bytes | str, meta: FolioMetadataMap,
 
 def paragraph_sizes(lines: Iterable[str]) -> list[int]:
     """The number of words of each paragraph of plain text, whose lines
-    are ``lines``, in the order :func:`plaintext_runs` numbers them."""
+    are ``lines``, in the order :func:`plaintext_lines` numbers them."""
     return [sum(counts) for has_words, counts in groupby(
         map(len, map(str.split, lines)), bool) if has_words]
 
 
-def plaintext_runs(lines: Iterable[str]) -> Iterator[tuple[int, list[tuple]]]:
-    """The lines of plain text, whose lines are ``lines``, as
-    :func:`_placed` takes them, in runs: a run ends at the first
-    line end after it holds :data:`_PIECE_ROWS` words, whether or not a
-    paragraph ends there, or at the end of the text. Yields ``(start,
-    run)``, where ``start`` is the position of the run's first word in its
-    paragraph (1 unless the run begins inside one); with the sizes of
-    :func:`paragraph_sizes`, that places every word of the run.
+def line_sizes(lines: Iterable[tuple]) -> list[int]:
+    """The number of words of each paragraph of parsed ``lines`` (see
+    :func:`_placed`) whose paragraphs are numbered 1, 2, ... in order, as
+    :func:`tsv_pieces` takes them."""
+    return [sum(len(line[0]) for line in group)
+            for _, group in groupby(lines, key=itemgetter(3))]
 
-    Line numbers are physical file lines; paragraphs are blocks separated by
-    blank lines. All classification fields are unclassified (folio, quire,
-    section and transcriber are empty strings).
-    """
+
+def line_runs(lines: Iterable[tuple]) -> Iterator[tuple[int, list[tuple]]]:
+    """Parsed ``lines`` (see :func:`_placed`) in runs: a run ends at the
+    first line end after it holds :data:`_PIECE_ROWS` words, whether or not
+    a paragraph ends there, or at the last line. Yields ``(start, run)``,
+    where ``start`` is the position of the run's first word in its
+    paragraph (1 unless the run begins inside one); with the sizes of the
+    paragraphs, that places every word of the run."""
     run: list[tuple] = []
-    size = paragraph = placed = 0  # placed: the paragraph's words so far
-    start = 1
-    for n, line in enumerate(lines, start=1):
-        words = line.split()
-        if not words:
-            placed = 0
-            continue
-        if not placed:
-            paragraph += 1
+    size = placed = 0  # placed: the paragraph's words before the line
+    start, paragraph = 1, None
+    for line in lines:
+        if line[3] != paragraph:
+            paragraph, placed = line[3], 0
         if not run:
             start = placed + 1
-        run.append((words, PARAGRAPH, n, paragraph, *_UNCLASSIFIED_PAGE))
-        placed += len(words)
-        size += len(words)
+        run.append(line)
+        placed += len(line[0])
+        size += len(line[0])
         if size >= _PIECE_ROWS:
             yield start, run
             run, size = [], 0
@@ -512,12 +517,31 @@ def plaintext_runs(lines: Iterable[str]) -> Iterator[tuple[int, list[tuple]]]:
         yield start, run
 
 
+def plaintext_lines(lines: Iterable[str]) -> Iterator[tuple]:
+    """The lines of plain text, whose lines are ``lines``, as
+    :func:`_placed` takes them: each line that holds a word.
+
+    Line numbers are physical file lines; paragraphs are blocks separated by
+    blank lines. All classification fields are unclassified (folio, quire,
+    section and transcriber are empty strings).
+    """
+    paragraph, blank = 0, True
+    for n, line in enumerate(lines, start=1):
+        words = line.split()
+        if not words:
+            blank = True
+            continue
+        if blank:
+            paragraph += 1
+            blank = False
+        yield (words, PARAGRAPH, n, paragraph, *_UNCLASSIFIED_PAGE)
+
+
 def parse_plaintext(raw: bytes, source_id: str) -> LongTable:
-    """Parse whitespace-separated plain text into a LongTable: the lines of
-    every run of :func:`plaintext_runs`, in one table."""
-    runs = plaintext_runs(_decode(raw).splitlines())
-    return _table_from_lines(
-        chain.from_iterable(run for _, run in runs), source_id)
+    """Parse whitespace-separated plain text into a LongTable: the
+    :func:`plaintext_lines`, in one table."""
+    return _table_from_lines(plaintext_lines(_decode(raw).splitlines()),
+                             source_id)
 
 
 def take(table: LongTable, mask: Sequence[bool]) -> LongTable:

@@ -35,8 +35,9 @@ never disturbs earlier ones. The starts of a window size's samples come
 from one numpy pass over a block of sample indices, which reproduces each
 child generator's first draw bit for bit: SeedSequence's hashing, PCG64's
 seeding and first output (O'Neill 2014), and Lemire's bounded integer. A
-draw that Lemire's method rejects, and indices or ranges beyond 32 bits,
-take the per-sample generator itself.
+draw that Lemire's method rejects is drawn again from the same PCG64
+stream in Python ints. Only indices or ranges beyond 32 bits take the
+per-sample generator itself, so ``sample`` loads no ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -230,7 +231,57 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = (
     0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED)
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_M32 = 0xFFFFFFFF
+_M32, _M64 = 0xFFFFFFFF, (1 << 64) - 1
+
+
+def _hashmix(value: int, step: int) -> int:
+    """SeedSequence's entropy hash step ``step`` (from 0) of ``value``."""
+    h = _INIT_A * pow(_MULT_A, step, 1 << 32) % (1 << 32)
+    value = (value ^ h) * (h * _MULT_A) & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of pool word ``x`` and hashed word ``y``."""
+    result = (_MIX_L * x - _MIX_R * y) & _M32
+    return result ^ result >> 16
+
+
+def _pool(seed: int, size_index: int) -> list[int]:
+    """``SeedSequence(entropy=seed, spawn_key=(size_index,)).pool``, for a
+    seed below 2**64 and a size index below 2**32: the seed's two words,
+    zero-padded to the pool's 4, hashed in and mixed together, then the
+    size index mixed into each word, hash steps 16..19."""
+    pool = [_hashmix(word, k)
+            for k, word in enumerate((seed & _M32, seed >> 32, 0, 0))]
+    step = 4
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = _mix(pool[target],
+                                    _hashmix(pool[source], step))
+                step += 1
+    return [_mix(word, _hashmix(size_index, step + k))
+            for k, word in enumerate(pool)]
+
+
+def _redrawn(state: int, increment: int, n: int) -> int:
+    """The start in [0, n), for n <= 2**32, that Lemire's method draws
+    once it has rejected the low half of the output of PCG64 at 128-bit
+    ``state``: numpy takes 32 bits at a time, the high half of an output
+    after its low half, then steps to the next output."""
+    threshold = (1 << 32) % n
+    multiplier = _PCG_HI << 64 | _PCG_LO
+    high = True
+    while True:
+        if not high:
+            state = (state * multiplier + increment) & (1 << 128) - 1
+        mixed, turn = (state >> 64 ^ state) & _M64, state >> 122
+        out = (mixed >> turn | mixed << (64 - turn)) & _M64
+        scaled = (out >> 32 if high else out & _M32) * n
+        if scaled & _M32 >= threshold:
+            return scaled >> 32
+        high = not high
 
 
 def _hash(values, init: int, mult: int, skip: int, count: int):
@@ -271,8 +322,7 @@ def _starts(seed: int, size_index: int, sample_indices, n: int) -> list:
     # in turn, so the pool after the seed (zero-padded to 4 words) and the
     # size index is that of the one-word spawn key; the sample index then
     # takes hash steps 20..23 (16 for the pool, 4 for the size index).
-    pool = np.random.SeedSequence(entropy=seed, spawn_key=(
-        size_index,)).pool.astype(np.uint64)[:, None]
+    pool = np.array(_pool(seed, size_index), dtype=np.uint64)[:, None]
     pool = (_MIX_L * pool
             - _MIX_R * _hash(js & _M32, _INIT_A, _MULT_A, 20, 4)) & _M32
     pool ^= pool >> 16
@@ -295,8 +345,10 @@ def _starts(seed: int, size_index: int, sample_indices, n: int) -> list:
     out, turn = hi ^ lo, hi >> 58
     scaled = ((out >> turn | out << (64 - turn & 63)) & _M32) * n
     starts = (scaled >> 32).tolist()
-    redraw = ((scaled & _M32) < (1 << 32) % n) | (js > _M32)
-    for k in np.flatnonzero(redraw).tolist():
+    for k in np.flatnonzero((scaled & _M32) < (1 << 32) % n).tolist():
+        starts[k] = _redrawn(int(hi[k]) << 64 | int(lo[k]),
+                             int(inc_hi[k]) << 64 | int(inc_lo[k]), n)
+    for k in np.flatnonzero(js > _M32).tolist():
         starts[k] = _sample_start(seed, size_index, int(js[k]), n)
     return starts
 

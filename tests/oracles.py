@@ -26,7 +26,9 @@ child generator per sample, the path that ``sampling._starts`` computes in
 one pass; it keeps the stream's own symbol codes (``symbol_codes``), which
 the library no longer has. The window-pairs oracle numbers the pairs of the
 tokens' whole stream, where ``WindowCounts`` gathers its types' pairs a
-block of tokens at a time.
+block of tokens at a time. The payload splitter is the interlinear
+parser's as it was before it tested a payload once for ``#``: it tests
+each word for every reserved character.
 """
 
 from __future__ import annotations
@@ -206,6 +208,26 @@ def read_tsv_rows(text: str) -> LongTable:
         except ValueError as exc:
             raise ParseError(str(exc), n) from None
     return LongTable(records=tuple(records), source_id=source_id or "")
+
+
+def split_payload_oracle(payload: str, comma_breaks: bool,
+                         line_number: int) -> tuple[str, ...]:
+    """The words of an interlinear payload, each checked for the reserved
+    characters ``.``, ``,`` and ``#``."""
+    if "{" in payload or "}" in payload:
+        stripped = re.sub(r"\{[^{}]*\}", "", payload)
+        if "{" in stripped or "}" in stripped:
+            raise ParseError("unbalanced '{' annotation", line_number)
+        payload = stripped
+    payload = payload.replace(",", "." if comma_breaks else "")
+    words = tuple(w for w in re.split(r"[.\s]+", payload) if w)
+    for w in words:
+        bad = frozenset(".,#").intersection(w)
+        if bad:
+            raise ParseError(
+                f"word {w!r} contains reserved character(s) {sorted(bad)!r}",
+                line_number)
+    return words
 
 
 def plaintext_table_oracle(raw: bytes, source_id: str) -> LongTable:

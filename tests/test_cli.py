@@ -20,6 +20,7 @@ import charentropy
 import oracles
 from charentropy import cli, ingest, metrics
 from charentropy.cli import BATCH_SYSTEMS, main
+from charentropy.errors import ParseError
 from charentropy.ingest import (CANONICAL_SELECTIONS, TSV_COLUMNS,
                                 FolioMetadataMap, parse_interlinear, read_tsv)
 from charentropy.metrics import entropy_report, to_stream
@@ -288,7 +289,7 @@ def _append_a_paragraph(path):
     (["translit", "x.tsv", "--simplify", "--rare-min", "2"],
      "simplifying_table"),
     # A TSV read as plain text: a paragraph of words, tabs as spaces.
-    (["ingest", "x.tsv", "--kind", "plaintext"], "plaintext_runs"),
+    (["ingest", "x.tsv", "--kind", "plaintext"], "plaintext_lines"),
 ], ids=["cleanse", "translit", "simplify", "ingest"])
 def test_an_input_that_changes_between_the_passes_is_data_error(
         workspace, capsys, monkeypatch, argv, between, edit):
@@ -318,6 +319,27 @@ def test_an_input_that_changes_between_the_passes_is_data_error(
     out, err = capsys.readouterr()
     assert out.startswith("\t".join(TSV_COLUMNS) + "\n")
     assert err.endswith("x.tsv: input changed while it was read\n")
+
+
+@pytest.mark.parametrize("last, error", [
+    ("<f9r.P1.1;H> qokeedy\n", "no metadata for folio(s): f9r"),
+    ("<f1v.P1.2;H qokeedy\n",
+     "line 7: expected '<folio.locus.line;transcriber>' locus header"),
+    ("<f1v.P1.2;H> qo#keedy\n",
+     "line 7: word 'qo#keedy' contains reserved character(s) ['#']"),
+], ids=["missing-folio", "header", "reserved"])
+def test_interlinear_ingest_writes_nothing_before_its_last_line_is_checked(
+        workspace, capsys, last, error):
+    with open(workspace / "page.txt", "a", encoding="utf-8") as f:
+        f.write(last)  # line 7
+    names = sorted(workspace.iterdir())
+    capsys.readouterr()
+    for out in ([], ["--out", "o.tsv"]):
+        assert run("ingest", "page.txt", "--meta", "meta.tsv", *out) == 2
+        # Not even the header reaches standard output.
+        assert capsys.readouterr() == (
+            "", f"charentropy: error: page.txt: {error}\n")
+        assert sorted(workspace.iterdir()) == names  # no file, no manifest
 
 
 def test_output_to_a_fifo_or_through_a_symlink(workspace):
@@ -768,17 +790,37 @@ _FUZZ_COMMANDS = (
 )
 
 
+# Reserved, bracketing, separating and odd characters.
+_JUNK = ["{", "}", "{a}", ",", ".", "#", "<", ">", ";", " ", "\t", "\n",
+         "\r", "\ufeff", "\x85", "\u2028", "é", "0", "-1"]
+
+
 @st.composite
 def near_valid_pages(draw):
     """An interlinear page with reserved and odd characters inserted."""
     page = draw(batch_inputs())[0]
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(page)))
-        junk = draw(st.sampled_from(
-            ["{", "}", "{a}", ",", ".", "#", "<", ">", ";", " ", "\t", "\n",
-             "\r", "\ufeff", "\x85", "\u2028", "é", "0", "-1"]))
+        junk = draw(st.sampled_from(_JUNK))
         page = page[:at] + junk + page[at:]
     return page
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(payload="da{#}r.q#o,dy{x", comma_breaks=False)
+@example(payload="d{x}#a,r.q#o", comma_breaks=True)
+@given(payload=st.lists(st.one_of(_GLYPHS, st.sampled_from(_JUNK)),
+                        max_size=12).map("".join),
+       comma_breaks=st.booleans())
+def test_the_payload_check_equals_the_per_word_check(payload, comma_breaks):
+    def split(splitter):  # the words, or the ParseError's message
+        try:
+            return tuple(splitter(payload, comma_breaks, 3))
+        except ParseError as exc:
+            return str(exc)
+
+    assert (split(ingest._split_payload)
+            == split(oracles.split_payload_oracle))
 
 
 _FIELDS = st.sampled_from(

@@ -114,6 +114,23 @@ def test_malformed_header_reports_line_number():
     assert exc.value.line_number == 2
 
 
+def test_a_reserved_character_is_named_with_its_word_and_line():
+    text = "<f1r.P1.1;H> ok\n<f1r.P1.2;H> dar.q#o,dy.s#o\n"
+    for comma_breaks, word in ((False, "q#ody"), (True, "q#o")):
+        with pytest.raises(ParseError) as exc:
+            parse(text, comma_breaks=comma_breaks)
+        assert str(exc.value) == (
+            f"line 2: word {word!r} contains reserved character(s) ['#']")
+        with pytest.raises(ParseError) as old:
+            oracles.split_payload_oracle("dar.q#o,dy.s#o", comma_breaks, 2)
+        assert str(old.value) == str(exc.value)
+    # A "#" inside an annotation goes with it.
+    for comma_breaks, words in ((False, ["dardy", "qo"]),
+                                (True, ["dar", "dy", "qo"])):
+        assert parse("<f1r.P1.1;H> dar,{#}dy.{#note}qo\n",
+                     comma_breaks=comma_breaks).words() == words
+
+
 def _unicode_classes(pattern: str) -> list[str]:
     """The ``\\d``, ``\\D``, ``\\w`` and ``\\W`` escapes of a regex."""
     found, i = [], pattern.find("\\")

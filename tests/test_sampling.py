@@ -134,6 +134,29 @@ def test_starts_equal_the_per_sample_generators(seed):
                 for j in _SAMPLE_INDICES.tolist()], (size_index, n)
 
 
+def test_rejected_draws_are_redrawn_as_the_generator_redraws_them(
+        monkeypatch):
+    # Lemire's method rejects about half the first draws from [0, 2**31
+    # + 1), and half of their redraws, which take the generator's next
+    # step; seeds, size indices and sample indices span 32 and 64 bits.
+    redrawn = []
+    redraw = sampling._redrawn
+
+    def counted(*args):
+        redrawn.append(args)
+        return redraw(*args)
+
+    monkeypatch.setattr(sampling, "_redrawn", counted)
+    rng = random.Random(0)
+    while len(redrawn) < 3_000:
+        seed = rng.choice([rng.randrange(2 ** 32), rng.randrange(2 ** 64)])
+        size_index = rng.choice([0, rng.randrange(2 ** 32)])
+        n = rng.choice([2 ** 31 + 1, rng.randrange(2, 2 ** 32 + 1)])
+        js = [rng.randrange(2 ** 32) for _ in range(20)]
+        assert sampling._starts(seed, size_index, js, n) == [
+            oracles.sample_start_oracle(seed, size_index, j, n) for j in js]
+
+
 @pytest.mark.parametrize("block", [1, 3, sampling._SAMPLE_BLOCK])
 def test_blocks_of_sample_indices_do_not_change_values(monkeypatch, block):
     monkeypatch.setattr(sampling, "_SAMPLE_BLOCK", block)

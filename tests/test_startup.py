@@ -1,7 +1,8 @@
-"""numpy is loaded only by ``sample``, which counts thousands of windows;
-loading it lazily is safe whichever of numpy and charentropy is imported
-first; and every other command, ``batch`` under each transcription system
-included, runs on Python 3.10, 3.12 and 3.13 with no numpy at all.
+"""numpy is loaded only by ``sample``, which counts thousands of windows,
+and ``numpy.random`` not even by ``sample``; loading numpy lazily is safe
+whichever of numpy and charentropy is imported first; and every other
+command, ``batch`` under each transcription system included, runs on
+Python 3.10, 3.12 and 3.13 with no numpy at all.
 
 Each check runs in a fresh interpreter, since this one has numpy loaded.
 """
@@ -110,6 +111,22 @@ def test_only_the_counting_commands_load_numpy(tmp_path):
         assert loaded == [], argv
     # the positive control: sample counts many windows, so it loads numpy
     assert report[-1][2], report[-1]
+
+
+def test_sample_loads_no_numpy_random(tmp_path):
+    """sample draws its starts without numpy.random, whose import raised
+    the bootstrap workload's peak RSS by ~1.8 MB, unless numpy itself
+    loads it (as numpy 1 does)."""
+    _write_inputs(tmp_path)
+    argvs = [["ingest", "plain.txt", "--out", "p.tsv"],
+             ["sample", "p.tsv", "--windows", "2,5", "--n", "300",
+              "--out", "sample.json"]]
+    out = _python("-c", CHILD, json.dumps(argvs), cwd=tmp_path)
+    *_, (_, code, loaded, _) = json.loads(out.splitlines()[-1])
+    assert code == 0 and loaded  # numpy is loaded
+    with_numpy = _python("-c", "import sys, numpy; "
+                         "print('numpy.random' in sys.modules)")
+    assert ("numpy.random" in loaded) == (with_numpy.strip() == "True")
 
 
 def test_start_up_loads_neither_dataclasses_nor_inspect(tmp_path):
