@@ -18,9 +18,10 @@ the :class:`LongTable`: the words of one source in document order, column
 by column, with one ``source_id``; a :class:`WordRecord` is one of its
 rows, built on demand. Its columns are validated where a table is built
 from anything else: :func:`read_tsv`, :func:`from_words` and
-:func:`with_words`. A TSV is read a block at a time: one pattern per file
-accepts a block of good rows in a single match, and a block it rejects is
-checked row by row, which alone decides which line is in error and why.
+:func:`with_words`. A TSV is read a block at a time: one split at the row
+tails a pattern made once per file matches checks a block's rows and cuts
+out their words in a single pass, and a block the split does not accept
+is checked row by row, which alone decides which line is in error and why.
 Every other table derives from those through the only two transforms,
 :func:`with_words` (replace every word) and :func:`take` (keep the rows a
 boolean mask selects). Every word rewrite in the package
@@ -690,16 +691,22 @@ def _text_blocks(text: str) -> Iterator[str]:
 _LINE_NUMBER = RECORD_FIELDS.index("line_number")
 
 # The characters at which str.splitlines breaks a line, as a regex class
-# body. No row that _rows_pattern accepts holds one inside a field.
+# body. No row tail that _tail_pattern accepts holds one inside a field.
 _LINE_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 
+# A block's leading blank lines, which no row tail ends, and a character
+# no word in a row may hold.
+_BLANK_LINES = re.compile(r"(?:\r?\n)*")
+_NOT_IN_WORD = re.compile(rf"[ \t{_LINE_BREAKS}]")
 
-def _rows_pattern(source_id: str) -> re.Pattern:
-    """A pattern whose ``fullmatch`` accepts rows of ``source_id`` and blank
-    lines, each ended by ``\\n`` or ``\\r\\n`` (the last may be unended),
-    that :func:`_checked_rows` accepts. No field admits its separator."""
+
+def _tail_pattern(source_id: str) -> re.Pattern:
+    """A pattern for the tail of a row of ``source_id`` that
+    :func:`_checked_rows` accepts: the tab that ends its word, its other
+    fields and its line end, ``\\n`` or ``\\r\\n``, with any blank lines
+    after it, or the end of the text. No field admits its separator."""
     free = rf"[^\t{_LINE_BREAKS}]*"
-    fields = [rf"[^ \t{_LINE_BREAKS}]+"]
+    fields = []
     for name in RECORD_FIELDS[1:]:
         if name in _INT_FIELDS:
             fields.append("[1-9][0-9]*")
@@ -707,10 +714,26 @@ def _rows_pattern(source_id: str) -> re.Pattern:
             fields.append(f"(?:{'|'.join(_ENUM_FIELDS[name])})")
         else:
             fields.append(free)
-    row = r"\t".join([*fields, re.escape(source_id)])
-    # A line is checked in a lookahead, which keeps none of its backtracking
-    # state, then consumed: a match holds a little state per line.
-    return re.compile(rf"(?:(?=(?:{row})?\r?\n).*\n)*(?:{row})?")
+    tail = r"\t".join(["", *fields, re.escape(source_id)])
+    return re.compile(rf"{tail}(?:(?:\r?\n)+|\Z)")
+
+
+def _split_words(tail: re.Pattern, block: str) -> list[str] | None:
+    """The words of the rows of ``block``, cut out by one split at the row
+    tails ``tail`` matches, or None when the split does not show the block
+    to be rows that :func:`_checked_rows` accepts and blank lines, each
+    ended by ``\\n`` or ``\\r\\n`` (the last may be unended).
+
+    Past the leading blank lines, a piece of the split that holds no tab
+    stops at the first tab after it, where a row tail begins, and the next
+    piece starts past that tail's line end. So pieces that are all words,
+    non-empty and without space, tab or line break, with the text ending
+    in a tail, are such rows."""
+    start = _BLANK_LINES.match(block).end()
+    words = tail.split(block[start:] if start else block)
+    if words.pop() or not all(words) or _NOT_IN_WORD.search("".join(words)):
+        return None
+    return words
 
 
 def _checked_rows(lines: list[str], first_line: int,
@@ -747,50 +770,67 @@ def tsv_slices(blocks: Iterable[str]
     ``blocks`` is the text in consecutive blocks, each cut just after a
     ``\\n`` (the last may end anywhere), as :func:`decoded_blocks` makes
     them. Yields ``(source_id, words, line_of)`` for each block that holds
-    rows, where ``line_of(i)`` reads the line_number of row i. Raises
-    :func:`read_tsv`'s ParseError at the first bad line, after reading the
-    remaining blocks, so that a bad byte anywhere in a file is reported
-    first, as when the whole file is decoded before it is parsed.
+    rows, where ``line_of(i)`` reads the line_number of row i, splitting
+    the block's lines only when asked. A block's words are cut out by the
+    split that checks it (:func:`_split_words`). Raises :func:`read_tsv`'s
+    ParseError at the first bad line, after reading the remaining blocks,
+    so that a bad byte anywhere in a file is reported first, as when the
+    whole file is decoded before it is parsed.
     """
     blocks = iter(blocks)
     try:
-        for source_id, rows in _slices(blocks):
-            yield (source_id, [row[:row.index("\t")] for row in rows],
-                   lambda i, rows=rows: int(rows[i].split("\t")[_LINE_NUMBER]))
+        for source_id, words, text in _slices(blocks):
+            yield (source_id, words, lambda i, text=text: int(
+                _rows(text)[i].split("\t")[_LINE_NUMBER]))
     except ParseError:
         for _ in blocks:
             pass
         raise
 
 
-def _slices(blocks: Iterable[str]) -> Iterator[tuple[str, list[str]]]:
-    """``(source_id, rows)`` for each block of a long-table TSV that holds
-    rows: its non-blank lines, checked by the first row's source_id's
-    pattern, and row by row when the pattern rejects them."""
-    source_id = pattern = None
+def _rows(text: str) -> list[str]:
+    """The non-blank lines of ``text``."""
+    return [line for line in text.splitlines() if line]
+
+
+def _slices(blocks: Iterable[str]) -> Iterator[tuple[str, list[str], str]]:
+    """``(source_id, words, text)`` for each block of a long-table TSV that
+    holds rows, where ``text`` is the block without the header: the words
+    of its rows, checked by one split at the row tails of the first row's
+    source_id, and row by row when the split rejects them."""
+    source_id = tail = None
     line_number = 0  # lines consumed so far
     for block in blocks:
-        lines = block.splitlines()
-        if not lines:
+        if not block:
             continue
-        start = 0  # where the block's rows begin
-        if line_number == 0:
-            header = tuple(lines[0].split("\t"))
-            if header != TSV_COLUMNS:
-                raise ParseError(
-                    f"unexpected long-table header {header!r}", 1)
-            start = len(TSV_HEADER)  # a "\r\n"'s "\n" reads as a blank line
-            lines = lines[1:]
-            line_number = 1
-        rows = [line for line in lines if line]
-        if rows:
-            if source_id is None:
-                source_id = rows[0][rows[0].rfind("\t") + 1:]
-                pattern = _rows_pattern(source_id)
-            if not pattern.fullmatch(block, start):
-                rows = _checked_rows(lines, line_number + 1, source_id)
-            yield source_id, rows
-        line_number += len(lines)
+        lines = None  # the block's lines, once split
+        if source_id is None:  # the header, or the lines before a first row
+            lines = block.splitlines()
+            if line_number == 0:
+                header = tuple(lines.pop(0).split("\t"))
+                if header != TSV_COLUMNS:
+                    raise ParseError(
+                        f"unexpected long-table header {header!r}", 1)
+                # a "\r\n"'s "\n" reads as a blank line
+                block = block[len(TSV_HEADER):]
+                line_number = 1
+            first = next(filter(None, lines), None)
+            if first is None:
+                line_number += len(lines)
+                continue
+            source_id = first[first.rfind("\t") + 1:]
+            tail = _tail_pattern(source_id)
+        words = _split_words(tail, block)
+        if words is None:
+            if lines is None:
+                lines = block.splitlines()
+            words = [row[:row.index("\t")] for row in
+                     _checked_rows(lines, line_number + 1, source_id)]
+        if words:
+            yield source_id, words, block
+        # An accepted block holds no line break but "\n" and "\r\n".
+        line_number += (len(lines) if lines is not None else
+                        block.count("\n") + (not block.endswith("\n")))
 
 
 def read_tsv(text: str) -> LongTable:
@@ -807,9 +847,9 @@ def read_tsv(text: str) -> LongTable:
     # Per column, one object per distinct string, shared by the rows.
     interned: list[dict] = [{} for _ in RECORD_FIELDS]
     source_id = ""
-    for source_id, rows in _slices(_text_blocks(text)):
+    for source_id, _, block in _slices(_text_blocks(text)):
         # Every row has ``width`` fields: column j is fields[j::width].
-        fields = "\t".join(rows).split("\t")
+        fields = "\t".join(_rows(block)).split("\t")
         for j, (name, column, cache) in enumerate(
                 zip(RECORD_FIELDS, columns, interned)):
             part = fields[j::width]

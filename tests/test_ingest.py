@@ -486,13 +486,33 @@ def _tsv_texts(draw):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-# A row pattern that accepts no block, so that every block is checked row
-# by row.
-_NO_PATTERN = mock.patch.object(ingest, "_rows_pattern",
-                                lambda source_id: re.compile("(?!)"))
+@contextlib.contextmanager
+def _row_by_row():
+    """A row tail pattern that matches nothing, so that every block holding
+    a row is checked row by row. Yields ``_checked_rows``, wrapped to count
+    its calls."""
+    with mock.patch.object(ingest, "_tail_pattern",
+                           lambda source_id: re.compile("(?!)")), \
+            mock.patch.object(ingest, "_checked_rows",
+                              wraps=ingest._checked_rows) as checked:
+        yield checked
+
+
+def _one_row(word="daiin", position="1", source_id="doc"):
+    return (f"{word}\t{position}\t1\t1\t1\tparagraph\t1\t1\tf1r\t\therbal"
+            f"\tA\t1\tH\t{source_id}\n")
 
 
 @settings(max_examples=400, deadline=None)
+# Rows the row tail split must not accept: one of 16 fields whose last 15
+# are a valid row, one that begins with a tab, and a good row ended by a
+# lone "\r" before a bad one.
+@example(text=ingest.TSV_HEADER + _one_row() + "x\t" + _one_row(),
+         chunk_chars=1 << 18, row_by_row=False)
+@example(text=ingest.TSV_HEADER + _one_row() + "\t" + _one_row(),
+         chunk_chars=1 << 18, row_by_row=False)
+@example(text=ingest.TSV_HEADER + _one_row().replace("\n", "\r") + "x\t1\n",
+         chunk_chars=1 << 18, row_by_row=False)
 @given(text=_tsv_texts(), chunk_chars=st.sampled_from([1, 9, 200, 1 << 18]),
        row_by_row=st.booleans())
 def test_read_tsv_matches_row_by_row_reference(text, chunk_chars, row_by_row):
@@ -503,7 +523,8 @@ def test_read_tsv_matches_row_by_row_reference(text, chunk_chars, row_by_row):
     except ParseError as exc:
         expected = exc
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars), \
-            (_NO_PATTERN if row_by_row else contextlib.nullcontext()):
+            (_row_by_row() if row_by_row
+             else contextlib.nullcontext()) as checked:
         if isinstance(expected, ParseError):
             with pytest.raises(ParseError) as exc:
                 read_tsv(text)
@@ -511,6 +532,10 @@ def test_read_tsv_matches_row_by_row_reference(text, chunk_chars, row_by_row):
             assert str(exc.value) == str(expected)
         else:
             assert read_tsv(text) == expected
+    if row_by_row:  # every row, good or bad, was checked row by row
+        has_rows = (expected.line_number > 1
+                    if isinstance(expected, ParseError) else len(expected) > 0)
+        assert checked.called == has_rows
 
 
 # Characters at which str.splitlines breaks a line.
@@ -558,27 +583,48 @@ def _near_valid_blocks(draw):
     return source_id, block
 
 
-def _one_row(word="daiin", position="1", source_id="doc"):
-    return (f"{word}\t{position}\t1\t1\t1\tparagraph\t1\t1\tf1r\t\therbal"
-            f"\tA\t1\tH\t{source_id}\n")
-
-
 @settings(max_examples=500, deadline=None, derandomize=True)
 @example(("doc", _one_row("da iin")))
 @example(("doc", "\n" + _one_row(position="\u0663")))
 @example(("doc", _one_row() + "\r\n" + _one_row(position="07")))
 @example(("a.b", _one_row(source_id="a.b") + _one_row(source_id="aXb")))
+# A row of 16 fields whose last 15 are a valid row.
+@example(("doc", "x\t" + _one_row()))
+# A row that begins with a tab.
+@example(("doc", _one_row() + "\t" + _one_row()))
+# Leading blank lines, and an unterminated last row.
+@example(("doc", "\n\r\n\n" + _one_row() + _one_row().removesuffix("\n")))
+# A lone "\r" line end.
+@example(("doc", _one_row().replace("\n", "\r") + _one_row()))
 @given(_near_valid_blocks())
 def test_a_pattern_match_implies_the_row_check_accepts(drawn):
+    # A block the row tail split accepts is one _checked_rows accepts, with
+    # the same words and as many lines as str.splitlines makes.
     source_id, block = drawn
-    if ingest._rows_pattern(source_id).fullmatch(block) is None:
+    words = ingest._split_words(ingest._tail_pattern(source_id), block)
+    if words is None:
         return
     lines = block.splitlines()
-    rows = [line for line in lines if line]
-    assert ingest._checked_rows(lines, 2, source_id) == rows
+    rows = ingest._checked_rows(lines, 2, source_id)
+    assert [row.split("\t")[0] for row in rows] == words
+    if block:  # _slices skips an empty block
+        assert block.count("\n") + (not block.endswith("\n")) == len(lines)
     # The source_id a file's pattern is made for is its first row's.
     if rows:
         assert rows[0].split("\t")[-1] == source_id
+
+
+def test_a_row_ending_in_a_valid_row_is_checked_row_by_row():
+    # The split matches the tail of the valid row inside the 16 fields, but
+    # the piece before it holds a tab, so the block goes row by row.
+    text = ingest.TSV_HEADER + _one_row() + "x\t" + _one_row()
+    with mock.patch.object(ingest, "_checked_rows",
+                           wraps=ingest._checked_rows) as checked, \
+            pytest.raises(ParseError) as exc:
+        read_tsv(text)
+    assert checked.called
+    assert "expected 15 columns, got 16" in str(exc.value)
+    assert exc.value.line_number == 3
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -88,6 +88,6 @@ def test_3_11_syntax_is_caught():
 def test_the_row_pattern_is_python_3_10_regex(source_id):
     # 3.11 added possessive quantifiers and atomic groups; 3.10's re
     # rejects them when it compiles the pattern.
-    pattern = ingest._rows_pattern(source_id).pattern
+    pattern = ingest._tail_pattern(source_id).pattern
     for syntax in ("*+", "++", "?+", "}+", "(?>"):
         assert syntax not in pattern, syntax

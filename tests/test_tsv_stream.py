@@ -33,7 +33,7 @@ from charentropy.ingest import (TSV_COLUMNS, canonical_selection,
                                 read_tsv, tsv_slices, write_tsv)
 from charentropy.metrics import TypeCounts, entropy_report, to_stream
 from charentropy.sampling import SamplingConfig
-from test_ingest import _NO_PATTERN, parse
+from test_ingest import _row_by_row, parse
 from test_ingest import _tsv_texts as tsv_texts
 
 SRC = str(Path(charentropy.__file__).resolve().parent.parent)
@@ -149,7 +149,8 @@ def _expected_digests(path: str, raw: bytes, options: list[str]) -> list:
 def test_sliced_commands_equal_the_whole_table_path(raw, block, row_by_row):
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(ingest, "_BLOCK_BYTES", block), \
-            (_NO_PATTERN if row_by_row else contextlib.nullcontext()):
+            (_row_by_row() if row_by_row
+             else contextlib.nullcontext()) as checked:
         tmp = Path(tmp)
         path = str(tmp / "in.tsv")
         Path(path).write_bytes(raw)
@@ -179,6 +180,14 @@ def test_sliced_commands_equal_the_whole_table_path(raw, block, row_by_row):
             for p in out.iterdir():
                 p.unlink()
             out.rmdir()
+    if row_by_row:  # a file with a row, good or bad, was read row by row
+        try:
+            has_rows = len(oracles.read_tsv_rows(raw.decode("utf-8-sig"))) > 0
+        except ParseError as exc:
+            has_rows = exc.line_number > 1
+        except UnicodeDecodeError:
+            has_rows = False
+        assert checked.called or not has_rows
 
 
 def _types_or_error(fold):
