@@ -29,16 +29,17 @@ The long-table TSV (see the ingest module) is the interchange format:
 ``ingest`` produces it, ``translit`` and ``cleanse`` transform it, and the
 measurement commands (``stats``, ``bigrams``, ``sample``, ``sukhotin``,
 ``batch``) consume it or, for ``batch``, the raw interlinear file. No
-command builds a table. ``ingest`` writes rows straight from the parsed
-lines (dropping those a ``--select`` misses, once placed). It reads plain
-text twice: once to count each paragraph's words, and once to write each
-run of a few thousand words, cut at any line end. It holds interlinear
-text whole and parses it twice in the same way: the first parse checks
-every line and counts, so that every error, each missing folio included,
-is reported before any output. ``stats``,
-``bigrams``, ``sukhotin`` and ``sample`` fold theirs into word types a
-block at a time (``sample`` keeps a type id per word). ``translit`` and
-``cleanse`` rewrite each row where it stands. ``cleanse`` and the
+command builds a table. ``ingest`` takes both kinds of input through
+the same two passes. The first parses every line and counts each
+paragraph's words; the second parses again and writes rows straight from
+the parsed lines, a run of a few thousand words at a time, cut at any line
+end (dropping the lines a ``--select`` misses, once placed). Plain text is
+read from the file in each pass. Interlinear text is read once and held
+whole, so that every error of the first parse, each missing folio
+included, is reported before any output. ``stats``, ``bigrams``,
+``sukhotin`` and ``sample`` fold theirs into word types a block at a time
+(``sample`` keeps a type id per word). ``translit`` and ``cleanse``
+rewrite each row where it stands. ``cleanse`` and the
 simplifying ``translit`` decide per character and keep one count per
 character; rule-based ``translit`` keeps its input's word-type counts and
 maps only the words whose form changes. ``batch`` counts the words of
@@ -70,9 +71,8 @@ from .formats import (SCHEMA_VERSION, fmt_float, json_dumps, json_pieces,
                       sha256_bytes)
 from .ingest import (_LINE_BREAKS, CANONICAL_SELECTIONS, FolioMetadataMap,
                      _decode, builtin_data, content_lines, decoded_blocks,
-                     interlinear_lines, line_runs, line_sizes, line_values,
-                     paragraph_sizes, plaintext_lines, rewritten_tsv,
-                     tsv_pieces, tsv_slices)
+                     interlinear_lines, line_sizes, line_values,
+                     plaintext_lines, rewritten_tsv, tsv_pieces, tsv_slices)
 from .metrics import BOUNDARY, PairCells, TypeCounts
 from .sampling import (SamplingConfig, distributions_csv_rows,
                        distributions_to_dict, sample_h2)
@@ -292,42 +292,20 @@ def _load_meta(args, run: _Run) -> FolioMetadataMap:
     return meta.permissive() if args.allow_missing_meta else meta
 
 
-def _sniff_kind(text: str) -> str | None:
-    """The kind of input whose first content line is in ``text``, or None
-    when ``text`` holds none."""
-    first = next(content_lines(text), None)
-    if first is None:
-        return None
-    return "interlinear" if first[1].lstrip().startswith("<") else "plaintext"
-
-
-def _first_pass(blocks: Iterator[str], kind: str):
-    """Pass 1 of ``ingest`` over its input's blocks: ``(kind, text,
-    sizes)``. The kind is sniffed from the first content line when it is
-    ``auto``. Of plain text only each paragraph's word count is kept, as
-    ``sizes``. Interlinear input is held whole as ``text``, decoded, so that
-    a bad byte is reported before the folio map is read; ``cmd_ingest``
-    then parses it twice, to count and to write. The blank and comment
-    lines before the kind is known are kept as empty lines."""
+def _sniffed(blocks: Iterator[str], kind: str) -> tuple[str, Iterator[str]]:
+    """The kind of input whose text is ``blocks``, and the same blocks,
+    none read twice. ``auto`` is sniffed from the first content line: the
+    blocks up to it are read and held, and input with none is plain text."""
     held: list[str] = []
-
-    def lines():
-        nonlocal kind
+    if kind == "auto":
+        kind = "plaintext"
         for block in blocks:
-            if kind == "auto":
-                kind = _sniff_kind(block) or kind
-                if kind == "auto":
-                    held.append("\n" * len(block.splitlines()))
-            if kind == "interlinear":
-                held.append(block)
-                held.extend(blocks)
-                return
-            yield from block.splitlines()
-
-    sizes = paragraph_sizes(lines())
-    if kind == "interlinear":
-        return kind, "".join(held), None
-    return "plaintext", None, sizes
+            held.append(block)
+            if first := next(content_lines(block), None):
+                if first[1].lstrip().startswith("<"):
+                    kind = "interlinear"
+                break
+    return kind, chain(held, blocks)
 
 
 def _check_plaintext_flags(args) -> None:
@@ -355,26 +333,28 @@ def cmd_ingest(args, run: _Run) -> None:
         raise ConfigError(f"{given} {source_id!r} holds a tab or a line "
                           f"break, which a TSV field cannot hold")
     with _naming(args.input):
-        kind, text, sizes = _first_pass(run.blocks(args.input), args.kind)
-    criteria = CANONICAL_SELECTIONS.get(args.select)
+        kind, blocks = _sniffed(run.blocks(args.input), args.kind)
+        if kind == "interlinear":  # held whole: a bad byte comes before meta
+            text = "".join(blocks)
     if kind == "interlinear":
         meta = _load_meta(args, run)
 
-        def lines():
+        def lines(_):  # each parse reads the held text
             return interlinear_lines(text, meta, args.transcriber,
                                      comma_breaks=args.comma_breaks)
-        # Parse 1 raises every error before any output; parse 2 writes.
-        with _naming(args.input):
-            sizes = line_sizes(lines())
-        run.output(args.out, tsv_pieces(line_runs(lines()), source_id, sizes,
-                                        criteria))
     else:
+        def lines(blocks):
+            return plaintext_lines(chain.from_iterable(map(str.splitlines,
+                                                           blocks)))
+    # Pass 1 checks every line and counts each paragraph's words; pass 2
+    # writes.
+    with _naming(args.input):
+        sizes = line_sizes(lines(blocks))
+    if kind == "plaintext":
         _check_plaintext_flags(args)
-        with run.reread(args.input) as blocks:
-            lines = plaintext_lines(chain.from_iterable(map(str.splitlines,
-                                                            blocks)))
-            run.output(args.out, tsv_pieces(line_runs(lines), source_id,
-                                            sizes, criteria))
+    with run.reread(args.input) as blocks:
+        run.output(args.out, tsv_pieces(lines(blocks), source_id, sizes,
+                                        CANONICAL_SELECTIONS.get(args.select)))
     run.config = {
         "kind": kind, "transcriber": args.transcriber,
         "comma_breaks": args.comma_breaks, "source_id": source_id,

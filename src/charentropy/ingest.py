@@ -2,14 +2,14 @@
 
 The parsers make lines: one tuple per text line, holding its words and the
 attributes they share (locus kind, line and paragraph numbers, folio,
-quire, section, language, scribal hand, transcriber). :func:`_placed` is
-the one place a line's words get their positions within line and
-paragraph. The parsers yield their lines one at a time
-(:func:`interlinear_lines`, :func:`plaintext_lines`); a command writes them
-in runs (:func:`line_runs`), cut between any two lines and placed by each
-paragraph's word count (:func:`line_sizes`, and for plain text
-:func:`paragraph_sizes`). :func:`tsv_pieces` writes the long-table TSV
-straight from placed lines, so no command builds a table.
+quire, section, language, scribal hand, transcriber). The parsers yield
+their lines one at a time (:func:`interlinear_lines`,
+:func:`plaintext_lines`), and :func:`line_sizes` counts each paragraph's
+words. :func:`_placed` is the one place a line's words get their
+positions within line and paragraph: in one loop over the lines it places
+them by those counts, drops those a selection misses, and cuts them into
+runs between any two lines. :func:`tsv_pieces` writes the long-table TSV
+straight from placed runs, so no command builds a table.
 
 The parsers check each line as they read it, and a
 :class:`FolioMetadataMap` checks its languages and hands when it is
@@ -347,37 +347,46 @@ def line_values(names: Iterable[str]) -> Callable[[tuple], tuple]:
     return lambda line: tuple(map(line.__getitem__, at))
 
 
-def _placed(lines: Iterable[tuple], sizes: Sequence[int] | None = None,
-            start: int = 1, criteria: Mapping[str, str] | None = None
-            ) -> tuple[list[tuple], list[Iterator[int]]]:
-    """The lines that meet ``criteria`` (all, without it) and the
-    line_pos_fwd, line_pos_rev, para_pos_fwd and para_pos_rev columns of
-    their words: the one place positions are assigned, so that a selection
-    never renumbers. Each line is ``(words, locus_kind, line_number,
-    paragraph_number, folio, quire, section, language, hand, transcriber)``,
-    in document order. Without ``sizes`` each paragraph lies whole in
-    ``lines``; with them, paragraph p holds ``sizes[p - 1]`` words and
-    ``lines`` may begin anywhere, at word ``start`` of its paragraph. A
-    paragraph beyond ``sizes`` is a DataError."""
+def _placed(lines: Iterable[tuple], sizes: Sequence[int],
+            criteria: Mapping[str, str] | None = None
+            ) -> Iterator[tuple[list[tuple], list[tuple[int, int, int]]]]:
+    """The lines that meet ``criteria`` (all, without it), in runs, each
+    with the ``(count, first para_pos_fwd, first para_pos_rev)`` span of
+    its words: the one place positions are assigned, so that a selection
+    never renumbers (:func:`_positions` makes the columns). Each line is
+    ``(words, locus_kind, line_number, paragraph_number, folio, quire,
+    section, language, hand, transcriber)``, in document order, and
+    paragraph p holds ``sizes[p - 1]`` words; a paragraph beyond ``sizes``
+    is a DataError. A run ends at the first line end after it holds
+    :data:`_PIECE_ROWS` words, kept or dropped, whether or not a paragraph
+    ends there, or at the last line."""
     criteria = criteria or {}
     chosen, wanted = line_values(criteria), tuple(criteria.values())
-    kept, spans = [], []  # a kept line's words, first para_pos_fwd and _rev
-    for p, group in groupby(lines, key=itemgetter(3)):
-        if sizes is None:
-            group = list(group)
-            size = sum(len(line[0]) for line in group)
-        elif p > len(sizes):
-            raise DataError(f"paragraph {p} was not counted")
-        else:
-            size = sizes[p - 1]
-        for line in group:
-            if not criteria or chosen(line) == wanted:
-                kept.append(line)
-                spans.append((len(line[0]), start, size + 1 - start))
-            start += len(line[0])
-        start = 1
+    kept, spans = [], []
+    paragraph = start = size = held = 0  # start: the line's first position
+    for line in lines:
+        count = len(line[0])
+        if line[3] != paragraph:
+            paragraph, start = line[3], 1
+            if paragraph > len(sizes):
+                raise DataError(f"paragraph {paragraph} was not counted")
+            size = sizes[paragraph - 1]
+        if not criteria or chosen(line) == wanted:
+            kept.append(line)
+            spans.append((count, start, size + 1 - start))
+        start += count
+        held += count
+        if held >= _PIECE_ROWS:
+            yield kept, spans
+            kept, spans, held = [], [], 0
+    yield kept, spans
+
+
+def _positions(spans: Sequence[tuple[int, int, int]]) -> list[Iterator[int]]:
+    """The line_pos_fwd, line_pos_rev, para_pos_fwd and para_pos_rev
+    columns of the words of lines placed by :func:`_placed`."""
     counts, firsts, ends = zip(*spans) if spans else ((), (), ())
-    return kept, [
+    return [
         chain.from_iterable(map(range, repeat(1), [n + 1 for n in counts])),
         chain.from_iterable(map(range, counts, repeat(0), repeat(-1))),
         chain.from_iterable(map(range, firsts, map(add, firsts, counts))),
@@ -386,12 +395,15 @@ def _placed(lines: Iterable[tuple], sizes: Sequence[int] | None = None,
 
 
 def _table_from_lines(lines: Iterable[tuple], source_id: str) -> LongTable:
-    """The table of lines holding whole paragraphs (see :func:`_placed`)."""
-    lines, positions = _placed(lines)
+    """The table of lines whose paragraphs are numbered 1, 2, ... in order
+    (see :func:`_placed`)."""
+    lines = list(lines)
+    spans = [span for _, run in _placed(lines, line_sizes(lines))
+             for span in run]
     counts = [len(line[0]) for line in lines]
     words, *attributes = zip(*lines) if lines else [()] * 10
     return LongTable._from_columns((
-        chain.from_iterable(words), *positions,
+        chain.from_iterable(words), *_positions(spans),
         *(chain.from_iterable(map(repeat, values, counts))
           for values in attributes)), source_id)
 
@@ -478,44 +490,12 @@ def parse_interlinear(raw: bytes | str, meta: FolioMetadataMap,
         raw, meta, transcriber_filter, comma_breaks=comma_breaks), source_id)
 
 
-def paragraph_sizes(lines: Iterable[str]) -> list[int]:
-    """The number of words of each paragraph of plain text, whose lines
-    are ``lines``, in the order :func:`plaintext_lines` numbers them."""
-    return [sum(counts) for has_words, counts in groupby(
-        map(len, map(str.split, lines)), bool) if has_words]
-
-
 def line_sizes(lines: Iterable[tuple]) -> list[int]:
     """The number of words of each paragraph of parsed ``lines`` (see
     :func:`_placed`) whose paragraphs are numbered 1, 2, ... in order, as
     :func:`tsv_pieces` takes them."""
     return [sum(len(line[0]) for line in group)
             for _, group in groupby(lines, key=itemgetter(3))]
-
-
-def line_runs(lines: Iterable[tuple]) -> Iterator[tuple[int, list[tuple]]]:
-    """Parsed ``lines`` (see :func:`_placed`) in runs: a run ends at the
-    first line end after it holds :data:`_PIECE_ROWS` words, whether or not
-    a paragraph ends there, or at the last line. Yields ``(start, run)``,
-    where ``start`` is the position of the run's first word in its
-    paragraph (1 unless the run begins inside one); with the sizes of the
-    paragraphs, that places every word of the run."""
-    run: list[tuple] = []
-    size = placed = 0  # placed: the paragraph's words before the line
-    start, paragraph = 1, None
-    for line in lines:
-        if line[3] != paragraph:
-            paragraph, placed = line[3], 0
-        if not run:
-            start = placed + 1
-        run.append(line)
-        placed += len(line[0])
-        size += len(line[0])
-        if size >= _PIECE_ROWS:
-            yield start, run
-            run, size = [], 0
-    if run:
-        yield start, run
 
 
 def plaintext_lines(lines: Iterable[str]) -> Iterator[tuple]:
@@ -601,7 +581,7 @@ TSV_COLUMNS = RECORD_FIELDS + ("source_id",)
 # decoded_blocks cuts a file.
 _CHUNK_CHARS = 1 << 18
 
-# Rows per piece of tsv_pieces, and words before a plain-text run may end.
+# Rows per piece of tsv_pieces, and words before a run of lines may end.
 _PIECE_ROWS = 1 << 12
 
 TSV_HEADER = "\t".join(TSV_COLUMNS) + "\n"
@@ -624,18 +604,17 @@ class _Numbers(dict):
         return text
 
 
-def tsv_pieces(runs: Iterable[tuple[int, list[tuple]]], source_id: str,
-               sizes: Sequence[int] | None = None,
+def tsv_pieces(lines: Iterable[tuple], source_id: str,
+               sizes: Sequence[int],
                criteria: Mapping[str, str] | None = None) -> Iterator[str]:
-    """:func:`write_tsv`'s text of the lines of ``(start, lines)`` runs, as
-    :func:`_placed` places and selects them, in pieces: the header, then
+    """:func:`write_tsv`'s text of parsed ``lines``, as :func:`_placed`
+    places and selects them, in pieces: the header, then
     :data:`_PIECE_ROWS` rows at a time."""
     yield TSV_HEADER
     end = f"\t{source_id}\n"
-    for start, lines in runs:
-        lines, positions = _placed(lines, sizes, start, criteria)
+    for lines, spans in _placed(lines, sizes, criteria):
         get = _Numbers().__getitem__  # a run's numbers, not the text's
-        columns = [map(get, p) for p in positions]
+        columns = [map(get, p) for p in _positions(spans)]
         tails = chain.from_iterable(  # the fields a line's words share
             repeat("\t".join((kind, str(n), str(paragraph), *page)) + end,
                    len(words))

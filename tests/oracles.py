@@ -5,8 +5,8 @@ library (dicts and plain loops instead of numpy; no shared helpers) so that
 agreement between the two is meaningful. Four are exceptions. The
 long-table reader is the original row-by-row reader, which builds each row
 as a WordRecord and so shares the record's validation, as the plain-text
-table oracle does for each word it places. The TSV command oracle is
-``stats``, ``bigrams``, ``sukhotin``, ``sample``, ``translit`` and
+and interlinear table oracles do for each word they place. The TSV command
+oracle is ``stats``, ``bigrams``, ``sukhotin``, ``sample``, ``translit`` and
 ``cleanse`` as they ran before they read their input in slices: the whole
 file decoded, read into a table with ``read_tsv``, and the table functions,
 except that ``translit`` and ``cleanse`` rewrite token by token, cleansing
@@ -257,6 +257,48 @@ def plaintext_table_oracle(raw: bytes, source_id: str) -> LongTable:
                     word, i + 1, len(words) - i, placed, size - placed + 1,
                     "paragraph", n, number, "", "", "", "unclassified",
                     "unclassified", ""))
+    return LongTable(records=records, source_id=source_id)
+
+
+def interlinear_table_oracle(raw: bytes, meta: dict[str, tuple[str, ...]],
+                             source_id: str, transcriber: str | None = None,
+                             comma_breaks: bool = False) -> LongTable:
+    """Interlinear text as a table, built one WordRecord per word. ``meta``
+    maps each folio to its ``(section, language, hand, quire)``. The
+    transcriber's lines are gathered first, each paragraph (consecutive
+    lines of one folio and locus) whole; each word's positions are then
+    counted in a loop over its paragraph's lines and words."""
+    alnum = "[A-Za-z0-9]"
+    header = re.compile(rf"<\s*({alnum}+)\.([A-Za-z]{alnum}*)\.([0-9]+)"
+                        rf"\s*;\s*({alnum}+)\s*>(.*)")
+    paragraphs: list[list[tuple]] = []
+    unit = None
+    text = raw.decode("utf-8").removeprefix("\ufeff")
+    for n, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        folio, locus, number, who, payload = header.fullmatch(
+            line.strip()).groups()
+        if transcriber is not None and who != transcriber:
+            continue
+        words = split_payload_oracle(payload, comma_breaks, n)
+        if (folio, locus) != unit:
+            paragraphs.append([])
+            unit = (folio, locus)
+        paragraphs[-1].append((folio, locus, int(number), who, words))
+    records = []
+    for paragraph, lines in enumerate(paragraphs, start=1):
+        size = sum(len(words) for *_, words in lines)
+        placed = 0
+        for folio, locus, number, who, words in lines:
+            section, language, hand, quire = meta[folio]
+            kind = "paragraph" if locus[0] in "Pp" else "label_or_diagram"
+            for i, word in enumerate(words):
+                placed += 1
+                records.append(WordRecord(
+                    word, i + 1, len(words) - i, placed, size - placed + 1,
+                    kind, number, paragraph, folio, quire, section,
+                    language, hand, who))
     return LongTable(records=records, source_id=source_id)
 
 

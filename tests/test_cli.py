@@ -86,6 +86,28 @@ def test_ingest_sniffs_plaintext(workspace):
     assert table.records[0].language == "unclassified"
 
 
+@pytest.mark.parametrize("argv, opens", [
+    (["plain.txt"], 2),
+    (["plain.txt", "--kind", "plaintext"], 2),
+    (["page.txt", "--meta", "meta.tsv"], 1),
+    (["page.txt", "--kind", "interlinear", "--meta", "meta.tsv"], 1),
+], ids=["plaintext-sniffed", "plaintext", "interlinear-sniffed",
+        "interlinear"])
+def test_ingest_opens_its_input_once_per_pass_and_sniffs_in_pass_1(
+        workspace, monkeypatch, argv, opens):
+    # The kind comes from the bytes pass 1 reads, never from a read of
+    # its own; interlinear text is held, so pass 2 reads no file.
+    real, opened = cli._Run.blocks, []
+
+    def blocks(self, path):  # a generator: counts when the file is read
+        opened.append(str(path))
+        yield from real(self, path)
+
+    monkeypatch.setattr(cli._Run, "blocks", blocks)
+    assert run("ingest", *argv, "--out", "o.tsv") == 0
+    assert opened.count(argv[0]) == opens
+
+
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_ingest_sniffs_the_kind_after_blocks_of_comments(
         workspace, monkeypatch, capsys, block):
@@ -288,8 +310,9 @@ def _append_a_paragraph(path):
     (["translit", "x.tsv", "--system", "maximal"], "transliterate_words"),
     (["translit", "x.tsv", "--simplify", "--rare-min", "2"],
      "simplifying_table"),
-    # A TSV read as plain text: a paragraph of words, tabs as spaces.
-    (["ingest", "x.tsv", "--kind", "plaintext"], "plaintext_lines"),
+    # A TSV read as plain text: a paragraph of words, tabs as spaces. Both
+    # passes parse with plaintext_lines; only the second writes.
+    (["ingest", "x.tsv", "--kind", "plaintext"], "tsv_pieces"),
 ], ids=["cleanse", "translit", "simplify", "ingest"])
 def test_an_input_that_changes_between_the_passes_is_data_error(
         workspace, capsys, monkeypatch, argv, between, edit):

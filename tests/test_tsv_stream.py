@@ -1,7 +1,7 @@
 """The commands that read a long-table TSV in slices, against the whole-file
-path; plain-text ``ingest``, which writes a run of lines at a time,
-against a word-by-word oracle; and the memory that they and ``batch``
-hold."""
+path; ``ingest`` of plain and interlinear text, which writes a run of
+lines at a time, against word-by-word oracles; and the memory that they
+and ``batch`` hold."""
 
 import contextlib
 import hashlib
@@ -314,6 +314,72 @@ def test_streamed_ingest_equals_the_plaintext_oracle(raw, bad_at):
                 table = canonical_selection(table, select)
             assert out.read_bytes() == write_tsv(table).encode(), (rows,
                                                                    select)
+            out.unlink()
+
+
+# Two languages and two hands: folio -> (section, language, hand, quire).
+_FOLIOS = {"f1r": ("herbal", "A", "1", "A"), "f2v": ("herbal", "B", "2", "B"),
+           "f3r": ("stars", "A", "2", "C")}
+
+_GLYPHS = st.text(st.sampled_from("aodeyk"), min_size=1, max_size=4)
+
+
+@st.composite
+def interlinear_texts(draw):
+    """Interlinear text as bytes: units of one folio and locus, paragraph
+    (``P``, ``p``) or label (``L``, ``R``), each of one to six lines read by
+    one or both of two transcribers, with comment and blank lines between.
+    Words are parted by ``.``, by an annotation and ``.``, or by ``,``."""
+    lines = []
+    for folio, locus in draw(st.lists(st.tuples(
+            st.sampled_from(sorted(_FOLIOS)),
+            st.sampled_from(["P1", "P2", "p3", "L1", "R2"])), max_size=8)):
+        for number in range(1, draw(st.integers(1, 6)) + 1):
+            for who in draw(st.sampled_from([("H",), ("F",), ("H", "F")])):
+                words = draw(st.lists(_GLYPHS, max_size=5))
+                breaks = draw(st.lists(
+                    st.sampled_from([".", ".", "{c}.", ","]),
+                    min_size=len(words), max_size=len(words)))
+                payload = "".join(map(str.__add__, words, breaks))
+                lines.append(f"<{folio}.{locus}.{number};{who}>  {payload}")
+            if draw(st.integers(0, 4)) == 0:
+                lines.append(draw(st.sampled_from(["", "# a comment"])))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+# Paragraphs longer than every patched run but the last, each selection
+# keeping some of them and dropping the others, and a label among them.
+@example(raw=b"<f1r.P1.1;H> a.b.c\n<f1r.P1.2;H> d.e\n# between\n"
+             b"<f2v.P1.1;H> f.g.h.i\n<f2v.P1.2;F> j\n<f3r.L1.1;H> k.l\n"
+             b"<f3r.P1.1;H> m.n.o\n<f3r.P1.2;F> p\n<f1r.P2.1;H> q\n",
+         transcriber=None)
+@given(raw=interlinear_texts(), transcriber=st.sampled_from([None, "H"]))
+def test_streamed_interlinear_ingest_equals_the_oracle(raw, transcriber):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, meta, out = (Path(tmp) / n for n in ("in.txt", "meta.tsv",
+                                                   "o.tsv"))
+        path.write_bytes(raw)
+        meta.write_text("".join(f"{folio}\t{section}\t{language}\t{hand}"
+                                f"\t{quire}\n" for folio, (
+                                    section, language, hand, quire)
+                                in _FOLIOS.items()), encoding="utf-8")
+        table = oracles.interlinear_table_oracle(raw, _FOLIOS, "in.txt",
+                                                 transcriber)
+        for rows, select in itertools.product([1, 2, 5, 4096],
+                                              [None, "a_text", "hand2", "b"]):
+            err = io.StringIO()
+            with mock.patch.object(ingest, "_PIECE_ROWS", rows), \
+                    contextlib.redirect_stderr(err):
+                code = main(["ingest", str(path), "--kind", "interlinear",
+                             "--meta", str(meta), "--out", str(out),
+                             *(["--transcriber", transcriber]
+                               if transcriber else []),
+                             *(["--select", select] if select else [])])
+            assert code == 0, err.getvalue()
+            want = canonical_selection(table, select) if select else table
+            assert out.read_bytes() == write_tsv(want).encode(), (rows,
+                                                                  select)
             out.unlink()
 
 
